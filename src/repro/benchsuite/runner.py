@@ -486,12 +486,16 @@ def run_opt_pipeline(cache_dir=None,
                      output: str | None = "BENCH_opt_pipeline.json"
                      ) -> dict:
     """Middle-end pipeline experiment: O0 vs O2, cold vs warm, engines
-    cross-checked.  Three claims, each measured in fresh subprocesses:
+    cross-checked.  Three claims, each measured in fresh subprocesses
+    and each gated by raising ``AssertionError``:
 
-    * **speed** — all five benchmarks on the vector engine at ``-O0``
-      (tree-walking interpreters) vs ``-O2`` (optimized flat bytecode);
-      reports per-benchmark engine wall-clock speedups and their
-      geomean.
+    * **optimization pays** — all five benchmarks on the vector engine
+      at ``-O0`` (unoptimized bytecode) vs ``-O2`` (optimized
+      bytecode): per benchmark, the O2 checksum must equal the O0 one
+      and the O2 simulated kernel seconds must not exceed the O0
+      value.  Both are deterministic.  The engine wall-clock speedups
+      and their geomean are reported but not gated: host noise is as
+      large as the difference.
     * **warm start** — a second ``-O2`` process against the same cache
       must perform **zero** clc compiles and **zero** optimization
       passes (the cached artifact already holds the lowered bytecode)
@@ -524,15 +528,34 @@ def run_opt_pipeline(cache_dir=None,
 
     benchmarks = {}
     speedups = []
-    for name in o0_cold["benchmarks"]:
-        o0_s = o0_cold["benchmarks"][name]["exec_wall_seconds"]
-        o2_s = o2_warm["benchmarks"][name]["exec_wall_seconds"]
+    for name, o0 in o0_cold["benchmarks"].items():
+        o2 = o2_warm["benchmarks"][name]
+        o0_s, o2_s = o0["exec_wall_seconds"], o2["exec_wall_seconds"]
         speedup = o0_s / o2_s if o2_s > 0 else float("inf")
         speedups.append(speedup)
-        benchmarks[name] = {"o0_seconds": o0_s, "o2_seconds": o2_s,
-                            "speedup": speedup}
+        benchmarks[name] = {
+            "o0_seconds": o0_s, "o2_seconds": o2_s, "speedup": speedup,
+            "o0_sim_seconds": o0["sim_kernel_seconds"],
+            "o2_sim_seconds": o2["sim_kernel_seconds"],
+            "sim_ratio": (o0["sim_kernel_seconds"]
+                          / o2["sim_kernel_seconds"]
+                          if o2["sim_kernel_seconds"] > 0 else 1.0),
+            "checksums_identical": o0["checksum"] == o2["checksum"]}
     geomean = math.exp(sum(math.log(s) for s in speedups)
                        / len(speedups)) if speedups else 0.0
+
+    mismatched = [n for n, b in benchmarks.items()
+                  if not b["checksums_identical"]]
+    if mismatched:
+        raise AssertionError(
+            f"-O2 checksums differ from -O0 on: {', '.join(mismatched)}")
+    slower = {n: (b["o0_sim_seconds"], b["o2_sim_seconds"])
+              for n, b in benchmarks.items()
+              if b["o2_sim_seconds"] > b["o0_sim_seconds"]}
+    if slower:
+        raise AssertionError(
+            "-O2 simulated kernel seconds exceed -O0 (O0, O2) on: "
+            + json.dumps(slower))
 
     warm_pass_runs = sum(o2_warm["pass_runs"].values())
     if o2_warm["clc_compiles"] or warm_pass_runs:

@@ -152,10 +152,6 @@ def _dump(ns) -> int:
                           f"{', '.join(uniform)}")
 
     optimize_program(program, ns.opt_level, observer)
-    if program.bytecode is None:
-        print(f"\n== no bytecode at -O{program.opt_level} "
-              "(tree interpreters execute the IR above) ==")
-        return 0
     print(f"\n== bytecode (version {program.bytecode.version}, "
           f"-O{program.opt_level}) ==")
     for bc in program.bytecode.functions.values():

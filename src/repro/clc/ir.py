@@ -218,9 +218,10 @@ class ProgramIR:
     """A compiled translation unit: kernels plus helper functions."""
     functions: dict = field(default_factory=dict)   # name -> Function
     source: str = ""
-    #: opt level the middle-end ran at (0 = tree only, no bytecode)
+    #: opt level the middle-end ran at (0 = no rewriting passes)
     opt_level: int = 0
-    #: :class:`repro.clc.lower.ProgramBytecode` or None at O0
+    #: :class:`repro.clc.lower.ProgramBytecode`; None until the middle-end
+    #: has run (every engine rejects a program without it)
     bytecode: object = None
 
     @property

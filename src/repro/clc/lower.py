@@ -1,13 +1,16 @@
-"""Lowering of the optimized tree IR into flat register bytecode.
+"""Lowering of the typed tree IR into flat register bytecode.
 
-The tree walked by the engines has two costs real drivers don't pay:
-Python ``isinstance`` dispatch per node per work-item, and re-deriving
-facts (operand dtypes, operator costs, memory spaces) on every visit.
-This module flattens each function once into a register machine:
+Bytecode is the only form the engines execute, at every opt level: at
+``-O0`` the lowerer sees the front-end's tree unchanged, at ``-O1``/``-O2``
+the tree the rewriting passes left behind.  Walking the tree directly
+would cost Python ``isinstance`` dispatch per node per work-item and
+re-derive facts (operand dtypes, operator costs, memory spaces) on every
+visit, so this module flattens each function once into a register
+machine:
 
 * every parameter and declared variable gets a *named register* (flat,
-  name-keyed — inner-scope redeclarations share the outer register,
-  exactly like the engines' name-keyed environments);
+  name-keyed — inner-scope redeclarations share the outer register, as
+  C scoping allows once sema has resolved every name);
 * every sub-expression gets a dedicated temp register, so register
   indices are fully static;
 * constants and work-item queries are deduplicated and hoisted into a
@@ -92,7 +95,7 @@ I.register_node_classes(Instr, KernelBytecode, ProgramBytecode)
 
 OP_CONST = 0
 OP_MOV = 1
-OP_CASTF = 2     # free cast: implicit conversion the tree never counted
+OP_CASTF = 2     # free cast: uncounted implicit conversion
 OP_CAST = 3      # counted cast: an explicit Convert node
 OP_NEG = 4
 OP_BNOT = 5
@@ -267,8 +270,7 @@ class _FuncLowerer:
 
     def _coerce(self, reg: int, src_type, dst_type, line: int = 0) -> int:
         """Free cast (castf) when the value needs an uncounted implicit
-        conversion the tree engines performed at assignment/call/return
-        boundaries."""
+        conversion at an assignment/call/return boundary."""
         if isinstance(src_type, ScalarType) and src_type is dst_type:
             return reg
         tmp = self._temp()
@@ -486,7 +488,7 @@ class _FuncLowerer:
 #
 # Serialized Instr objects are convenient to store but slow to execute;
 # linking converts each into a plain tuple with integer opcodes, numpy
-# dtypes and precomputed costs, shared by both engines.  The result is
+# dtypes and precomputed costs, shared by every engine.  The result is
 # cached on the ProgramBytecode instance (an ad-hoc attribute the IR
 # codec never sees).
 
@@ -504,7 +506,8 @@ L_ISFLOAT = 10
 L_LINE = 11
 L_UNI = 12
 
-#: per-op vector ALU cost (mirrors vector.py's _OP_COST table)
+#: per-op weighted ALU cost of the lock-step engines, in fp32-add units
+#: (every other counted op costs 1.0)
 _VCOSTS = {OP_DIV: 8.0, OP_MOD: 16.0}
 
 _COUNTED_OPS = frozenset({

@@ -119,7 +119,8 @@ class FoldPass:
         return self._simplify_binary(expr)
 
     def _eval_binary(self, expr: I.Binary, x, y):
-        """Mirror of SerialEngine._eval_binary over two constants."""
+        """The engines' binary-op semantics (:mod:`repro.ocl.engines
+        .carith`) over two constants."""
         op = expr.op
         if op in _COMPARISONS:
             if expr.type is not INT:

@@ -21,7 +21,7 @@ from .. import ir as I
 #: Version of the pass pipeline.  Part of the persistent kernel cache key
 #: (together with the opt level and the bytecode version), so changing
 #: what the passes do invalidates cached post-optimization artifacts.
-PIPELINE_VERSION = 1
+PIPELINE_VERSION = 2
 
 #: opt level used when neither build options nor configuration choose one
 DEFAULT_OPT_LEVEL = 2
@@ -138,23 +138,21 @@ def optimize_program(program: I.ProgramIR, opt_level: int,
                      observer=None) -> I.ProgramIR:
     """Optimize ``program`` in place and attach its kernel bytecode.
 
-    At O0 the tree IR is left untouched and no bytecode is produced —
-    the engines then use their original tree interpreters, which is the
-    pre-refactor behaviour ``-cl-opt-disable`` promises.  At O1+ the
-    rewriting passes run to fixpoint and :func:`repro.clc.lower
-    .lower_program` produces the flat register bytecode both engines
-    execute.  The result (tree + bytecode + level) is what the
-    persistent kernel cache serializes, so warm starts skip *both* the
-    front-end and the middle-end.
+    Every level lowers: at O0 no rewriting pass runs (only the
+    uniformity analysis, which tags but never rewrites), so the
+    bytecode executes the front-end's tree exactly as written, which is
+    what ``-cl-opt-disable`` promises.  At O1+ the rewriting passes run
+    to fixpoint first.  :func:`repro.clc.lower.lower_program` then
+    produces the flat register bytecode every engine executes.  The
+    result (tree + bytecode + level) is what the persistent kernel
+    cache serializes, so warm starts skip *both* the front-end and the
+    middle-end.
     """
     from ... import trace
     from ..lower import lower_program
 
     level = _clamp(opt_level)
     program.opt_level = level
-    if level <= 0:
-        program.bytecode = None
-        return program
     with trace.span("optimize", category="clc", opt_level=level):
         run_pipeline(program, level, observer)
         program.bytecode = lower_program(program, level, PIPELINE_VERSION)

@@ -9,8 +9,8 @@ An execution backend ("engine") is a class with
   :class:`~repro.ocl.devicedb.DeviceSpec`,
 * ``run(kernel_name, args, global_size, local_size=None)`` returning a
   filled :class:`~repro.ocl.costmodel.CostCounters`,
-* a ``capabilities`` frozenset of feature flags (``"tree"``,
-  ``"bytecode"``, ``"simt"``, ``"codegen"``) and a ``codegen_version``
+* a ``capabilities`` frozenset of feature flags (``"bytecode"``,
+  ``"simt"``, ``"codegen"``) and a ``codegen_version``
   int (0 for interpreters; bumped whenever a code-generating backend
   changes its emitted code, so cached artifacts are invalidated).
 
@@ -32,8 +32,9 @@ import numpy as np
 
 from ...clc.lower import BYTECODE_VERSION, linked_program
 from ...clc.types import CLType, PointerType, ScalarType
-from ...errors import (InvalidKernelArgs, InvalidWorkDimension,
-                       InvalidWorkGroupSize, OutOfResources)
+from ...errors import (InvalidKernelArgs, InvalidProgramExecutable,
+                       InvalidWorkDimension, InvalidWorkGroupSize,
+                       OutOfResources)
 
 #: environment variable naming the default execution backend
 ENV_ENGINE = "HPL_ENGINE"
@@ -126,15 +127,19 @@ def default_engine() -> str:
 
 
 def linked_entry(program, kernel_name: str):
-    """``(linked functions dict, entry)`` for ``kernel_name`` when the
-    program ships bytecode the engines understand (O1+), else
-    ``(None, None)`` — the tree-walking fallback.  Shared by every
-    bytecode-capable backend so the version check cannot drift."""
+    """``(linked functions dict, (code, KernelBytecode))`` for
+    ``kernel_name``.  Shared by every backend so the version check
+    cannot drift: a program without bytecode, or with bytecode of
+    another :data:`~repro.clc.lower.BYTECODE_VERSION`, raises
+    :class:`~repro.errors.InvalidProgramExecutable`."""
     pbc = getattr(program, "bytecode", None)
-    if pbc is None or getattr(pbc, "version", None) != BYTECODE_VERSION:
-        return None, None
+    found = getattr(pbc, "version", None)
+    if found != BYTECODE_VERSION:
+        raise InvalidProgramExecutable(
+            f"kernel {kernel_name!r} has no executable bytecode: found "
+            f"version {found}, expected {BYTECODE_VERSION}")
     linked = linked_program(pbc)
-    return linked, linked.get(kernel_name)
+    return linked, linked[kernel_name]
 
 
 def wiq_value(qcode: int, dim: int, name: str, ids, nd):

@@ -22,8 +22,8 @@ Generated module source is memoized in-process per program and cached on
 disk next to the ``ProgramIR`` entries (``.jitsrc`` sidecars in
 :mod:`repro.hpl.diskcache`), keyed by program source, bytecode/pipeline
 versions and :data:`JIT_CODEGEN_VERSION`.  When codegen fails for any
-reason the engine silently falls back to the inherited interpreter, so
-``jit`` is always safe to select.
+reason the engine silently falls back to the inherited bytecode
+interpreter, so ``jit`` is always safe to select.
 """
 
 from __future__ import annotations
@@ -770,14 +770,14 @@ def load_module(source: str):
 class JitEngine(VectorEngine):
     """Whole-work-group execution through generated NumPy code.
 
-    Inherits the vector engine's launch plumbing, argument binding, tree
-    fallback (``-O0`` programs carry no bytecode) and bounds/atomic
-    helpers; only the bytecode execution path is replaced by compiled
-    functions.  Any codegen failure falls back to the interpreter.
+    Inherits the vector engine's launch plumbing, argument binding and
+    bounds/atomic helpers; only the bytecode execution path is replaced
+    by compiled functions.  Any codegen failure falls back to the
+    interpreter.
     """
 
     name = "jit"
-    capabilities = frozenset({"tree", "bytecode", "simt", "codegen"})
+    capabilities = frozenset({"bytecode", "simt", "codegen"})
     codegen_version = JIT_CODEGEN_VERSION
 
     @classmethod
@@ -786,16 +786,18 @@ class JitEngine(VectorEngine):
         compile the module now, so it lands in build accounting and the
         disk cache rather than in the first launch.  The result is
         memoized on the bytecode object, which every later engine
-        instance for this program shares."""
+        instance for this program shares.  A program without bytecode
+        is left alone; its launches fail with the engines' typed
+        error."""
         if getattr(ir, "bytecode", None) is not None:
             cls(ir, spec)._jit_functions()
 
-    def _run_bytecode(self, entry, kernel, args) -> None:
-        code, kbc = entry
+    def _run_bytecode(self, entry, args) -> None:
+        _code, kbc = entry
         funcs = self._jit_functions()
         fn = None if funcs is None else funcs.get(kbc.name)
         if fn is None:
-            super()._run_bytecode(entry, kernel, args)
+            super()._run_bytecode(entry, args)
             return
         frame = self._bc_frame(kbc, args)
         self._bloops = []

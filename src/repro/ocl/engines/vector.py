@@ -20,8 +20,6 @@ from __future__ import annotations
 import numpy as np
 
 from ... import prof, trace
-from ...clc import ir as I
-from ...clc.builtins import BUILTINS
 from ...clc.lower import (L_A, L_AUX, L_B, L_C, L_DST,
                           L_ISDBL, L_ISFLOAT, L_LINE, L_NP, L_UNI,
                           L_VCOST, OP_ADD, OP_ATOMIC, OP_BARRIER,
@@ -31,23 +29,13 @@ from ...clc.lower import (L_A, L_AUX, L_B, L_C, L_DST,
                           OP_LD, OP_LNOT, OP_LOOP, OP_LOR, OP_MOV,
                           OP_NEG, OP_RET, OP_SELECT,
                           OP_ST, OP_WIQ, SPACE_GLOBAL, SPACE_LOCAL)
-from ...clc.types import DOUBLE, SCALAR_TYPES, PointerType, ScalarType
+from ...clc.types import SCALAR_TYPES
 from ...errors import InvalidKernelArgs, KernelLaunchError, OutOfResources
-from ..costmodel import (CostCounters, count_index_transactions,
-                         count_transactions)
-from .base import (ATOMIC_UFUNCS, GLOBAL_ID_KEYS, GROUP_ID_KEYS,
-                   LOCAL_ID_KEYS, MAX_LOOP_ITERATIONS, BufferBinding,
-                   LocalBinding, Mem as _Mem, NDRange, ScalarBinding,
-                   check_args, linked_entry, register_engine, wiq_value)
-from .carith import (binary_value, c_div, c_imod, c_shl, c_shr,
-                     compare_value, to_dtype, truth)
-
-#: weighted cost (in fp32-add units) of the arithmetic operators
-_OP_COST = {"+": 1.0, "-": 1.0, "*": 1.0,
-            "/": 8.0, "%": 16.0,
-            "<<": 1.0, ">>": 1.0, "&": 1.0, "|": 1.0, "^": 1.0,
-            "==": 1.0, "!=": 1.0, "<": 1.0, ">": 1.0, "<=": 1.0,
-            ">=": 1.0, "&&": 1.0, "||": 1.0}
+from ..costmodel import CostCounters, count_index_transactions
+from .base import (ATOMIC_UFUNCS, MAX_LOOP_ITERATIONS, BufferBinding,
+                   Mem as _Mem, NDRange, check_args, linked_entry,
+                   register_engine, wiq_value)
+from .carith import binary_value, compare_value, to_dtype, truth
 
 _MAX_LOOP_ITERATIONS = MAX_LOOP_ITERATIONS
 
@@ -57,22 +45,6 @@ def _as_key(size):
     if size is None or isinstance(size, int):
         return size
     return tuple(size)
-
-
-class _Frame:
-    """One function activation: environment + return bookkeeping."""
-
-    def __init__(self, n: int, ret_dtype=None) -> None:
-        self.env: dict[str, object] = {}
-        self.return_mask = np.zeros(n, dtype=bool)
-        self.ret_value = (np.zeros(n, dtype=ret_dtype)
-                          if ret_dtype is not None else None)
-
-
-class _Loop:
-    def __init__(self, n: int) -> None:
-        self.break_mask = np.zeros(n, dtype=bool)
-        self.continue_mask = np.zeros(n, dtype=bool)
 
 
 class _BFrame:
@@ -93,7 +65,7 @@ class VectorEngine:
     """Execute one kernel launch over a whole NDRange in lock step."""
 
     name = "vector"
-    capabilities = frozenset({"tree", "bytecode", "simt"})
+    capabilities = frozenset({"bytecode", "simt"})
     codegen_version = 0
 
     def __init__(self, program, spec) -> None:
@@ -138,61 +110,24 @@ class VectorEngine:
 
         self.counters = CostCounters(work_items=self.n,
                                      work_groups=nd.total_groups)
-        self.frames: list[_Frame] = []
-        self.loops: list[_Loop] = []
         self._local_bytes = 0
 
-        entry = self._bytecode_entry(kernel_name)
+        self._linked, entry = linked_entry(self.program, kernel_name)
         self._col = prof.begin_launch(kernel_name, self.name, self.spec,
                                       getattr(self.program, "source", ""),
                                       self.n, nd.total_groups)
         try:
             with trace.span("engine_run", category="simcl",
                             engine=self.name, kernel=kernel_name,
-                            work_items=self.n,
-                            bytecode=entry is not None):
+                            work_items=self.n):
                 with np.errstate(all="ignore"):
-                    if entry is not None:
-                        self._run_bytecode(entry, kernel, args)
-                    else:
-                        frame = _Frame(self.n)
-                        self._bind_args(frame, kernel, args)
-                        self.frames.append(frame)
-                        mask = np.ones(self.n, dtype=bool)
-                        self._run_block(kernel.body, mask)
-                        self.frames.pop()
+                    self._run_bytecode(entry, args)
                 prof.finish_launch(self._col, self.counters)
         finally:
             self._col = None
         return self.counters
 
-    def _bytecode_entry(self, kernel_name: str):
-        """(linked code, KernelBytecode) when the program ships bytecode
-        this engine understands (O1+), else None (tree fallback)."""
-        self._linked, entry = linked_entry(self.program, kernel_name)
-        return entry
-
-    # -- argument binding ----------------------------------------------------------
-
-    def _bind_args(self, frame: _Frame, kernel, args) -> None:
-        for param, arg in zip(kernel.params, args):
-            if isinstance(arg, ScalarBinding):
-                dtype = param.type.np_dtype
-                frame.env[param.name] = dtype.type(arg.value)
-            elif isinstance(arg, BufferBinding):
-                space = param.type.address_space
-                frame.env[param.name] = _Mem(arg.array, "buffer", space,
-                                             param.name)
-            elif isinstance(arg, LocalBinding):
-                elem = param.type.pointee
-                nelems = arg.nbytes // elem.size
-                self._account_local(arg.nbytes)
-                storage = np.zeros((self.nd.total_groups, nelems),
-                                   dtype=elem.np_dtype)
-                frame.env[param.name] = _Mem(storage, "local", "local",
-                                             param.name)
-            else:  # pragma: no cover - check_args filters this
-                raise InvalidKernelArgs(f"bad binding for {param.name!r}")
+    # -- launch helpers ----------------------------------------------------------
 
     def _account_local(self, nbytes: int) -> None:
         self._local_bytes += nbytes
@@ -200,211 +135,6 @@ class VectorEngine:
             raise OutOfResources(
                 f"work-group needs {self._local_bytes} B of local memory; "
                 f"{self.spec.name} provides {self.spec.local_mem_bytes} B")
-
-    # -- statement execution -----------------------------------------------------------
-
-    def _run_block(self, stmts: list, mask: np.ndarray) -> np.ndarray:
-        for stmt in stmts:
-            if not mask.any():
-                return mask
-            mask = self._run_stmt(stmt, mask)
-        return mask
-
-    def _run_stmt(self, stmt, mask: np.ndarray) -> np.ndarray:
-        frame = self.frames[-1]
-        if isinstance(stmt, I.DeclVar):
-            dtype = stmt.type.np_dtype
-            if stmt.name not in frame.env:
-                frame.env[stmt.name] = np.zeros(self.n, dtype=dtype)
-            if stmt.init is not None:
-                value = self._eval(stmt.init, mask)
-                self._store_scalar(frame.env[stmt.name], value, mask)
-            return mask
-        if isinstance(stmt, I.DeclArray):
-            if stmt.name not in frame.env:
-                if stmt.space == "local":
-                    nbytes = stmt.size * stmt.element.size
-                    self._account_local(nbytes)
-                    storage = np.zeros((self.nd.total_groups, stmt.size),
-                                       dtype=stmt.element.np_dtype)
-                    frame.env[stmt.name] = _Mem(storage, "local", "local",
-                                                stmt.name)
-                else:
-                    storage = np.zeros((self.n, stmt.size),
-                                       dtype=stmt.element.np_dtype)
-                    frame.env[stmt.name] = _Mem(storage, "private",
-                                                "private", stmt.name)
-            return mask
-        if isinstance(stmt, I.Store):
-            self._exec_store(stmt, mask)
-            return mask
-        if isinstance(stmt, I.AtomicRMW):
-            self._exec_atomic(stmt, mask)
-            return mask
-        if isinstance(stmt, I.EvalExpr):
-            self._eval(stmt.expr, mask)
-            return mask
-        if isinstance(stmt, I.If):
-            cond = truth(self._broadcast(self._eval(stmt.cond, mask)))
-            then_mask = mask & cond
-            else_mask = mask & ~cond
-            col = self._col
-            if col is not None:
-                col.branch(stmt.line, int(np.count_nonzero(mask)),
-                           int(np.count_nonzero(then_mask)))
-            out_then = (self._run_block(stmt.then, then_mask)
-                        if then_mask.any() else then_mask)
-            out_else = (self._run_block(stmt.otherwise, else_mask)
-                        if else_mask.any() else else_mask)
-            return out_then | out_else
-        if isinstance(stmt, I.While):
-            return self._exec_while(stmt, mask)
-        if isinstance(stmt, I.Break):
-            self.loops[-1].break_mask |= mask
-            return np.zeros_like(mask)
-        if isinstance(stmt, I.Continue):
-            self.loops[-1].continue_mask |= mask
-            return np.zeros_like(mask)
-        if isinstance(stmt, I.Return):
-            if stmt.value is not None and frame.ret_value is not None:
-                value = self._broadcast(self._eval(stmt.value, mask))
-                frame.ret_value[mask] = to_dtype(
-                    value, frame.ret_value.dtype)[mask]
-            frame.return_mask |= mask
-            return np.zeros_like(mask)
-        if isinstance(stmt, I.BarrierStmt):
-            active_groups = int(np.unique(self.group_flat[mask]).size)
-            self.counters.barriers += active_groups
-            col = self._col
-            if col is not None:
-                col.barrier(stmt.line, active_groups)
-            return mask
-        raise KernelLaunchError(
-            f"vector engine cannot execute {type(stmt).__name__}")
-
-    def _exec_while(self, stmt: I.While, mask: np.ndarray) -> np.ndarray:
-        active = mask.copy()
-        first = stmt.is_do_while
-        iterations = 0
-        while True:
-            if not first:
-                if not active.any():
-                    break
-                cond = truth(self._broadcast(self._eval(stmt.cond, active)))
-                active = active & cond
-            first = False
-            if not active.any():
-                break
-            loop = _Loop(self.n)
-            self.loops.append(loop)
-            after = self._run_block(stmt.body, active)
-            self.loops.pop()
-            after = after | loop.continue_mask
-            if stmt.update and after.any():
-                for u in stmt.update:
-                    self._run_stmt(u, after)
-            active = after
-            iterations += 1
-            if iterations > _MAX_LOOP_ITERATIONS:
-                raise KernelLaunchError(
-                    f"loop at line {stmt.line} exceeded "
-                    f"{_MAX_LOOP_ITERATIONS} iterations (infinite loop?)")
-        frame = self.frames[-1]
-        return mask & ~frame.return_mask
-
-    # -- stores --------------------------------------------------------------------------
-
-    def _store_scalar(self, storage: np.ndarray, value,
-                      mask: np.ndarray) -> None:
-        value = self._broadcast(value)
-        storage[mask] = to_dtype(value, storage.dtype)[mask]
-
-    def _exec_store(self, stmt: I.Store, mask: np.ndarray) -> None:
-        frame = self.frames[-1]
-        target = stmt.target
-        value = self._eval(stmt.value, mask)
-        if target.index is None:
-            storage = frame.env[target.name]
-            if not isinstance(storage, np.ndarray):
-                # scalar parameter materialised lazily upon first write
-                storage = np.full(self.n, storage)
-                frame.env[target.name] = storage
-            self._store_scalar(storage, value, mask)
-            return
-        mem: _Mem = frame.env[target.name]
-        idx = self._broadcast(self._eval(target.index, mask)).astype(
-            np.int64, copy=False)
-        self._check_bounds(idx, mem, mask, stmt.line)
-        safe = np.clip(idx, 0, mem.size - 1)
-        valm = to_dtype(self._broadcast(value), mem.array.dtype)
-        active = int(np.count_nonzero(mask))
-        col = self._col
-        if mem.kind == "buffer":
-            mem.array[safe[mask]] = valm[mask]
-            itemsize = mem.array.dtype.itemsize
-            tx = count_transactions(
-                safe[mask] * itemsize, self.warp_ids[mask],
-                self.spec.segment_bytes)
-            self.counters.global_stores += active
-            self.counters.global_store_bytes += active * itemsize
-            self.counters.global_store_transactions += tx
-            if col is not None:
-                col.mem(stmt.line, active, active * itemsize, tx, True,
-                        self.n)
-        elif mem.kind == "local":
-            mem.array[self.group_flat[mask], safe[mask]] = valm[mask]
-            self.counters.local_accesses += active
-            if col is not None:
-                col.local(stmt.line, active, self.n)
-        else:  # private array
-            mem.array[self.lane[mask], safe[mask]] = valm[mask]
-            self.counters.alu_ops += active  # address arithmetic
-            if col is not None:
-                col.op(stmt.line, active, 1.0, False, self.n)
-
-    def _exec_atomic(self, stmt: I.AtomicRMW, mask: np.ndarray) -> None:
-        frame = self.frames[-1]
-        target = stmt.target
-        mem: _Mem = frame.env[target.name]
-        idx = self._broadcast(self._eval(target.index, mask)).astype(
-            np.int64, copy=False)
-        self._check_bounds(idx, mem, mask, stmt.line)
-        safe = np.clip(idx, 0, mem.size - 1)
-        if stmt.value is not None:
-            val = to_dtype(self._broadcast(self._eval(stmt.value, mask)),
-                           mem.array.dtype)[mask]
-        else:
-            val = np.ones(int(np.count_nonzero(mask)),
-                          dtype=mem.array.dtype)
-        op = stmt.op
-        if op == "dec":
-            op, val = "sub", val
-        col = self._col
-        if mem.kind == "local":
-            index = (self.group_flat[mask], safe[mask])
-            self.counters.local_accesses += 2 * len(val)
-            if col is not None:
-                col.local(stmt.line, 2 * len(val), self.n)
-        else:
-            index = safe[mask]
-            itemsize = mem.array.dtype.itemsize
-            n = len(val)
-            self.counters.global_loads += n
-            self.counters.global_stores += n
-            self.counters.global_load_bytes += n * itemsize
-            self.counters.global_store_bytes += n * itemsize
-            tx = count_transactions(safe[mask] * itemsize,
-                                    self.warp_ids[mask],
-                                    self.spec.segment_bytes)
-            self.counters.global_load_transactions += tx
-            self.counters.global_store_transactions += tx
-            if col is not None:
-                col.mem(stmt.line, n, n * itemsize, tx, False, self.n)
-                col.mem(stmt.line, n, n * itemsize, tx, True, self.n)
-        ufunc = ATOMIC_UFUNCS.get(op)
-        if ufunc is None:  # pragma: no cover
-            raise KernelLaunchError(f"unknown atomic op {op!r}")
-        ufunc.at(mem.array, index, val)
 
     def _check_bounds(self, idx: np.ndarray, mem: _Mem,
                       mask: np.ndarray, line: int) -> None:
@@ -415,205 +145,20 @@ class VectorEngine:
                 f"work-item {lane} accessed {mem.name}[{int(idx[lane])}] "
                 f"out of bounds (size {mem.size}) at line {line}")
 
-    # -- expression evaluation ----------------------------------------------------------------
-
     def _broadcast(self, value):
         arr = np.asarray(value)
         if arr.ndim == 0:
             return np.broadcast_to(arr, (self.n,))
         return arr
 
-    def _count_alu(self, cost: float, mask: np.ndarray, type_,
-                   line: int = 0) -> None:
-        active = int(np.count_nonzero(mask))
-        is_double = isinstance(type_, ScalarType) and type_ is DOUBLE
-        if is_double:
-            self.counters.fp64_ops += cost * active
-        else:
-            self.counters.alu_ops += cost * active
-        col = self._col
-        if col is not None:
-            col.op(line, active, cost, is_double, self.n)
-
-    def _eval(self, expr: I.Expr, mask: np.ndarray):
-        frame = self.frames[-1]
-        if isinstance(expr, I.Const):
-            return expr.type.np_dtype.type(expr.value)
-        if isinstance(expr, I.Var):
-            value = frame.env[expr.name]
-            if isinstance(value, _Mem):
-                return value  # bare array name (only legal as call arg)
-            return value
-        if isinstance(expr, I.Load):
-            return self._eval_load(expr, mask)
-        if isinstance(expr, I.Convert):
-            value = self._eval(expr.operand, mask)
-            self._count_alu(1.0, mask, expr.type, expr.line)
-            return to_dtype(value, expr.type.np_dtype)
-        if isinstance(expr, I.Unary):
-            return self._eval_unary(expr, mask)
-        if isinstance(expr, I.Binary):
-            return self._eval_binary(expr, mask)
-        if isinstance(expr, I.Select):
-            cond = truth(self._broadcast(self._eval(expr.cond, mask)))
-            a = self._broadcast(self._eval(expr.then, mask))
-            b = self._broadcast(self._eval(expr.otherwise, mask))
-            self._count_alu(1.0, mask, expr.type, expr.line)
-            return np.where(cond, a, b).astype(expr.type.np_dtype,
-                                               copy=False)
-        if isinstance(expr, I.CallBuiltin):
-            return self._eval_builtin(expr, mask)
-        if isinstance(expr, I.CallFunction):
-            return self._eval_call(expr, mask)
-        raise KernelLaunchError(
-            f"vector engine cannot evaluate {type(expr).__name__}")
-
-    def _eval_load(self, expr: I.Load, mask: np.ndarray):
-        frame = self.frames[-1]
-        mem: _Mem = frame.env[expr.base]
-        idx = self._broadcast(self._eval(expr.index, mask)).astype(
-            np.int64, copy=False)
-        self._check_bounds(idx, mem, mask, expr.line)
-        safe = np.clip(idx, 0, mem.size - 1)
-        active = int(np.count_nonzero(mask))
-        col = self._col
-        if mem.kind == "buffer":
-            itemsize = mem.array.dtype.itemsize
-            tx = count_transactions(
-                safe[mask] * itemsize, self.warp_ids[mask],
-                self.spec.segment_bytes)
-            self.counters.global_loads += active
-            self.counters.global_load_bytes += active * itemsize
-            self.counters.global_load_transactions += tx
-            if col is not None:
-                col.mem(expr.line, active, active * itemsize, tx, False,
-                        self.n)
-            return mem.array[safe]
-        if mem.kind == "local":
-            self.counters.local_accesses += active
-            if col is not None:
-                col.local(expr.line, active, self.n)
-            return mem.array[self.group_flat, safe]
-        self.counters.alu_ops += active
-        if col is not None:
-            col.op(expr.line, active, 1.0, False, self.n)
-        return mem.array[self.lane, safe]
-
-    def _eval_unary(self, expr: I.Unary, mask: np.ndarray):
-        operand = self._eval(expr.operand, mask)
-        self._count_alu(1.0, mask, expr.type, expr.line)
-        if expr.op == "-":
-            return (-operand).astype(expr.type.np_dtype, copy=False)
-        if expr.op == "~":
-            return (~operand).astype(expr.type.np_dtype, copy=False)
-        if expr.op == "!":
-            return np.logical_not(truth(operand)).astype(np.int32)
-        raise KernelLaunchError(f"unknown unary {expr.op!r}")
-
-    def _eval_binary(self, expr: I.Binary, mask: np.ndarray):
-        lhs = self._eval(expr.lhs, mask)
-        rhs = self._eval(expr.rhs, mask)
-        op = expr.op
-        self._count_alu(_OP_COST.get(op, 1.0), mask, expr.type, expr.line)
-        dtype = expr.type.np_dtype if isinstance(expr.type,
-                                                 ScalarType) else None
-        if op == "+":
-            result = lhs + rhs
-        elif op == "-":
-            result = lhs - rhs
-        elif op == "*":
-            result = lhs * rhs
-        elif op == "/":
-            result = c_div(lhs, rhs, expr.type.is_float)
-        elif op == "%":
-            result = c_imod(lhs, rhs)
-        elif op == "<<":
-            result = c_shl(lhs, rhs)
-        elif op == ">>":
-            result = c_shr(lhs, rhs)
-        elif op == "&":
-            result = lhs & rhs
-        elif op == "|":
-            result = lhs | rhs
-        elif op == "^":
-            result = lhs ^ rhs
-        elif op == "==":
-            return (lhs == rhs).astype(np.int32)
-        elif op == "!=":
-            return (lhs != rhs).astype(np.int32)
-        elif op == "<":
-            return (lhs < rhs).astype(np.int32)
-        elif op == ">":
-            return (lhs > rhs).astype(np.int32)
-        elif op == "<=":
-            return (lhs <= rhs).astype(np.int32)
-        elif op == ">=":
-            return (lhs >= rhs).astype(np.int32)
-        elif op == "&&":
-            return (truth(lhs) & truth(rhs)).astype(np.int32)
-        elif op == "||":
-            return (truth(lhs) | truth(rhs)).astype(np.int32)
-        else:
-            raise KernelLaunchError(f"unknown binary {op!r}")
-        if dtype is not None:
-            result = to_dtype(result, dtype)
-        return result
-
-    def _eval_builtin(self, expr: I.CallBuiltin, mask: np.ndarray):
-        name = expr.name
-        if name.startswith("get_"):
-            return self._workitem_query(name, expr.args)
-        b = BUILTINS[name]
-        args = [self._eval(a, mask) for a in expr.args]
-        self._count_alu(b.cost, mask, expr.type, expr.line)
-        result = b.impl(*args)
-        return to_dtype(result, expr.type.np_dtype)
-
-    def _workitem_query(self, name: str, args: list):
-        dim = int(args[0].value) if args else 0
-        if name == "get_work_dim":
-            return np.int32(self.nd.dim)
-        if name == "get_global_offset":
-            return np.int64(0)
-        if name == "get_global_id":
-            return self.ids[GLOBAL_ID_KEYS[dim]]
-        if name == "get_local_id":
-            return self.ids[LOCAL_ID_KEYS[dim]]
-        if name == "get_group_id":
-            return self.ids[GROUP_ID_KEYS[dim]]
-        return np.int64(self.nd.size_of(name, dim))
-
-    def _eval_call(self, expr: I.CallFunction, mask: np.ndarray):
-        func = self.program.functions[expr.name]
-        ret_dtype = (None if func.return_type.is_void
-                     else func.return_type.np_dtype)
-        frame = _Frame(self.n, ret_dtype)
-        caller = self.frames[-1]
-        for param, arg in zip(func.params, expr.args):
-            if isinstance(param.type, PointerType):
-                # sema guarantees this is a Var naming a memory object
-                frame.env[param.name] = caller.env[arg.name]
-            else:
-                value = self._broadcast(self._eval(arg, mask))
-                frame.env[param.name] = to_dtype(
-                    value, param.type.np_dtype).copy()
-        self.frames.append(frame)
-        self._run_block(func.body, mask.copy())
-        self.frames.pop()
-        if ret_dtype is None:
-            return np.int32(0)
-        return frame.ret_value
-
-    # -- bytecode interpreter (O1+) ------------------------------------------
+    # -- bytecode interpreter ------------------------------------------------
     #
-    # Same lane semantics and counters as the tree walker above, driven by
-    # the flat bytecode from repro.clc.lower.  Two structural wins over the
-    # tree: no isinstance dispatch per node, and instructions whose
-    # uniformity analysis proved them LAUNCH-uniform execute once as numpy
-    # scalars instead of length-n lane arrays (masked blends are skipped
-    # for their variable writes).  Cost counters still charge every
-    # logically-active lane, so the cost model is unchanged by how the
-    # host happens to evaluate an instruction.
+    # Driven by the flat bytecode from repro.clc.lower.  Instructions
+    # whose uniformity analysis proved them LAUNCH-uniform execute once
+    # as numpy scalars instead of length-n lane arrays (masked blends are
+    # skipped for their variable writes).  Cost counters still charge
+    # every logically-active lane, so the cost model is unchanged by how
+    # the host happens to evaluate an instruction.
 
     def _bc_frame(self, kbc, args) -> _BFrame:
         """Bind launch arguments into a fresh bytecode activation frame
@@ -635,7 +180,7 @@ class VectorEngine:
                 frame.mems[p[3]] = _Mem(storage, "local", "local", p[1])
         return frame
 
-    def _run_bytecode(self, entry, kernel, args) -> None:
+    def _run_bytecode(self, entry, args) -> None:
         code, kbc = entry
         frame = self._bc_frame(kbc, args)
         self._bloops: list = []

@@ -1,11 +1,11 @@
 """Kernel profiler core: per-launch collectors and per-line statistics.
 
-Both execution engines feed this module.  When profiling is enabled a
+Every execution engine feeds this module.  When profiling is enabled a
 launch gets a :class:`LaunchCollector`; the engines call its recording
 methods from the exact sites that already update
 :class:`~repro.ocl.costmodel.CostCounters`, so every counted ALU op,
 memory access, transaction and barrier is *also* attributed to the
-kernel source line the bytecode (or tree node) carries.  The vector
+kernel source line the bytecode instruction carries.  The vector
 engine additionally records SIMT facts the serial engine cannot see:
 active-lane occupancy per instruction and per-branch divergence.
 

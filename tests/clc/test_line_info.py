@@ -56,7 +56,7 @@ def _lowered(source, level=2):
 
 @pytest.mark.parametrize("source", [CONVERTING, BRANCHY],
                          ids=["conversions", "branches"])
-@pytest.mark.parametrize("level", [1, 2])
+@pytest.mark.parametrize("level", [0, 1, 2])
 def test_every_counted_instr_has_a_line(source, level):
     program = _lowered(source, level)
     for name, bc in program.bytecode.functions.items():

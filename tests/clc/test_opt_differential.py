@@ -2,16 +2,21 @@
 
 ~200 seeded random OpenCL C kernels (integer/uint/float arithmetic,
 nested ifs and for loops, selects, barriers with __local staging) are
-executed five ways — serial engine at -O0 (tree interpreter, no
-middle-end), serial engine at -O2 (optimized bytecode), vector engine
-at -O2, and the codegen JIT engine at both -O0 (tree fallback) and
--O2 (generated NumPy code) — and every output buffer must match **bit
-for bit**.  Any unsound fold, wrong strength reduction, bad uniformity
-tag, bytecode lowering bug or codegen emission bug shows up as a
-divergence with a reproducible seed.  The JIT leg must additionally
-report cost counters identical to the vector engine's (it is the same
-SIMT execution model on a different substrate; the serial engine's
-*transaction* counters legitimately differ — CPU model).
+executed six ways — the serial, vector and codegen JIT engines, each at
+-O0 (unoptimized bytecode: no rewriting pass ran) and -O2 (optimized
+bytecode) — and every output buffer must match **bit for bit**.  Any
+unsound fold, wrong strength reduction, bad uniformity tag, bytecode
+lowering bug or codegen emission bug shows up as a divergence with a
+reproducible seed.
+
+Two counter invariants ride along, at both levels:
+
+* the JIT reports cost counters identical to the vector engine's (it is
+  the same SIMT execution model on a different substrate);
+* the serial engine agrees with the vector engine on every counter the
+  execution model cannot influence (memory traffic, barriers, NDRange
+  shape).  Its ALU and *transaction* counters legitimately differ — it
+  models a CPU, one work-item at a time.
 
 Also holds the satellite regression test that the cost model counts
 *executed post-optimization* ops: -O2 must report fewer ALU ops than
@@ -218,12 +223,22 @@ def _run_config(engine: str, options: str, source: str, gsize, lsize,
     return out, iout, event.counters
 
 
+#: the engines and opt levels every fuzz kernel runs on
+_ENGINES = ("serial", "vector", "jit")
+_LEVELS = ("-O0", "-O2")
+
+#: counters independent of the engine's execution model
+_MODEL_INDEPENDENT = ("global_loads", "global_stores", "global_load_bytes",
+                      "global_store_bytes", "local_accesses", "barriers",
+                      "work_items", "work_groups")
+
+
 @pytest.mark.parametrize("batch", range(_BATCHES))
 def test_random_kernels_bit_identical_across_engines(batch):
-    """serial-O0 == serial-O2 == vector-O2 == jit-O0 == jit-O2, bit for
-    bit, on 10 random kernels per batch (seeds are stable, failures
-    name the kernel); jit counters == vector counters, field for
-    field."""
+    """serial, vector and jit at -O0 and -O2 agree bit for bit on 10
+    random kernels per batch (seeds are stable, failures name the
+    kernel); at each level jit counters == vector counters field for
+    field, and serial == vector on the model-independent fields."""
     for i in range(_KERNELS_PER_BATCH):
         seed = 1000 + batch * _KERNELS_PER_BATCH + i
         gen = _KernelGen(seed)
@@ -236,16 +251,9 @@ def test_random_kernels_bit_identical_across_engines(batch):
         s = round(float(rng.uniform(-2, 2)), 2)
 
         legs = {
-            "serial -O0": _run_config("serial", "-cl-opt-disable",
-                                      source, gsize, lsize, fin, iin, s),
-            "serial -O2": _run_config("serial", "-O2",
-                                      source, gsize, lsize, fin, iin, s),
-            "vector -O2": _run_config("vector", "-O2",
-                                      source, gsize, lsize, fin, iin, s),
-            "jit -O0": _run_config("jit", "-cl-opt-disable",
-                                   source, gsize, lsize, fin, iin, s),
-            "jit -O2": _run_config("jit", "-O2",
-                                   source, gsize, lsize, fin, iin, s),
+            f"{engine} {level}": _run_config(engine, level, source, gsize,
+                                             lsize, fin, iin, s)
+            for level in _LEVELS for engine in _ENGINES
         }
         ref_name, (ref_out, ref_iout, _c) = next(iter(legs.items()))
         for name, (out, iout, _c) in legs.items():
@@ -256,12 +264,21 @@ def test_random_kernels_bit_identical_across_engines(batch):
             assert iout.tobytes() == ref_iout.tobytes(), (
                 f"seed {seed}: int outputs of {name} != {ref_name}\n"
                 f"{source}")
-        # the jit engine swaps the execution substrate, not the model:
-        # every counter (ALU, traffic, transactions, barriers) must
-        # match the vector interpreter exactly
-        assert vars(legs["jit -O2"][2]) == vars(legs["vector -O2"][2]), (
-            f"seed {seed}: jit -O2 counters diverge from vector -O2\n"
-            f"{source}")
+        for level in _LEVELS:
+            vector = vars(legs[f"vector {level}"][2])
+            # the jit engine swaps the execution substrate, not the
+            # model: every counter (ALU, traffic, transactions,
+            # barriers) must match the vector interpreter exactly
+            assert vars(legs[f"jit {level}"][2]) == vector, (
+                f"seed {seed}: jit {level} counters diverge from vector "
+                f"{level}\n{source}")
+            serial = vars(legs[f"serial {level}"][2])
+            diff = {k: (serial[k], vector[k]) for k in _MODEL_INDEPENDENT
+                    if serial[k] != vector[k]}
+            assert not diff, (
+                f"seed {seed}: serial {level} != vector {level} on "
+                f"model-independent counters (serial, vector): {diff}\n"
+                f"{source}")
 
 
 # -- cost model counts executed, post-optimization ops ------------------------

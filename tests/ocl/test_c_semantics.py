@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.errors import KernelLaunchError
 from repro.ocl.engines.carith import c_idiv, c_imod, c_shl, to_dtype
 
 
@@ -168,6 +169,26 @@ class TestKernelSemantics:
         o = np.zeros(2, np.float32)
         cl_run(any_engine_device, src, "f", [o, a], (2,))
         assert np.isinf(o[0]) and o[0] > 0 and o[1] < 0
+
+    @pytest.mark.parametrize("options", ["-O0", "-O2"])
+    def test_logical_and_evaluates_both_operands(self, any_engine_device,
+                                                 cl_run, options):
+        """The simulator evaluates both operands of ``&&`` (and of
+        ``||`` and ``?:``), unlike C's short circuit: a guard cannot
+        protect an out-of-bounds load, on any engine at any level."""
+        src = """__kernel void f(__global int* o, __global const int* a,
+                                 int n) {
+            int i = get_global_id(0);
+            if (i < n && a[i] > 0) {
+                o[i] = 1;
+            }
+        }"""
+        n = 8
+        a = np.arange(n, dtype=np.int32)
+        o = np.zeros(2 * n, np.int32)
+        with pytest.raises(KernelLaunchError, match="out of bounds"):
+            cl_run(any_engine_device, src, "f", [o, a, np.int32(n)],
+                   (2 * n,), options=options)
 
 
 @settings(max_examples=25, deadline=None)

@@ -108,9 +108,18 @@ class TestCodegenEngagement:
         program = cl.Program(cl.Context([device]), KERNEL).build("-O2")
         assert getattr(program.ir.bytecode, "_jit", None) is not None
 
-    def test_o0_falls_back_to_tree_interpreter(self):
-        """-O0 programs carry no bytecode: the jit engine must still
-        run them (inherited tree path) with vector-identical output."""
+    def test_o0_runs_generated_code(self):
+        """-O0 programs are lowered to unoptimized bytecode, so the jit
+        engine compiles and runs them like any other level, with
+        vector-identical output."""
+        jit_mod.clear_cache()
+        device = cl.Device(TESLA_C2050, "jit")
+        program = cl.Program(cl.Context([device]), KERNEL).build(
+            "-cl-opt-disable")
+        assert program.ir.opt_level == 0
+        version, funcs = program.ir.bytecode._jit
+        assert version == jit_mod.JIT_CODEGEN_VERSION
+        assert callable(funcs["mix"])
         v_out, _h, v_c = _run("vector", "-cl-opt-disable")
         j_out, _h, j_c = _run("jit", "-cl-opt-disable")
         assert j_out.tobytes() == v_out.tobytes()

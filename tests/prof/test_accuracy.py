@@ -15,7 +15,8 @@ counts differ by *model*: the serial (CPU) engine counts one
 transaction per access (192), the vector (GPU) engine coalesces each
 warp's 128 contiguous bytes into one segment (3 accesses x 2 warps =
 6).  Both engines must also agree line-by-line on execution counts for
-every kernel, at -O0 (tree interpreters) and -O2 (flat bytecode) alike.
+every kernel, at -O0 (unoptimized bytecode) and -O2 (optimized
+bytecode) alike.
 """
 
 from __future__ import annotations
