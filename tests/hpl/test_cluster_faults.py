@@ -118,6 +118,35 @@ class TestTransientRecovery:
         assert np.array_equal(out, _expected())
 
 
+def _twice(plan, schedule):
+    """A dynamic call that leaves results on the devices, then a second
+    call under ``plan`` whose layout step must sync them back first."""
+    hpl.reset_runtime()
+    c = Cluster(hpl.get_devices())
+    args, _ = _problem(c)
+    cluster_eval(saxpy_part, c, *args, schedule="dynamic")
+    faults.configure(plan)
+    result = cluster_eval(saxpy_part, c, *args, schedule=schedule)
+    out = args[0].gather()
+    faults.configure(None)
+    return out, result
+
+
+class TestLayoutSyncRecovery:
+    @pytest.mark.parametrize("schedule", ["uniform", "weighted",
+                                          "dynamic"])
+    def test_transient_sync_failure_is_retried(self, schedule):
+        # every schedule lays the arrays out through the same retrying
+        # step; a failed d2h of resident results is one retry, not a
+        # crash
+        expected, _ = _twice(None, schedule)
+        out, result = _twice("device=* kind=transient op=read nth=1",
+                             schedule)
+        assert result.failures.retries == 1
+        assert result.failures.transient_failures == 1
+        assert np.array_equal(out, expected)
+
+
 class TestDeviceLossRecovery:
     @pytest.mark.parametrize("schedule", ["uniform", "weighted",
                                           "dynamic"])
@@ -149,6 +178,21 @@ class TestDeviceLossRecovery:
         assert f.retries == 2
         assert f.devices_lost == ["SimCL Quadro FX 380#1"]
         assert np.array_equal(out, _expected())
+
+    @pytest.mark.parametrize("deferred", [True, False])
+    def test_losing_results_resident_since_a_previous_call_raises(
+            self, deferred):
+        # the first call leaves the Tesla holding the only copy of its
+        # block; the host slice still has the pre-call data, so
+        # recomputing the block from it would silently drop the first
+        # call's update — the loss must surface as a typed error
+        hpl.reset_runtime()
+        c = Cluster(hpl.get_devices())
+        args, _ = _problem(c)
+        cluster_eval(saxpy_part, c, *args)
+        faults.configure("device=Tesla kind=lost at=0")
+        with pytest.raises(ClusterExecutionError, match="resident"):
+            cluster_eval(saxpy_part, c, *args, deferred=deferred)
 
     def test_losing_every_device_raises(self):
         with pytest.raises(ClusterExecutionError):

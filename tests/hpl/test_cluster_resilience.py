@@ -23,7 +23,8 @@ from repro import trace
 from repro.errors import (CheckpointError, ClusterExecutionError,
                           CLError, DeadlineExceeded)
 from repro.hpl import CheckpointStore, Float, calibration, cluster_eval, float_
-from repro.hpl.cluster import Cluster, DistributedArray, _backoff_delay
+from repro.hpl.cluster import (Cluster, DistributedArray, DynamicScheduler,
+                               _backoff_delay)
 from repro.ocl import faults
 from repro.ocl.platform import reset_platform_devices
 
@@ -206,7 +207,7 @@ class TestCheckpointResume:
             self, schedule, tmp_path):
         with pytest.raises(DeadlineExceeded):
             _run(None, schedule, checkpoint=tmp_path,
-                 checkpoint_every=1, deadline=1e-6)
+                 deadline=1e-6)
         out, result, _c = _run(None, schedule, checkpoint=tmp_path,
                                resume=True)
         assert result.failures.resumed_blocks > 0
@@ -294,7 +295,7 @@ _KILL_CHILD = textwrap.dedent("""
     x = DistributedArray(float_, n, c, data=xd)
     y = DistributedArray(float_, n, c, data=yd)
     cluster_eval(saxpy_part, c, y, x, Float(2.0), schedule="dynamic",
-                 checkpoint=ckpt_dir, checkpoint_every=1,
+                 checkpoint=ckpt_dir,
                  resume=(mode == "resume"))
     np.save(out_path, y.gather())
 """)
@@ -354,10 +355,34 @@ class TestProbationReadmission:
         before = calibration().throughput("saxpy_part", quadro)
         assert before
         _run("device=Quadro kind=transient code=lost nth=1 count=2",
-             "dynamic", probation=True, probe_interval=1,
-             probation_decay=0.5)
+             "dynamic", probation=True, probe_interval=1)
         after = calibration().throughput("saxpy_part", quadro)
         assert after < before
+
+    def test_device_readmitted_into_a_new_rank_keeps_measured_units(
+            self):
+        # the Quadro is lost in one call, so the next starts without it
+        # and readmits it mid-run into a new rank: its weight must be
+        # its decayed *measured* items/s like everyone else's, not a
+        # spec estimate eight orders of magnitude smaller
+        hpl.reset_runtime()
+        c = Cluster(hpl.get_devices())
+        quadro = "SimCL Quadro FX 380#1"
+        for plan in (None, "device=Quadro kind=lost at=0"):
+            faults.configure(plan)
+            args, _ = _problem(c)
+            cluster_eval(saxpy_part, c, *args, schedule="dynamic")
+        assert [d.label for d in c.lost] == [quadro]
+        faults.configure(None)
+        args, _ = _problem(c)
+        result = cluster_eval(saxpy_part, c, *args, probation=True,
+                              probe_interval=1,
+                              schedule=DynamicScheduler(min_chunk=1))
+        assert quadro in result.failures.readmitted
+        sizes = [hi - lo for (lo, hi), r in zip(args[0].bounds, result)
+                 if r.kernel_event.device_label == quadro]
+        assert sizes and max(sizes) > 1
+        assert np.array_equal(args[0].gather(), _expected())
 
     @pytest.mark.parametrize("schedule", ["uniform", "dynamic"])
     def test_all_devices_lost_is_fatal_after_probes_fail(

@@ -102,9 +102,10 @@ class TestSchedulerEquivalence:
         with pytest.raises(HPLError, match="unknown schedule"):
             get_scheduler("fastest")
 
-    def test_dynamic_has_no_static_plan(self):
-        with pytest.raises(HPLError, match="on demand"):
-            DynamicScheduler().plan(100, Cluster(hpl.get_devices()))
+    def test_dynamic_plans_no_pinned_chunks(self):
+        # every chunk of a dynamic schedule is cut on demand, unpinned
+        assert DynamicScheduler().plan(100, Cluster(hpl.get_devices())) \
+            == []
 
     def test_base_scheduler_is_abstract(self):
         with pytest.raises(NotImplementedError):
