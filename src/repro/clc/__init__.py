@@ -23,11 +23,16 @@ __all__ = ["compile_source", "preprocess", "tokenize", "parse", "analyze",
 
 
 def compile_source(source: str, options: str = "",
-                   filename: str = "<kernel>") -> ProgramIR:
+                   filename: str = "<kernel>", *,
+                   preprocessed: str | None = None) -> ProgramIR:
     """Compile OpenCL C ``source`` (with build ``options``) to program IR.
 
     Raises :class:`repro.errors.CompileError` subclasses on any problem,
     carrying ``line``/``col`` information like a real OpenCL build log.
+
+    A caller that already ran ``preprocess(source, options, filename)``
+    (``Program.build`` does, to key the disk cache) passes the result as
+    ``preprocessed`` and the pipeline starts at the lexer.
 
     Each pipeline stage runs under its own :mod:`repro.trace` span
     (category ``clc``), so a trace of a cold HPL invocation shows where
@@ -40,8 +45,10 @@ def compile_source(source: str, options: str = "",
     trace.get_registry().counter("clc.compiles").inc()
     with trace.span("compile", category="clc", filename=filename,
                     source_bytes=len(source)):
-        with trace.span("preprocess", category="clc"):
-            text = preprocess(source, options, filename)
+        text = preprocessed
+        if text is None:
+            with trace.span("preprocess", category="clc"):
+                text = preprocess(source, options, filename)
         with trace.span("lex", category="clc"):
             tokens = tokenize(text, filename)
         with trace.span("parse", category="clc", tokens=len(tokens)):

@@ -267,24 +267,49 @@ class ProgramIR:
         return program
 
 
-# -- generic node codec -----------------------------------------------------------
+# -- table-driven node codec ----------------------------------------------------
 #
 # Every IR node is a flat dataclass whose fields hold primitives, CLTypes,
-# other nodes, or lists/dicts thereof, so one reflective codec covers the
-# whole module.  Nodes encode as {"$n": ClassName, ...fields}; types encode
-# under "$t" (scalars by canonical name — they are singletons).  Tuples
-# come back as lists, which every consumer already accepts.
+# other nodes, or lists/dicts thereof.  Nodes encode as
+# {"$n": ClassName, ...fields}; types encode under "$t" (scalars by
+# canonical name — they are singletons).  Tuples come back as lists,
+# which every consumer already accepts.  The field names of each node
+# class are read once, when the class is registered; both directions
+# dispatch on the exact type of each value before any isinstance test.
+
+#: exact types that encode as themselves
+_PLAIN = frozenset({type(None), bool, int, float, str})
+
+#: class -> (name, field names), for encoding
+_NODE_FIELDS: dict = {}
+#: name -> (class, field names), for decoding
+_NODE_CLASSES: dict = {}
+
 
 def _encode(value):
-    if value is None or isinstance(value, (bool, int, float, str)):
+    cls = type(value)
+    if cls in _PLAIN:
         return value
+    node = _NODE_FIELDS.get(cls)
+    if node is not None:
+        name, names = node
+        out = {"$n": name}
+        for f in names:
+            v = getattr(value, f)
+            cls = type(v)
+            if cls in _PLAIN:
+                out[f] = v
+            elif cls is ScalarType:     # every expression's type
+                out[f] = {"$t": "scalar", "name": v.name}
+            else:
+                out[f] = _encode(v)
+        return out
+    if cls is list:
+        return [_encode(v) for v in value]
     if isinstance(value, CLType):
         return _encode_type(value)
-    if is_dataclass(value) and type(value).__name__ in _NODE_CLASSES:
-        out = {"$n": type(value).__name__}
-        for f in fields(value):
-            out[f.name] = _encode(getattr(value, f.name))
-        return out
+    if isinstance(value, (bool, int, float, str)):
+        return value
     if isinstance(value, (list, tuple)):
         return [_encode(v) for v in value]
     if isinstance(value, dict):
@@ -310,29 +335,31 @@ def _encode_type(t: CLType):
 
 
 def _decode(value):
-    if value is None or isinstance(value, (bool, int, float, str)):
+    cls = type(value)
+    if cls in _PLAIN:
         return value
-    if isinstance(value, list):
+    if cls is list:
         return [_decode(v) for v in value]
-    if isinstance(value, dict):
-        if "$t" in value:
-            return _decode_type(value)
-        if "$n" in value:
-            cls = _NODE_CLASSES.get(value["$n"])
-            if cls is None:
-                raise IRSchemaError(f"unknown IR node kind {value['$n']!r}")
-            kwargs = {}
-            names = {f.name for f in fields(cls)}
-            for key, enc in value.items():
-                if key == "$n":
-                    continue
-                if key not in names:
-                    raise IRSchemaError(
-                        f"unknown field {key!r} on IR node {value['$n']!r}")
-                kwargs[key] = _decode(enc)
-            return cls(**kwargs)
+    if cls is not dict:
+        raise IRSchemaError(f"cannot decode {cls.__name__!r}")
+    if "$t" in value:
+        return _decode_type(value)
+    if "$n" not in value:
         return {k: _decode(v) for k, v in value.items()}
-    raise IRSchemaError(f"cannot decode {type(value).__name__!r}")
+    kind = value["$n"]
+    node = _NODE_CLASSES.get(kind)
+    if node is None:
+        raise IRSchemaError(f"unknown IR node kind {kind!r}")
+    node_cls, names = node
+    kwargs = {}
+    for key, enc in value.items():
+        if key not in names:
+            if key == "$n":
+                continue
+            raise IRSchemaError(
+                f"unknown field {key!r} on IR node {kind!r}")
+        kwargs[key] = enc if type(enc) in _PLAIN else _decode(enc)
+    return node_cls(**kwargs)
 
 
 def _decode_type(value: dict) -> CLType:
@@ -352,18 +379,19 @@ def _decode_type(value: dict) -> CLType:
     raise IRSchemaError(f"unknown type kind {kind!r}")
 
 
-#: name -> class for every dataclass node defined in this module
-_NODE_CLASSES = {
-    name: obj for name, obj in list(globals().items())
-    if isinstance(obj, type) and is_dataclass(obj)
-    and obj.__module__ == __name__
-}
-
-
 def register_node_classes(*classes) -> None:
-    """Add external dataclasses (e.g. the bytecode containers defined in
-    :mod:`repro.clc.lower`) to the reflective IR codec."""
+    """Add dataclasses to the IR codec: this module's nodes, and
+    external ones such as the bytecode containers defined in
+    :mod:`repro.clc.lower`."""
     for cls in classes:
         if not is_dataclass(cls):  # pragma: no cover - programmer error
             raise TypeError(f"{cls!r} is not a dataclass")
-        _NODE_CLASSES[cls.__name__] = cls
+        names = tuple(f.name for f in fields(cls))
+        _NODE_FIELDS[cls] = (cls.__name__, names)
+        _NODE_CLASSES[cls.__name__] = (cls, frozenset(names))
+
+
+register_node_classes(*(
+    obj for obj in list(globals().values())
+    if isinstance(obj, type) and is_dataclass(obj)
+    and obj.__module__ == __name__))

@@ -19,7 +19,9 @@ capability (fp64) difference.  Entries are written atomically
 (temp file + ``os.replace``) so concurrent readers can never observe a
 torn blob, eviction runs under an ``flock`` so concurrent benchsuite
 processes do not race each other, and the store is LRU size-capped
-(mtime is touched on every hit).
+(mtime is touched on every hit).  A byte tally kept in the lock file
+makes a store cost the same however many entries the cache holds: the
+store is scanned only when the tally says it may be over the cap.
 
 Enabling the cache::
 
@@ -41,6 +43,7 @@ import contextlib
 import hashlib
 import os
 import threading
+import zlib
 from pathlib import Path
 
 from .. import trace
@@ -117,7 +120,9 @@ class KernelDiskCache:
 
     @contextlib.contextmanager
     def _locked(self):
-        """Cross-process exclusive lock over mutations of the store.
+        """Cross-process exclusive lock over mutations of the store;
+        yields the descriptor of the lock file, which also holds the
+        byte tally.
 
         After acquiring the flock the lock file's identity is
         re-checked: if another process unlinked and recreated ``.lock``
@@ -127,29 +132,29 @@ class KernelDiskCache:
         keep this loop from spinning, but a foreign ``rm`` must not
         silently void mutual exclusion either.)
         """
-        if fcntl is None:               # pragma: no cover - non-POSIX
-            yield
-            return
         lock_path = self.path / ".lock"
         while True:
-            fh = open(lock_path, "a+b")
+            fd = os.open(lock_path, os.O_RDWR | os.O_CREAT, 0o666)
             try:
-                fcntl.flock(fh.fileno(), fcntl.LOCK_EX)
+                if fcntl is None:       # pragma: no cover - non-POSIX
+                    yield fd
+                    return
+                fcntl.flock(fd, fcntl.LOCK_EX)
                 try:
                     current = os.stat(lock_path)
                 except OSError:         # unlinked while we blocked
                     continue
-                held = os.fstat(fh.fileno())
+                held = os.fstat(fd)
                 if (current.st_dev, current.st_ino) \
                         != (held.st_dev, held.st_ino):
                     continue            # recreated: lock the new file
                 try:
-                    yield
+                    yield fd
                 finally:
-                    fcntl.flock(fh.fileno(), fcntl.LOCK_UN)
+                    fcntl.flock(fd, fcntl.LOCK_UN)
                 return
             finally:
-                fh.close()
+                os.close(fd)
 
     @staticmethod
     def _registry():
@@ -183,7 +188,9 @@ class KernelDiskCache:
             return program
 
     def put(self, key: str, program: ProgramIR) -> None:
-        """Store ``program`` under ``key`` atomically, then evict LRU."""
+        """Store ``program`` under ``key`` atomically, then charge it to
+        the byte tally (evicting LRU entries if the store may be over
+        the cap)."""
         with trace.span("disk_cache_store", category="hpl",
                         key=key[:12]) as sp:
             blob = program.to_bytes()
@@ -192,13 +199,13 @@ class KernelDiskCache:
             try:
                 tmp.write_bytes(blob)
                 os.replace(tmp, self._entry_path(key))
-            finally:
+            except BaseException:
                 with contextlib.suppress(OSError):
                     tmp.unlink()
+                raise
             self._registry().counter("hpl.disk_cache_bytes").inc(len(blob))
             sp.set_attr("bytes", len(blob))
-            with self._locked():
-                self._evict_lru()
+            self._charge(len(blob))
 
     # -- generated-source sidecars (codegen backends) ----------------------
 
@@ -221,19 +228,46 @@ class KernelDiskCache:
         return text
 
     def put_source(self, key: str, text: str) -> None:
-        """Store generated source under ``key`` atomically."""
+        """Store generated source under ``key`` atomically; sidecars
+        count against the cap exactly like entries."""
+        data = text.encode("utf-8")
         tmp = self.path / (
             f".{key}.{os.getpid()}.{threading.get_ident()}.src.tmp")
         try:
-            tmp.write_text(text, encoding="utf-8")
+            tmp.write_bytes(data)
             os.replace(tmp, self._source_path(key))
-        finally:
+        except BaseException:
             with contextlib.suppress(OSError):
                 tmp.unlink()
+            raise
         self._registry().counter("hpl.disk_cache_bytes").inc(len(text))
+        self._charge(len(data))
 
-    def _evict_lru(self) -> None:
-        """Remove oldest entries until the store fits the cap.
+    # -- size cap ----------------------------------------------------------
+
+    def _charge(self, nbytes: int) -> None:
+        """Add a file of ``nbytes`` just written to the byte tally.
+
+        The tally is an upper bound on the bytes the store holds: every
+        writer adds what it wrote, while purges, foreign deletions,
+        invalid entries dropped by :meth:`get` and overwritten keys
+        free space without lowering it.  So the store is scanned — and
+        the tally rewritten from the scan — only when the tally is
+        missing or unreadable, or when this write would take it over
+        the cap; a tally that is too high merely brings that scan
+        forward.
+        """
+        with self._locked() as fd:
+            tally = _read_tally(fd)
+            if tally is None or tally + nbytes > self.max_bytes:
+                tally = self._evict_lru()
+            else:
+                tally += nbytes
+            _write_tally(fd, tally)
+
+    def _evict_lru(self) -> int:
+        """Remove oldest entries until the store fits the cap; returns
+        the bytes the scanned files still hold.
 
         Runs under :meth:`_locked`, but the mtime order was scanned in
         this process and ``get``/``put`` mutate entries without taking
@@ -248,7 +282,7 @@ class KernelDiskCache:
         # oldest mtime first; stop as soon as we fit under the cap
         for path, size, mtime in sorted(entries, key=lambda e: e[2]):
             if total <= self.max_bytes:
-                return
+                break
             try:
                 st = path.stat()
             except OSError:             # already gone: freed elsewhere
@@ -259,6 +293,7 @@ class KernelDiskCache:
             with contextlib.suppress(OSError):
                 path.unlink()
                 total -= st.st_size
+        return total
 
     def _all_entries(self) -> list[tuple[Path, int, float]]:
         """``(path, size, mtime)`` of every evictable file: ``.irbin``
@@ -291,14 +326,15 @@ class KernelDiskCache:
         """Delete every entry; returns how many were removed.
 
         Also sweeps ``.jitsrc`` generated-source sidecars and stale
-        ``.tmp`` files abandoned by killed writers.  The ``.lock`` file
-        itself is never removed: a concurrent :meth:`_locked` holder
-        flocks that very inode, and unlinking it would let the next
-        locker acquire a *new* file while the old holder still believes
-        it has exclusivity.
+        ``.tmp`` files abandoned by killed writers, and clears the byte
+        tally so the next store rescans.  The ``.lock`` file itself is
+        never removed: a concurrent :meth:`_locked` holder flocks that
+        very inode, and unlinking it would let the next locker acquire a
+        *new* file while the old holder still believes it has
+        exclusivity.
         """
         removed = 0
-        with self._locked():
+        with self._locked() as fd:
             for key, _size, _mtime in self.entries():
                 with contextlib.suppress(OSError):
                     self._entry_path(key).unlink()
@@ -310,6 +346,7 @@ class KernelDiskCache:
             for stale in self.path.glob(".*.tmp"):
                 with contextlib.suppress(OSError):
                     stale.unlink()
+            os.ftruncate(fd, 0)
         return removed
 
     def stats(self) -> dict:
@@ -330,6 +367,37 @@ class KernelDiskCache:
     def __repr__(self) -> str:
         return (f"<KernelDiskCache {str(self.path)!r} "
                 f"max_bytes={self.max_bytes}>")
+
+
+# -- byte tally ------------------------------------------------------------------
+#
+# The lock file starts with a fixed-width record: 20 decimal digits, a
+# space, their crc32 in hex and a newline.  It is overwritten in place:
+# truncating instead would make ext4 flush the file on close, which
+# costs more than the rest of a store.  A record that is short or fails
+# its check (a fresh or recreated lock file, a purge, a torn write)
+# reads as missing.
+
+_TALLY_BYTES = 30
+
+
+def _read_tally(fd: int) -> int | None:
+    os.lseek(fd, 0, os.SEEK_SET)
+    record = os.read(fd, _TALLY_BYTES)
+    digits = record[:20]
+    if digits.isdigit() and record[20:] == _tally_check(digits):
+        return int(digits)
+    return None
+
+
+def _write_tally(fd: int, total: int) -> None:
+    digits = b"%020d" % total
+    os.lseek(fd, 0, os.SEEK_SET)
+    os.write(fd, digits + _tally_check(digits))
+
+
+def _tally_check(digits: bytes) -> bytes:
+    return b" %08x\n" % zlib.crc32(digits)
 
 
 # -- process-global activation ----------------------------------------------------

@@ -162,12 +162,12 @@ class Program:
 
         opt_level = resolve_opt_level(options)
         cache = _disk_cache()
-        key = None
+        key = preprocessed = None
         if cache is not None:
             try:
                 preprocessed = preprocess(self.source, options)
             except CompileError:
-                preprocessed = None     # report it through the build path
+                pass                    # report it through the build path
             if preprocessed is not None:
                 caps = tuple(sorted(
                     {"fp64" if d.supports_fp64 else "nofp64"
@@ -179,7 +179,8 @@ class Program:
                 if hit is not None:
                     return hit
         try:
-            ir = compile_source(self.source, options)
+            ir = compile_source(self.source, options,
+                                preprocessed=preprocessed)
         except CompileError as exc:
             self.ir = None
             self._built_devices.clear()
