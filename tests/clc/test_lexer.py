@@ -1,10 +1,12 @@
 """Tokenizer tests."""
 
+import dataclasses
+
 import pytest
 
 from repro.clc.lexer import tokenize
 from repro.clc.tokens import (EOF, FLOAT_LIT, IDENT, INT_LIT, KEYWORD,
-                              PUNCT)
+                              PUNCT, Token)
 from repro.errors import LexError
 
 
@@ -139,3 +141,23 @@ class TestCommentsAndPositions:
         src = "__kernel void f(__global float* x) { x[0] = 1.0f; }"
         ks = kinds(src)
         assert ks[-1] == EOF and IDENT in ks and FLOAT_LIT in ks
+
+
+class TestTokenObjects:
+    """Identifier and punctuator tokens are built without Token's
+    __init__; they must be indistinguishable from constructed ones."""
+
+    def test_equal_hash_and_repr_match_constructed_tokens(self):
+        got = tokenize("abc +")[:2]
+        want = [Token(IDENT, "abc", 1, 1), Token(PUNCT, "+", 1, 5)]
+        assert got == want
+        assert [hash(t) for t in got] == [hash(t) for t in want]
+        assert [repr(t) for t in got] == [repr(t) for t in want]
+        assert [dataclasses.asdict(t) for t in got] \
+            == [dataclasses.asdict(t) for t in want]
+
+    def test_tokens_stay_frozen(self):
+        tok = tokenize("abc")[0]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            tok.value = "x"
+        assert dataclasses.replace(tok, col=7) == Token(IDENT, "abc", 1, 7)
