@@ -1,4 +1,5 @@
-"""Shared benchmark infrastructure: run records and time extrapolation.
+"""Shared benchmark infrastructure: run records, time extrapolation and
+the child-process helper behind every cross-process measurement.
 
 Problem-size scaling
 --------------------
@@ -18,7 +19,12 @@ mechanism behind Figure 6's shrinking relative overhead.
 
 from __future__ import annotations
 
+import json
+import os
+import subprocess
+import sys
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -115,3 +121,61 @@ def verify_close(actual, expected, rtol: float = 1e-4,
     """Tolerant elementwise comparison used by the runner's self-checks."""
     return bool(np.allclose(np.asarray(actual), np.asarray(expected),
                             rtol=rtol, atol=atol))
+
+
+# -- fresh processes ----------------------------------------------------------
+
+#: the child's entry: import ``module:qualname``, call it with the JSON
+#: keyword arguments, print its JSON-able return value
+_CHILD_MAIN = """
+import importlib, json, sys
+module, _, name = sys.argv[1].partition(":")
+fn = getattr(importlib.import_module(module), name)
+json.dump(fn(**json.loads(sys.argv[2])), sys.stdout)
+"""
+
+
+def child_env(overrides: dict | None = None) -> dict:
+    """This process's environment with the ``repro`` source root first
+    on ``PYTHONPATH`` and ``overrides`` applied (a ``None`` value
+    removes the key)."""
+    env = os.environ.copy()
+    for key, value in (overrides or {}).items():
+        if value is None:
+            env.pop(key, None)
+        else:
+            env[key] = str(value)
+    src_root = str(Path(__file__).resolve().parents[2])
+    env["PYTHONPATH"] = src_root + (
+        os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+    return env
+
+
+def run_child(fn, kwargs: dict | None = None, env: dict | None = None,
+              timeout: float | None = None,
+              returncode: int = 0) -> subprocess.CompletedProcess:
+    """Call the module-level function ``fn(**kwargs)`` in a fresh
+    interpreter and return the finished process; its ``stdout`` holds
+    the JSON of ``fn``'s return value.
+
+    ``env`` holds overrides of this process's environment (see
+    :func:`child_env`).  A child that exits with anything but
+    ``returncode`` — a negative value names the signal expected to kill
+    it — or outlives ``timeout`` seconds raises :class:`RuntimeError`
+    carrying the target name and the child's stderr.
+    """
+    target = f"{fn.__module__}:{fn.__qualname__}"
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-c", _CHILD_MAIN, target,
+             json.dumps(kwargs or {})],
+            env=child_env(env), capture_output=True, text=True,
+            timeout=timeout)
+    except subprocess.TimeoutExpired as exc:
+        stderr = (exc.stderr or b"").decode(errors="replace")
+        raise RuntimeError(f"child {target} timed out after {timeout}s:\n"
+                           f"{stderr}") from exc
+    if proc.returncode != returncode:
+        raise RuntimeError(f"child {target} exited {proc.returncode}, "
+                           f"expected {returncode}:\n{proc.stderr}")
+    return proc

@@ -198,32 +198,6 @@ def format_fig9(rows: list[dict]) -> str:
     return "\n".join(out)
 
 
-def format_warm_cache_disk(row: dict) -> str:
-    """Render the cross-process persistent-cache measurement."""
-    out = ["Persistent kernel cache: cold vs warm process "
-           "(all five benchmarks)", _rule(),
-           f"{'Benchmark':<20}{'cold build s':>14}{'warm build s':>14}",
-           _rule()]
-    for name, r in row["benchmarks"].items():
-        out.append(f"{name:<20}{r['cold_build_seconds']:>14.6f}"
-                   f"{r['warm_build_seconds']:>14.6f}")
-    out += [_rule(),
-            f"{'total build time':<34}{row['cold_build_seconds']:>11.6f}s"
-            f" -> {row['warm_build_seconds']:.6f}s "
-            f"({row['build_reduction_pct']:.1f}% less)",
-            f"{'clc compiles':<34}{row['cold_clc_compiles']:>12}"
-            f" -> {row['warm_clc_compiles']}",
-            f"{'disk cache hits (warm process)':<34}"
-            f"{row['warm_disk_cache_hits']:>12}",
-            f"{'results identical':<34}"
-            f"{str(row['results_identical']):>12}",
-            f"{'verified':<34}{str(row['verified']):>12}",
-            _rule()]
-    if row.get("output"):
-        out.append(f"wrote {row['output']}")
-    return "\n".join(out)
-
-
 def format_opt_pipeline(row: dict) -> str:
     """Render the middle-end pipeline experiment (O0 vs O2 bytecode)."""
     out = ["Optimizing middle-end: unoptimized (-O0) vs optimized (-O2) "
@@ -240,16 +214,25 @@ def format_opt_pipeline(row: dict) -> str:
             f"{'geomean speedup (not gated)':<34}"
             f"{row['geomean_speedup']:>11.2f}x",
             f"{'cold pass runs':<34}  {passes}",
-            f"{'warm clc compiles / pass runs':<34}"
-            f"{row['warm_clc_compiles']:>12} / {row['warm_pass_runs']}",
+            f"{'total build s, cold -> warm':<34}"
+            f"{row['cold_build_seconds']:>12.6f} -> "
+            f"{row['warm_build_seconds']:.6f}",
+            f"{'clc compiles, cold -> warm':<34}"
+            f"{row['cold_clc_compiles']:>12} -> "
+            f"{row['warm_clc_compiles']}",
+            f"{'disk hits / misses, cold':<34}"
+            f"{row['cold_disk_cache_hits']:>12} / "
+            f"{row['cold_disk_cache_misses']}",
+            f"{'disk hits / misses, warm':<34}"
+            f"{row['warm_disk_cache_hits']:>12} / "
+            f"{row['warm_disk_cache_misses']}",
+            f"{'warm pass runs':<34}{row['warm_pass_runs']:>12}",
             f"{'warm == cold results':<34}"
             f"{str(row['warm_results_identical']):>12}",
             f"{'serial-O0 == serial-O2 == vector-O2':<34}"
             f"{str(row['differential_identical']):>12}",
             f"{'verified':<34}{str(row['verified']):>12}",
             _rule()]
-    if row.get("output"):
-        out.append(f"wrote {row['output']}")
     return "\n".join(out)
 
 
@@ -262,16 +245,12 @@ def format_engine_jit(row: dict) -> str:
     for name, r in row["benchmarks"].items():
         out.append(f"{name:<20}{r['vector_seconds']:>12.4f}"
                    f"{r['jit_seconds']:>12.4f}{r['speedup']:>9.2f}x")
-    gate = (f"{row['gate']:.1f}x" if row.get("gate") is not None
-            else "none")
     out += [_rule(),
             f"{'geomean speedup':<34}{row['geomean_speedup']:>11.2f}x",
-            f"{'gate':<34}{gate:>12}",
+            f"{'gate':<34}{row['gate']:>11.1f}x",
             f"{'checksums identical':<34}"
             f"{str(row['checksums_identical']):>12}",
             _rule()]
-    if row.get("output"):
-        out.append(f"wrote {row['output']}")
     return "\n".join(out)
 
 

@@ -13,6 +13,7 @@ import inspect
 from ..hpl import reset_runtime
 from ..productivity import count_sloc, count_sloc_python
 from . import ep, floyd, reduction, spmv, transpose
+from .common import run_child
 
 TESLA = "Tesla"
 QUADRO = "Quadro"
@@ -232,11 +233,11 @@ def run_warm_cache(ep_class: str = "W") -> dict:
     }
 
 
-# -- persistent disk cache: cold vs warm process ------------------------------
+# -- optimizing middle-end: O0 vs O2, cold vs warm, serial vs vector ----------
 
 def _problems_warm_cache() -> dict:
     """Small instances of all five benchmarks — the compile cost the
-    warm-cache experiment measures is problem-size independent, so the
+    cold and warm legs measure is problem-size independent, so the
     device work is kept tiny to make the target cheap enough for CI."""
     return {
         "EP": ep.ep_problem("S"),
@@ -246,136 +247,6 @@ def _problems_warm_cache() -> dict:
         "Reduction": reduction.reduction_problem(1 << 16, n_run=1 << 12),
     }
 
-
-def _checksum(output) -> float:
-    """Order-stable digest of a benchmark's numerical output."""
-    import numpy as np
-
-    parts = output if isinstance(output, (tuple, list)) else (output,)
-    return float(sum(np.asarray(p, dtype=np.float64).sum()
-                     for p in parts))
-
-
-def _warm_cache_child() -> None:
-    """One measured process of the warm-cache experiment.
-
-    Runs the HPL variant of all five paper benchmarks against whatever
-    ``HPL_CACHE_DIR`` points at, then prints a JSON record of compile
-    costs, cache traffic and result checksums on stdout.  Spawned twice
-    (cold, then warm) by :func:`run_warm_cache_disk`.
-    """
-    import json
-
-    from .. import trace
-
-    registry = trace.get_registry()
-    rows = {}
-    for name, problem in _problems_warm_cache().items():
-        reset_runtime()
-        module = _BENCH_MODULES[name]
-        run = module.run_hpl(problem, TESLA)
-        rows[name] = {
-            "build_seconds": run.build_seconds,
-            "codegen_seconds": run.hpl_overhead_seconds,
-            "verified": bool(module.verify(run, problem)),
-            "checksum": _checksum(run.output),
-        }
-    print(json.dumps({
-        "benchmarks": rows,
-        "total_build_seconds": sum(r["build_seconds"]
-                                   for r in rows.values()),
-        "clc_compiles": registry.counter("clc.compiles").value,
-        "disk_cache_hits": registry.counter("hpl.disk_cache_hits").value,
-        "disk_cache_misses":
-            registry.counter("hpl.disk_cache_misses").value,
-        "verified": all(r["verified"] for r in rows.values()),
-    }))
-
-
-def _spawn_warm_cache_child(cache_dir) -> dict:
-    import json
-    import os
-    import subprocess
-    import sys
-    from pathlib import Path
-
-    import repro
-
-    env = os.environ.copy()
-    env["HPL_CACHE_DIR"] = str(cache_dir)
-    src_root = str(Path(repro.__file__).resolve().parent.parent)
-    env["PYTHONPATH"] = src_root + (
-        os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
-    proc = subprocess.run(
-        [sys.executable, "-c",
-         "from repro.benchsuite.runner import _warm_cache_child as c; c()"],
-        env=env, capture_output=True, text=True)
-    if proc.returncode != 0:
-        raise RuntimeError(
-            f"warm-cache child failed ({proc.returncode}):\n{proc.stderr}")
-    return json.loads(proc.stdout)
-
-
-def run_warm_cache_disk(cache_dir=None,
-                        output: str | None = "BENCH_warm_cache.json"
-                        ) -> dict:
-    """Cold vs warm compile cost across *processes* (persistent cache).
-
-    Runs all five benchmarks in a fresh subprocess against an empty
-    kernel cache (cold), then again in another fresh subprocess against
-    the now-populated cache (warm).  The warm process must perform zero
-    clc compiles — every ``Program.build`` is served from disk — and
-    produce bit-identical results.  With ``output`` set, the row is also
-    written as JSON (the ``BENCH_warm_cache.json`` trajectory artifact).
-    """
-    import json
-    import tempfile
-
-    cleanup = None
-    if cache_dir is None:
-        tmp = tempfile.TemporaryDirectory(prefix="hpl-warm-cache-")
-        cache_dir, cleanup = tmp.name, tmp
-    try:
-        cold = _spawn_warm_cache_child(cache_dir)
-        warm = _spawn_warm_cache_child(cache_dir)
-    finally:
-        if cleanup is not None:
-            cleanup.cleanup()
-
-    cold_build = cold["total_build_seconds"]
-    warm_build = warm["total_build_seconds"]
-    row = {
-        "benchmarks": {
-            name: {
-                "cold_build_seconds": cold["benchmarks"][name]
-                ["build_seconds"],
-                "warm_build_seconds": warm["benchmarks"][name]
-                ["build_seconds"],
-            } for name in cold["benchmarks"]
-        },
-        "cold_build_seconds": cold_build,
-        "warm_build_seconds": warm_build,
-        "build_reduction_pct": (100.0 * (cold_build - warm_build)
-                                / cold_build if cold_build else 0.0),
-        "cold_clc_compiles": cold["clc_compiles"],
-        "warm_clc_compiles": warm["clc_compiles"],
-        "cold_disk_cache_hits": cold["disk_cache_hits"],
-        "warm_disk_cache_hits": warm["disk_cache_hits"],
-        "warm_disk_cache_misses": warm["disk_cache_misses"],
-        "verified": bool(cold["verified"] and warm["verified"]),
-        "results_identical": all(
-            cold["benchmarks"][name]["checksum"]
-            == warm["benchmarks"][name]["checksum"]
-            for name in cold["benchmarks"]),
-    }
-    if output:
-        with open(output, "w", encoding="utf-8") as fh:
-            json.dump(row, fh, indent=2)
-        row["output"] = output
-    return row
-
-
-# -- optimizing middle-end: O0 vs O2, cold vs warm, serial vs vector ----------
 
 def _problems_opt_tiny() -> dict:
     """Minimal valid instances of all five benchmarks, small enough for
@@ -391,21 +262,28 @@ def _problems_opt_tiny() -> dict:
     }
 
 
-def _opt_pipeline_child(engine: str = "vector", tiny: bool = False) -> None:
+def _checksum(output) -> float:
+    """Order-stable digest of a benchmark's numerical output."""
+    import numpy as np
+
+    parts = output if isinstance(output, (tuple, list)) else (output,)
+    return float(sum(np.asarray(p, dtype=np.float64).sum()
+                     for p in parts))
+
+
+def _opt_pipeline_child(engine: str = "vector", tiny: bool = False) -> dict:
     """One measured process of the opt-pipeline experiment.
 
-    The optimization level arrives through ``$HPL_OPT_LEVEL`` (set by
-    the spawner) and the cache through ``$HPL_CACHE_DIR``; ``engine``
-    selects the execution engine for every simulated device.  Prints a
-    JSON record with per-benchmark wall times and checksums plus the
-    process-global compile/pass counters that prove (or disprove) that
-    a warm start touched the middle end.
+    The optimization level arrives through ``$HPL_OPT_LEVEL`` and the
+    cache through ``$HPL_CACHE_DIR``; ``engine`` selects the execution
+    engine for every simulated device.  Returns per-benchmark wall and
+    build times and checksums plus the process-global compile, pass
+    and disk-cache counters that prove (or disprove) that a warm start
+    touched the middle end.
     """
-    import json
     import time
 
     from .. import trace
-    from ..clc.passes import default_opt_level
     from ..ocl.devicedb import DEFAULT_DEVICES
     from ..ocl.platform import set_platform_devices
 
@@ -432,62 +310,27 @@ def _opt_pipeline_child(engine: str = "vector", tiny: bool = False) -> None:
             "checksum": _checksum(run.output),
         }
     counters = trace.get_registry().snapshot()["counters"]
-    prefix, tprefix = "clc.pass_", "clc.pass_seconds_"
-    print(json.dumps({
+    meta = _middle_end_meta()
+    return {
         "engine": engine,
-        "opt_level": default_opt_level(),
+        "opt_level": meta["opt_level"],
         "benchmarks": rows,
         "exec_wall_seconds": sum(r["exec_wall_seconds"]
                                  for r in rows.values()),
+        "build_seconds": sum(r["build_seconds"] for r in rows.values()),
         "clc_compiles": counters.get("clc.compiles", 0),
-        "pass_runs": {k[len(prefix):]: v for k, v in counters.items()
-                      if k.startswith(prefix)
-                      and not k.startswith(tprefix)},
-        "pass_seconds": {k[len(tprefix):]: v for k, v in counters.items()
-                         if k.startswith(tprefix)},
+        "pass_runs": meta["pass_runs"],
+        "pass_seconds": meta["pass_seconds"],
         "disk_cache_hits": counters.get("hpl.disk_cache_hits", 0),
+        "disk_cache_misses": counters.get("hpl.disk_cache_misses", 0),
         "verified": all(r["verified"] for r in rows.values()),
-    }))
+    }
 
 
-def _spawn_opt_pipeline_child(cache_dir, opt_level: int,
-                              engine: str = "vector",
-                              tiny: bool = False) -> dict:
-    import json
-    import os
-    import subprocess
-    import sys
-    from pathlib import Path
-
-    import repro
-
-    env = os.environ.copy()
-    env["HPL_OPT_LEVEL"] = str(opt_level)
-    if cache_dir is not None:
-        env["HPL_CACHE_DIR"] = str(cache_dir)
-    else:                       # keep uncached legs genuinely uncached
-        env.pop("HPL_CACHE_DIR", None)
-    src_root = str(Path(repro.__file__).resolve().parent.parent)
-    env["PYTHONPATH"] = src_root + (
-        os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
-    proc = subprocess.run(
-        [sys.executable, "-c",
-         "from repro.benchsuite.runner import _opt_pipeline_child as c; "
-         f"c(engine={engine!r}, tiny={tiny!r})"],
-        env=env, capture_output=True, text=True)
-    if proc.returncode != 0:
-        raise RuntimeError(
-            f"opt-pipeline child failed ({proc.returncode}):\n"
-            f"{proc.stderr}")
-    return json.loads(proc.stdout)
-
-
-def run_opt_pipeline(cache_dir=None,
-                     output: str | None = "BENCH_opt_pipeline.json"
-                     ) -> dict:
+def run_opt_pipeline(cache_dir=None) -> dict:
     """Middle-end pipeline experiment: O0 vs O2, cold vs warm, engines
     cross-checked.  Three claims, each measured in fresh subprocesses
-    and each gated by raising ``AssertionError``:
+    and each checked by :func:`gate_opt_pipeline`:
 
     * **optimization pays** — all five benchmarks on the vector engine
       at ``-O0`` (unoptimized bytecode) vs ``-O2`` (optimized
@@ -496,32 +339,41 @@ def run_opt_pipeline(cache_dir=None,
       value.  Both are deterministic.  The engine wall-clock speedups
       and their geomean are reported but not gated: host noise is as
       large as the difference.
-    * **warm start** — a second ``-O2`` process against the same cache
-      must perform **zero** clc compiles and **zero** optimization
-      passes (the cached artifact already holds the lowered bytecode)
-      and reproduce the cold checksums exactly.
+    * **warm start** — the persistent kernel cache across processes: a
+      cold ``-O2`` process compiles every kernel, and a second ``-O2``
+      process against the same cache must be served every build from
+      disk — **zero** clc compiles and **zero** optimization passes
+      (the cached artifact already holds the lowered bytecode) — and
+      reproduce the cold checksums exactly.  Per-benchmark cold and
+      warm build seconds are reported; host timings are not gated.
     * **correctness** — serial-O0, serial-O2 and vector-O2 runs of tiny
       instances must produce bit-identical checksums, so every pass and
-      both bytecode interpreters preserve semantics.
-
-    With ``output`` set, the row is written as JSON (the
-    ``BENCH_opt_pipeline.json`` trajectory artifact).
+      both bytecode interpreters preserve semantics.  Every leg's
+      output must also match the benchmark's NumPy oracle.
     """
     import json
     import math
     import tempfile
+
+    def leg(cache, opt_level, engine="vector", tiny=False):
+        # uncached legs drop any inherited cache to stay genuinely cold
+        proc = run_child(_opt_pipeline_child,
+                         {"engine": engine, "tiny": tiny},
+                         env={"HPL_OPT_LEVEL": opt_level,
+                              "HPL_CACHE_DIR": cache})
+        return json.loads(proc.stdout)
 
     cleanup = None
     if cache_dir is None:
         tmp = tempfile.TemporaryDirectory(prefix="hpl-opt-pipeline-")
         cache_dir, cleanup = tmp.name, tmp
     try:
-        o0_cold = _spawn_opt_pipeline_child(cache_dir, 0)
-        o2_cold = _spawn_opt_pipeline_child(cache_dir, 2)
-        o2_warm = _spawn_opt_pipeline_child(cache_dir, 2)
-        serial_o0 = _spawn_opt_pipeline_child(None, 0, "serial", tiny=True)
-        serial_o2 = _spawn_opt_pipeline_child(None, 2, "serial", tiny=True)
-        vector_o2 = _spawn_opt_pipeline_child(None, 2, "vector", tiny=True)
+        o0_cold = leg(cache_dir, 0)
+        o2_cold = leg(cache_dir, 2)
+        o2_warm = leg(cache_dir, 2)
+        serial_o0 = leg(None, 0, "serial", tiny=True)
+        serial_o2 = leg(None, 2, "serial", tiny=True)
+        vector_o2 = leg(None, 2, "vector", tiny=True)
     finally:
         if cleanup is not None:
             cleanup.cleanup()
@@ -540,43 +392,14 @@ def run_opt_pipeline(cache_dir=None,
             "sim_ratio": (o0["sim_kernel_seconds"]
                           / o2["sim_kernel_seconds"]
                           if o2["sim_kernel_seconds"] > 0 else 1.0),
-            "checksums_identical": o0["checksum"] == o2["checksum"]}
+            "checksums_identical": o0["checksum"] == o2["checksum"],
+            "cold_build_seconds":
+                o2_cold["benchmarks"][name]["build_seconds"],
+            "warm_build_seconds": o2["build_seconds"]}
     geomean = math.exp(sum(math.log(s) for s in speedups)
                        / len(speedups)) if speedups else 0.0
-
-    mismatched = [n for n, b in benchmarks.items()
-                  if not b["checksums_identical"]]
-    if mismatched:
-        raise AssertionError(
-            f"-O2 checksums differ from -O0 on: {', '.join(mismatched)}")
-    slower = {n: (b["o0_sim_seconds"], b["o2_sim_seconds"])
-              for n, b in benchmarks.items()
-              if b["o2_sim_seconds"] > b["o0_sim_seconds"]}
-    if slower:
-        raise AssertionError(
-            "-O2 simulated kernel seconds exceed -O0 (O0, O2) on: "
-            + json.dumps(slower))
-
-    warm_pass_runs = sum(o2_warm["pass_runs"].values())
-    if o2_warm["clc_compiles"] or warm_pass_runs:
-        raise AssertionError(
-            "warm -O2 process was not served post-optimization artifacts "
-            f"from disk: {o2_warm['clc_compiles']} compile(s), "
-            f"{warm_pass_runs} pass run(s)")
-    diff_identical = all(
-        serial_o0["benchmarks"][n]["checksum"]
-        == serial_o2["benchmarks"][n]["checksum"]
-        == vector_o2["benchmarks"][n]["checksum"]
-        for n in serial_o0["benchmarks"])
-    if not diff_identical:
-        raise AssertionError(
-            "serial-O0 / serial-O2 / vector-O2 checksums diverge: "
-            + json.dumps({n: [serial_o0["benchmarks"][n]["checksum"],
-                              serial_o2["benchmarks"][n]["checksum"],
-                              vector_o2["benchmarks"][n]["checksum"]]
-                          for n in serial_o0["benchmarks"]}))
-
-    row = {
+    diff = [serial_o0, serial_o2, vector_o2]
+    return {
         "benchmarks": benchmarks,
         "geomean_speedup": geomean,
         "o0_exec_seconds": o0_cold["exec_wall_seconds"],
@@ -585,23 +408,51 @@ def run_opt_pipeline(cache_dir=None,
                        "o2": o2_cold["opt_level"]},
         "cold_pass_runs": o2_cold["pass_runs"],
         "cold_pass_seconds": o2_cold["pass_seconds"],
+        "cold_build_seconds": o2_cold["build_seconds"],
+        "warm_build_seconds": o2_warm["build_seconds"],
+        "cold_clc_compiles": o2_cold["clc_compiles"],
+        "cold_disk_cache_hits": o2_cold["disk_cache_hits"],
+        "cold_disk_cache_misses": o2_cold["disk_cache_misses"],
         "warm_clc_compiles": o2_warm["clc_compiles"],
-        "warm_pass_runs": warm_pass_runs,
+        "warm_pass_runs": sum(o2_warm["pass_runs"].values()),
         "warm_disk_cache_hits": o2_warm["disk_cache_hits"],
+        "warm_disk_cache_misses": o2_warm["disk_cache_misses"],
         "warm_results_identical": all(
             o2_cold["benchmarks"][n]["checksum"]
             == o2_warm["benchmarks"][n]["checksum"]
             for n in o2_cold["benchmarks"]),
-        "differential_identical": diff_identical,
+        "differential_identical": all(
+            len({d["benchmarks"][n]["checksum"] for d in diff}) == 1
+            for n in serial_o0["benchmarks"]),
         "verified": all(leg["verified"] for leg in
-                        (o0_cold, o2_cold, o2_warm,
-                         serial_o0, serial_o2, vector_o2)),
+                        (o0_cold, o2_cold, o2_warm, *diff)),
     }
-    if output:
-        with open(output, "w", encoding="utf-8") as fh:
-            json.dump(row, fh, indent=2)
-        row["output"] = output
-    return row
+
+
+def _failed(rules: dict) -> list[str]:
+    """The names of the rules (name -> passed) a row breaks."""
+    return [rule for rule, ok in rules.items() if not ok]
+
+
+def gate_opt_pipeline(row: dict) -> list[str]:
+    """Failed rules of an opt-pipeline row (see :func:`run_opt_pipeline`);
+    wall-clock fields are never gated."""
+    benchmarks = row["benchmarks"].values()
+    return _failed({
+        "-O2 checksums == -O0":
+            all(b["checksums_identical"] for b in benchmarks),
+        "-O2 sim seconds <= -O0":
+            all(b["o2_sim_seconds"] <= b["o0_sim_seconds"]
+                for b in benchmarks),
+        "warm_clc_compiles == 0": row["warm_clc_compiles"] == 0,
+        "warm_pass_runs == 0": row["warm_pass_runs"] == 0,
+        "differential_identical": row["differential_identical"],
+        "verified": row["verified"],
+        "warm_results_identical": row["warm_results_identical"],
+        "cold_clc_compiles >= 5": row["cold_clc_compiles"] >= 5,
+        "warm_disk_cache_hits >= 5": row["warm_disk_cache_hits"] >= 5,
+        "warm_disk_cache_misses == 0": row["warm_disk_cache_misses"] == 0,
+    })
 
 
 # -- engine shoot-out: vector interpreter vs codegen JIT -----------------------
@@ -653,8 +504,11 @@ def _engine_run_seconds(engine: str, module, problem, reps: int) -> tuple:
     return wall, _checksum(run.output), engines
 
 
-def run_engine_jit(rounds: int = 7, gate: float | None = 2.0,
-                   output: str | None = "BENCH_engine_jit.json") -> dict:
+#: the JIT must beat the vector interpreter by this wall-clock geomean
+ENGINE_JIT_GATE = 2.0
+
+
+def run_engine_jit(rounds: int = 7) -> dict:
     """Vector-vs-JIT engine shoot-out over the five paper benchmarks.
 
     For each benchmark the two engines run interleaved for ``rounds``
@@ -664,14 +518,10 @@ def run_engine_jit(rounds: int = 7, gate: float | None = 2.0,
     ratios* (vector wall over jit wall, summed ``engine_run`` spans),
     which a single loaded or lucky round cannot move.  Every round
     must produce bit-identical output checksums across the two
-    engines (the JIT is a pure execution substrate swap), and with
-    ``gate`` set the JIT must beat the vector interpreter by at least
-    that wall-clock geomean.
-
-    With ``output`` set, the row is written as JSON (the
-    ``BENCH_engine_jit.json`` trajectory artifact).
+    engines (the JIT is a pure execution substrate swap), and
+    :func:`gate_engine_jit` requires the JIT to beat the vector
+    interpreter by at least :data:`ENGINE_JIT_GATE` wall-clock geomean.
     """
-    import json
     import math
 
     benchmarks = {}
@@ -715,24 +565,21 @@ def run_engine_jit(rounds: int = 7, gate: float | None = 2.0,
         }
     geomean = math.exp(sum(math.log(s) for s in speedups)
                        / len(speedups)) if speedups else 0.0
-    row = {
+    return {
         "benchmarks": benchmarks,
         "geomean_speedup": geomean,
         "rounds": rounds,
-        "gate": gate,
+        "gate": ENGINE_JIT_GATE,
         "checksums_identical": True,    # asserted per round above
     }
-    if gate is not None and geomean < gate:
-        raise AssertionError(
-            f"jit engine geomean speedup {geomean:.2f}x is below the "
-            f"{gate:.1f}x gate: " + json.dumps(
-                {n: round(b["speedup"], 3)
-                 for n, b in benchmarks.items()}))
-    if output:
-        with open(output, "w", encoding="utf-8") as fh:
-            json.dump(row, fh, indent=2)
-        row["output"] = output
-    return row
+
+
+def gate_engine_jit(row: dict) -> list[str]:
+    """Failed rules of an engine-jit row."""
+    return _failed({
+        f"geomean_speedup >= {ENGINE_JIT_GATE}":
+            row["geomean_speedup"] >= ENGINE_JIT_GATE,
+    })
 
 
 # -- §VII cluster extension: multi-device overlap ------------------------------
@@ -792,8 +639,7 @@ def run_cluster(n: int = 1 << 14, reps: int = 4) -> dict:
     }
 
 
-def run_cluster_lb(n: int = 1 << 14, iters: int = 64,
-                   output: str | None = "BENCH_cluster_lb.json") -> dict:
+def run_cluster_lb(n: int = 1 << 14, iters: int = 64) -> dict:
     """Heterogeneity-aware load balancing across a skewed cluster.
 
     Runs one compute-bound partitioned kernel on the paper's default
@@ -810,12 +656,10 @@ def run_cluster_lb(n: int = 1 << 14, iters: int = 64,
       drains first.
 
     All legs must produce bit-identical gathered results; the makespans
-    come from the simulated per-device timelines.  The row (written as
-    ``BENCH_cluster_lb.json``) carries the weighted/dynamic speedups
-    over uniform, which CI gates at >= 1.3x.
+    come from the simulated per-device timelines.  The row carries the
+    weighted/dynamic speedups over uniform, which
+    :func:`gate_cluster_lb` requires to be >= 1.3x.
     """
-    import json
-
     import numpy as np
 
     from ..hpl import (Cluster, DistributedArray, Float, Int,
@@ -868,7 +712,7 @@ def run_cluster_lb(n: int = 1 << 14, iters: int = 64,
 
     legs = {"uniform": uniform, "weighted": weighted,
             "dynamic": dynamic, "weighted+cal": calibrated}
-    row = {
+    return {
         "n": n,
         "iters": iters,
         "devices": [d.label for d in cluster.devices],
@@ -885,16 +729,18 @@ def run_cluster_lb(n: int = 1 << 14, iters: int = 64,
             and np.array_equal(base_out, calibrated_out)),
         "checksum": uniform["checksum"],
     }
-    if output:
-        with open(output, "w", encoding="utf-8") as fh:
-            json.dump(row, fh, indent=2)
-        row["output"] = output
-    return row
 
 
-def run_cluster_faults(n: int = 1 << 14, iters: int = 48,
-                       output: str | None = "BENCH_cluster_faults.json"
-                       ) -> dict:
+def gate_cluster_lb(row: dict) -> list[str]:
+    """Failed rules of a cluster-lb row."""
+    return _failed({
+        "results_identical": row["results_identical"],
+        "speedup_weighted >= 1.3": row["speedup_weighted"] >= 1.3,
+        "speedup_dynamic >= 1.3": row["speedup_dynamic"] >= 1.3,
+    })
+
+
+def run_cluster_faults(n: int = 1 << 14, iters: int = 48) -> dict:
     """Fault-tolerant cluster execution under a seeded fault matrix.
 
     Runs one compute-bound partitioned kernel on the paper's
@@ -909,18 +755,15 @@ def run_cluster_faults(n: int = 1 << 14, iters: int = 48,
       rebalanced timeline.
 
     Recovery must be *correct* before it is fast: every leg's gathered
-    result must be bit-identical to the no-fault leg (CI gates on
-    ``results_identical`` and on *recovery* overhead <= 2x — the
+    result must be bit-identical to the no-fault leg (the target gates
+    on ``results_identical`` and on *recovery* overhead <= 2x — the
     transient and device-lost legs; the straggler leg is slow hardware,
     not recovery, so its makespan is reported but not gated).  The
     retry backoff is set proportional to the simulated kernel times so
     the measured overhead reflects re-run work, not an arbitrary
-    wall-clock constant.  The row (written as
-    ``BENCH_cluster_faults.json``) records per-leg makespans,
+    wall-clock constant.  The row records per-leg makespans,
     retry/requeue counts, and the overhead ratios.
     """
-    import json
-
     import numpy as np
 
     from ..hpl import (Cluster, DistributedArray, Float, Int,
@@ -980,14 +823,14 @@ def run_cluster_faults(n: int = 1 << 14, iters: int = 48,
         legs[name], outs[name] = one_leg(plan)
     base = outs["none"]
     baseline = legs["none"]["makespan_seconds"]
-    row = {
+    return {
         "n": n,
         "iters": iters,
         "schedule": "dynamic",
         "legs": legs,
         "overhead": {name: leg["makespan_seconds"] / baseline
                      for name, leg in legs.items()},
-        #: the CI gate: worst recovery-path overhead over no-fault
+        #: the gated figure: worst recovery-path overhead over no-fault
         "recovery_overhead": max(
             legs["transient"]["makespan_seconds"],
             legs["device-lost"]["makespan_seconds"]) / baseline,
@@ -995,11 +838,18 @@ def run_cluster_faults(n: int = 1 << 14, iters: int = 48,
             np.array_equal(base, outs[name]) for name in plans)),
         "checksum": legs["none"]["checksum"],
     }
-    if output:
-        with open(output, "w", encoding="utf-8") as fh:
-            json.dump(row, fh, indent=2)
-        row["output"] = output
-    return row
+
+
+def gate_cluster_faults(row: dict) -> list[str]:
+    """Failed rules of a cluster-faults row."""
+    legs = row["legs"]
+    return _failed({
+        "results_identical": row["results_identical"],
+        "recovery_overhead <= 2.0": row["recovery_overhead"] <= 2.0,
+        "transient retries >= 1": legs["transient"]["retries"] >= 1,
+        "device-lost requeued_items >= 1":
+            legs["device-lost"]["requeued_items"] >= 1,
+    })
 
 
 def _make_res_kernel(iters: int):
@@ -1027,28 +877,22 @@ def _resilience_data(n: int):
     return np.random.default_rng(7).random(n).astype(np.float32)
 
 
-def _resilience_child() -> None:
+def _resilience_child(mode: str, ckpt_dir: str, n: int,
+                      iters: int) -> dict:
     """Kill-and-resume subprocess body (cluster-resilience target).
 
-    ``HPL_RESILIENCE_MODE=kill`` SIGKILLs the process at its third
-    checkpoint snapshot — no cleanup, no atexit, exactly a crashed run;
-    ``resume`` restores the snapshot, finishes the work, and reports
-    the gathered result's digest on stdout.
+    ``mode="kill"`` SIGKILLs the process at its third checkpoint
+    snapshot — no cleanup, no atexit, exactly a crashed run;
+    ``"resume"`` restores the snapshot, finishes the work, and returns
+    the gathered result's digest.
     """
     import hashlib
-    import json
     import os
     import signal
-    import sys
 
     from ..hpl import (Cluster, DistributedArray, Float, cluster_eval,
                        float_, get_devices)
     from ..hpl import checkpoint as ckpt
-
-    mode = os.environ["HPL_RESILIENCE_MODE"]
-    ckpt_dir = os.environ["HPL_RESILIENCE_CKPT"]
-    n = int(os.environ["HPL_RESILIENCE_N"])
-    iters = int(os.environ["HPL_RESILIENCE_ITERS"])
 
     if mode == "kill":
         original = ckpt.CheckpointStore.save
@@ -1071,40 +915,14 @@ def _resilience_child() -> None:
                           schedule="dynamic", checkpoint=ckpt_dir,
                           resume=(mode == "resume"))
     out = dy.gather()
-    json.dump({"digest": hashlib.sha256(out.tobytes()).hexdigest(),
-               "checksum": float(out.sum()),
-               "resumed_blocks": result.failures.resumed_blocks,
-               "launches": len(result)}, sys.stdout)
+    return {"digest": hashlib.sha256(out.tobytes()).hexdigest(),
+            "checksum": float(out.sum()),
+            "resumed_blocks": result.failures.resumed_blocks,
+            "launches": len(result)}
 
 
-def _spawn_resilience_child(mode: str, ckpt_dir: str, n: int,
-                            iters: int):
-    import os
-    import subprocess
-    import sys
-    from pathlib import Path
-
-    import repro
-
-    env = os.environ.copy()
-    env.pop("HPL_FAULTS", None)     # the children run fault-free
-    env.update({"HPL_RESILIENCE_MODE": mode,
-                "HPL_RESILIENCE_CKPT": str(ckpt_dir),
-                "HPL_RESILIENCE_N": str(n),
-                "HPL_RESILIENCE_ITERS": str(iters)})
-    src_root = str(Path(repro.__file__).resolve().parent.parent)
-    env["PYTHONPATH"] = src_root + (
-        os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
-    return subprocess.run(
-        [sys.executable, "-c",
-         "from repro.benchsuite.runner import _resilience_child as c; "
-         "c()"],
-        env=env, capture_output=True, text=True)
-
-
-def run_cluster_resilience(
-        n: int = 1 << 15, iters: int = 64, reps: int = 3,
-        output: str | None = "BENCH_cluster_resilience.json") -> dict:
+def run_cluster_resilience(n: int = 1 << 15, iters: int = 64,
+                           reps: int = 3) -> dict:
     """Deadline-aware watchdog, speculation, and checkpoint/resume.
 
     Four legs, all running the same compute-bound partitioned kernel
@@ -1126,13 +944,14 @@ def run_cluster_resilience(
     Each timed leg takes one unmeasured calibration warm-up iteration
     (the watchdog is predictive — it speculates off the calibrated
     throughput model) and then averages ``reps`` measured iterations.
-    CI gates on ``straggler_overhead_speculated <= 1.25``, on the
-    unmitigated leg actually showing a cliff, and on every leg's
-    digest matching the no-fault leg bit-for-bit.
+    :func:`gate_cluster_resilience` checks
+    ``straggler_overhead_speculated <= 1.25``, the unmitigated leg
+    actually showing a cliff, and every leg's digest matching the
+    no-fault leg bit-for-bit.
     """
     import hashlib
     import json
-    import signal as _signal
+    import signal
     import tempfile
 
     from ..hpl import (Cluster, DistributedArray, Float, calibration,
@@ -1181,17 +1000,13 @@ def run_cluster_resilience(
 
     with tempfile.TemporaryDirectory(
             prefix="hpl-resilience-ckpt-") as ckpt_dir:
-        first = _spawn_resilience_child("kill", ckpt_dir, n, iters)
-        if first.returncode != -_signal.SIGKILL:
-            raise RuntimeError(
-                f"kill-phase child should die by SIGKILL, exited "
-                f"{first.returncode}:\n{first.stderr}")
-        second = _spawn_resilience_child("resume", ckpt_dir, n, iters)
-        if second.returncode != 0:
-            raise RuntimeError(
-                f"resume child failed ({second.returncode}):\n"
-                f"{second.stderr}")
-        resumed = json.loads(second.stdout)
+        kwargs = {"ckpt_dir": ckpt_dir, "n": n, "iters": iters}
+        no_faults = {"HPL_FAULTS": None}    # the children run fault-free
+        run_child(_resilience_child, {"mode": "kill", **kwargs},
+                  env=no_faults, returncode=-signal.SIGKILL)
+        resumed = json.loads(run_child(
+            _resilience_child, {"mode": "resume", **kwargs},
+            env=no_faults).stdout)
     legs["kill-and-resume"] = {
         "resumed_blocks": resumed["resumed_blocks"],
         "launches_after_resume": resumed["launches"],
@@ -1201,7 +1016,7 @@ def run_cluster_resilience(
 
     base = legs["no-fault"]["makespan_seconds"]
     digest0 = legs["no-fault"]["digest"]
-    row = {
+    return {
         "n": n,
         "iters": iters,
         "reps": reps,
@@ -1220,11 +1035,20 @@ def run_cluster_resilience(
             leg_row["digest"] == digest0 for leg_row in legs.values())),
         "checksum": legs["no-fault"]["checksum"],
     }
-    if output:
-        with open(output, "w", encoding="utf-8") as fh:
-            json.dump(row, fh, indent=2)
-        row["output"] = output
-    return row
+
+
+def gate_cluster_resilience(row: dict) -> list[str]:
+    """Failed rules of a cluster-resilience row."""
+    return _failed({
+        "results_identical": row["results_identical"],
+        "resume_bit_identical": row["resume_bit_identical"],
+        "straggler_overhead_unmitigated >= 2.0":
+            row["straggler_overhead_unmitigated"] >= 2.0,
+        "straggler_overhead_speculated <= 1.25":
+            row["straggler_overhead_speculated"] <= 1.25,
+        "speculation_wins >= 1": row["speculation_wins"] >= 1,
+        "resumed_blocks >= 1": row["resumed_blocks"] >= 1,
+    })
 
 
 # -- command-line entry point -------------------------------------------------
@@ -1236,28 +1060,33 @@ def run_cluster_resilience(
 # of ``python -m repro.trace summarize``), anything else -> Chrome
 # ``chrome://tracing`` JSON.
 
-#: CLI target name -> (runner, formatter); formatter may be None
+#: CLI target name -> (runner, formatter, gate); formatter and gate may
+#: be None.  A gated target's row is written to ``BENCH_<target>.json``
+#: and the CLI exits non-zero if its gate names a failed rule.
 def _cli_targets() -> dict:
     from . import report
 
     return {
-        "ep": (run_ep, None),
-        "cluster": (run_cluster, report.format_cluster),
-        "cluster-lb": (run_cluster_lb, report.format_cluster_lb),
+        "ep": (run_ep, None, None),
+        "cluster": (run_cluster, report.format_cluster, None),
+        "cluster-lb": (run_cluster_lb, report.format_cluster_lb,
+                       gate_cluster_lb),
         "cluster-faults": (run_cluster_faults,
-                           report.format_cluster_faults),
+                           report.format_cluster_faults,
+                           gate_cluster_faults),
         "cluster-resilience": (run_cluster_resilience,
-                               report.format_cluster_resilience),
-        "table1": (run_table1, report.format_table1),
-        "fig6": (run_fig6, report.format_fig6),
-        "fig7": (run_fig7, report.format_fig7),
-        "fig8": (run_fig8, report.format_fig8),
-        "fig9": (run_fig9, report.format_fig9),
-        "warm": (run_warm_cache, report.format_warm_cache),
-        "warm-cache": (run_warm_cache_disk,
-                       report.format_warm_cache_disk),
-        "opt-pipeline": (run_opt_pipeline, report.format_opt_pipeline),
-        "engine-jit": (run_engine_jit, report.format_engine_jit),
+                               report.format_cluster_resilience,
+                               gate_cluster_resilience),
+        "table1": (run_table1, report.format_table1, None),
+        "fig6": (run_fig6, report.format_fig6, None),
+        "fig7": (run_fig7, report.format_fig7, None),
+        "fig8": (run_fig8, report.format_fig8, None),
+        "fig9": (run_fig9, report.format_fig9, None),
+        "warm": (run_warm_cache, report.format_warm_cache, None),
+        "opt-pipeline": (run_opt_pipeline, report.format_opt_pipeline,
+                         gate_opt_pipeline),
+        "engine-jit": (run_engine_jit, report.format_engine_jit,
+                       gate_engine_jit),
     }
 
 
@@ -1290,6 +1119,7 @@ def main(argv: list[str] | None = None) -> int:
     """Entry point behind ``python -m repro.benchsuite``."""
     import argparse
     import json
+    import sys
 
     from .. import trace
     from ..hpl import get_runtime
@@ -1338,8 +1168,9 @@ def main(argv: list[str] | None = None) -> int:
         prof.enable()
         prof.reset()
 
+    gate_failed = False
     for name in ns.targets:
-        run, fmt = targets[name]
+        run, fmt, gate = targets[name]
         with trace.span(f"target:{name}", category="benchsuite"):
             result = run(ns.ep_class) if name == "ep" else run()
         if profiling:
@@ -1362,6 +1193,16 @@ def main(argv: list[str] | None = None) -> int:
         else:
             for key, value in result.items():
                 print(f"{key:>16}: {value}")
+        if gate is not None:
+            artifact = f"BENCH_{name.replace('-', '_')}.json"
+            with open(artifact, "w", encoding="utf-8") as fh:
+                json.dump(result, fh, indent=2)
+            print(f"wrote {artifact}", file=sys.stderr)
+            failed = gate(result)
+            if failed:
+                gate_failed = True
+                print(f"{name} gate failed: {'; '.join(failed)}",
+                      file=sys.stderr)
         if ns.verbose:
             print()
             print(report.format_metrics_summary(get_runtime().stats))
@@ -1387,4 +1228,4 @@ def main(argv: list[str] | None = None) -> int:
     if profiling and not was_profiling:
         from .. import prof
         prof.disable()         # --profile must not outlive the run
-    return 0
+    return 1 if gate_failed else 0

@@ -92,29 +92,148 @@ class TestFigureRunners:
 
 
 class TestEngineJit:
-    def test_engine_jit_wiring(self, monkeypatch, tmp_path):
+    def test_engine_jit_wiring(self, monkeypatch):
         """`run_engine_jit` plumbing on tiny problems: interleaved
-        rounds, per-engine bests, identical checksums, JSON artifact.
-        The real >= 2x perf gate runs on the full sizes in CI."""
+        rounds, per-engine bests, identical checksums.  The real >= 2x
+        perf gate runs on the full sizes in CI."""
         from repro.benchsuite import floyd
 
         monkeypatch.setattr(
             runner, "_problems_engine_jit",
             lambda: {"Floyd-Warshall": (floyd.floyd_problem(64, n_run=4), 2)})
-        out = tmp_path / "engine_jit.json"
-        row = runner.run_engine_jit(rounds=1, gate=None, output=str(out))
+        row = runner.run_engine_jit(rounds=1)
         leg = row["benchmarks"]["Floyd-Warshall"]
         assert leg["vector_seconds"] > 0 and leg["jit_seconds"] > 0
         assert row["checksums_identical"]
-        assert out.exists()
         text = report.format_engine_jit(row)
         assert "geomean" in text and "jit" in text
 
-    def test_engine_jit_gate_fires(self, monkeypatch):
-        from repro.benchsuite import floyd
+    def test_engine_jit_gate_fires(self):
+        assert runner.gate_engine_jit({"geomean_speedup": 2.15}) == []
+        assert runner.gate_engine_jit({"geomean_speedup": 1.99}) == [
+            "geomean_speedup >= 2.0"]
 
-        monkeypatch.setattr(
-            runner, "_problems_engine_jit",
-            lambda: {"Floyd-Warshall": (floyd.floyd_problem(64, n_run=4), 2)})
-        with pytest.raises(AssertionError, match="gate"):
-            runner.run_engine_jit(rounds=1, gate=1e9, output=None)
+
+# -- gates: each target's pass/fail rules as a pure function of its row -------
+#
+# The rows below hold the fields each gate reads, at the values the
+# targets report at their default sizes; every doctored copy breaks one
+# rule and must fail with exactly that rule named.
+
+def _opt_pipeline_row():
+    sims = {"EP": (0.005598, 0.005547), "Floyd-Warshall": (0.004664,) * 2,
+            "Matrix transpose": (0.000238,) * 2, "Spmv": (0.000195,) * 2,
+            "Reduction": (0.000314,) * 2}
+    return {
+        "benchmarks": {name: {"o0_sim_seconds": o0, "o2_sim_seconds": o2,
+                              "checksums_identical": True}
+                       for name, (o0, o2) in sims.items()},
+        "warm_clc_compiles": 0, "warm_pass_runs": 0,
+        "differential_identical": True, "verified": True,
+        "warm_results_identical": True, "cold_clc_compiles": 5,
+        "warm_disk_cache_hits": 5, "warm_disk_cache_misses": 0,
+    }
+
+
+def _set(path, value):
+    def doctor(row):
+        *parents, leaf = path
+        for key in parents:
+            row = row[key]
+        row[leaf] = value
+    return doctor
+
+
+GATES = {
+    "cluster-lb": (
+        runner.gate_cluster_lb,
+        lambda: {"results_identical": True, "speedup_weighted": 5.71,
+                 "speedup_dynamic": 2.91},
+        {"results_identical": _set(["results_identical"], False),
+         "speedup_weighted >= 1.3": _set(["speedup_weighted"], 1.29),
+         "speedup_dynamic >= 1.3": _set(["speedup_dynamic"], 1.29)}),
+    "cluster-faults": (
+        runner.gate_cluster_faults,
+        lambda: {"results_identical": True, "recovery_overhead": 1.15,
+                 "legs": {"transient": {"retries": 2},
+                          "device-lost": {"requeued_items": 716}}},
+        {"results_identical": _set(["results_identical"], False),
+         "recovery_overhead <= 2.0": _set(["recovery_overhead"], 2.01),
+         "transient retries >= 1": _set(["legs", "transient", "retries"], 0),
+         "device-lost requeued_items >= 1":
+             _set(["legs", "device-lost", "requeued_items"], 0)}),
+    "cluster-resilience": (
+        runner.gate_cluster_resilience,
+        lambda: {"results_identical": True, "resume_bit_identical": True,
+                 "straggler_overhead_unmitigated": 278.75,
+                 "straggler_overhead_speculated": 1.04,
+                 "speculation_wins": 12, "resumed_blocks": 2},
+        {"results_identical": _set(["results_identical"], False),
+         "resume_bit_identical": _set(["resume_bit_identical"], False),
+         "straggler_overhead_unmitigated >= 2.0":
+             _set(["straggler_overhead_unmitigated"], 1.99),
+         "straggler_overhead_speculated <= 1.25":
+             _set(["straggler_overhead_speculated"], 1.26),
+         "speculation_wins >= 1": _set(["speculation_wins"], 0),
+         "resumed_blocks >= 1": _set(["resumed_blocks"], 0)}),
+    "opt-pipeline": (
+        runner.gate_opt_pipeline, _opt_pipeline_row,
+        {"-O2 checksums == -O0":
+             _set(["benchmarks", "Spmv", "checksums_identical"], False),
+         "-O2 sim seconds <= -O0":
+             _set(["benchmarks", "EP", "o2_sim_seconds"], 0.0056),
+         "warm_clc_compiles == 0": _set(["warm_clc_compiles"], 1),
+         "warm_pass_runs == 0": _set(["warm_pass_runs"], 1),
+         "differential_identical": _set(["differential_identical"], False),
+         "verified": _set(["verified"], False),
+         "warm_results_identical": _set(["warm_results_identical"], False),
+         "cold_clc_compiles >= 5": _set(["cold_clc_compiles"], 4),
+         "warm_disk_cache_hits >= 5": _set(["warm_disk_cache_hits"], 4),
+         "warm_disk_cache_misses == 0":
+             _set(["warm_disk_cache_misses"], 1)}),
+    "engine-jit": (
+        runner.gate_engine_jit, lambda: {"geomean_speedup": 2.15},
+        {"geomean_speedup >= 2.0": _set(["geomean_speedup"], 1.99)}),
+}
+
+
+class TestGates:
+    @pytest.mark.parametrize("target", sorted(GATES))
+    def test_head_row_passes(self, target):
+        gate, head_row, _doctored = GATES[target]
+        assert gate(head_row()) == []
+
+    @pytest.mark.parametrize("target, rule", [
+        (target, rule) for target, (_g, _r, rules) in sorted(GATES.items())
+        for rule in rules])
+    def test_doctored_row_names_its_rule(self, target, rule):
+        gate, head_row, doctored = GATES[target]
+        row = head_row()
+        doctored[rule](row)
+        assert gate(row) == [rule]
+
+    def test_cli_table_gates_exactly_these_targets(self):
+        gated = {name for name, (_run, _fmt, gate)
+                 in runner._cli_targets().items() if gate is not None}
+        assert gated == set(GATES)
+
+    @pytest.mark.parametrize("doctor, rc", [
+        (lambda row: None, 0),
+        (_set(["speedup_dynamic"], 1.0), 1)])
+    def test_cli_writes_the_artifact_then_gates(self, monkeypatch,
+                                                tmp_path, capsys,
+                                                doctor, rc):
+        import json
+
+        gate, head_row, _doctored = GATES["cluster-lb"]
+        row = head_row()
+        doctor(row)
+        monkeypatch.setattr(runner, "_cli_targets", lambda: {
+            "cluster-lb": (lambda: row, None, gate)})
+        monkeypatch.chdir(tmp_path)
+        assert runner.main(["cluster-lb", "--json"]) == rc
+        out, err = capsys.readouterr()
+        artifact = tmp_path / "BENCH_cluster_lb.json"
+        assert json.loads(artifact.read_text()) == row
+        assert json.loads(out)["cluster-lb"] == row
+        assert ("speedup_dynamic >= 1.3" in err) == bool(rc)

@@ -7,19 +7,17 @@ gathered results are bit-identical to the fault-free run.
 
 from __future__ import annotations
 
+import hashlib
 import json
-import os
 import signal
-import subprocess
-import sys
-import tempfile
-import textwrap
 
 import numpy as np
 import pytest
 
 import repro.hpl as hpl
 from repro import trace
+from repro.benchsuite import runner
+from repro.benchsuite.common import run_child
 from repro.errors import (CheckpointError, ClusterExecutionError,
                           CLError, DeadlineExceeded)
 from repro.hpl import CheckpointStore, Float, calibration, cluster_eval, float_
@@ -262,69 +260,33 @@ class TestCheckpointResume:
             store.load({"k": 1})
 
 
-_KILL_CHILD = textwrap.dedent("""
-    import os, signal, sys
-    import numpy as np
-    import repro.hpl as hpl
-    from repro.hpl import Float, cluster_eval, float_
-    from repro.hpl.cluster import Cluster, DistributedArray
-    from repro.hpl import checkpoint as ckpt
-
-    mode, ckpt_dir, out_path = sys.argv[1], sys.argv[2], sys.argv[3]
-
-    if mode == "kill":
-        # SIGKILL the process at the third snapshot: no cleanup, no
-        # atexit — exactly a crashed run
-        original = ckpt.CheckpointStore.save
-        calls = {"n": 0}
-        def killing_save(self, run_id, arrays, completed):
-            calls["n"] += 1
-            if calls["n"] == 3:
-                os.kill(os.getpid(), signal.SIGKILL)
-            return original(self, run_id, arrays, completed)
-        ckpt.CheckpointStore.save = killing_save
-
-    def saxpy_part(y, x, a, offset, count):
-        y[hpl.idx] = a * x[hpl.idx] + y[hpl.idx]
-
-    n = 20000
-    rng = np.random.default_rng(11)
-    xd = rng.random(n).astype(np.float32)
-    yd = rng.random(n).astype(np.float32)
-    c = Cluster(hpl.get_devices())
-    x = DistributedArray(float_, n, c, data=xd)
-    y = DistributedArray(float_, n, c, data=yd)
-    cluster_eval(saxpy_part, c, y, x, Float(2.0), schedule="dynamic",
-                 checkpoint=ckpt_dir,
-                 resume=(mode == "resume"))
-    np.save(out_path, y.gather())
-""")
-
-
 class TestKillAndResume:
     def test_sigkilled_run_resumes_bit_identically(self, tmp_path):
-        script = tmp_path / "child.py"
-        script.write_text(_KILL_CHILD)
         ckpt_dir = tmp_path / "ckpt"
-        out_path = tmp_path / "out.npy"
-        env = dict(os.environ)
-        src = os.path.join(os.path.dirname(hpl.__file__), "..", "..")
-        env["PYTHONPATH"] = os.path.abspath(src)
-        env.pop("HPL_FAULTS", None)
-
-        first = subprocess.run(
-            [sys.executable, str(script), "kill", str(ckpt_dir),
-             str(out_path)], env=env, capture_output=True, timeout=120)
-        assert first.returncode == -signal.SIGKILL, first.stderr.decode()
-        assert not out_path.exists()        # it really died mid-run
+        kwargs = {"ckpt_dir": str(ckpt_dir), "n": 4096, "iters": 2}
+        no_faults = {"HPL_FAULTS": None}
+        first = run_child(runner._resilience_child,
+                          {"mode": "kill", **kwargs}, env=no_faults,
+                          timeout=120, returncode=-signal.SIGKILL)
+        assert first.returncode == -signal.SIGKILL
+        assert first.stdout == ""           # it really died mid-run
         assert (ckpt_dir / "MANIFEST.json").exists()
 
-        second = subprocess.run(
-            [sys.executable, str(script), "resume", str(ckpt_dir),
-             str(out_path)], env=env, capture_output=True, timeout=120)
-        assert second.returncode == 0, second.stderr.decode()
-        out = np.load(out_path)
-        assert np.array_equal(out, _expected())
+        second = run_child(runner._resilience_child,
+                           {"mode": "resume", **kwargs}, env=no_faults,
+                           timeout=120)
+        resumed = json.loads(second.stdout)
+        assert resumed["resumed_blocks"] >= 1
+
+        hpl.reset_runtime()                 # the fault-free reference
+        c = Cluster(hpl.get_devices())
+        y = DistributedArray(float_, 4096, c)
+        x = DistributedArray(float_, 4096, c,
+                             data=runner._resilience_data(4096))
+        cluster_eval(runner._make_res_kernel(2), c, y, x, Float(0.5),
+                     schedule="dynamic")
+        expected = hashlib.sha256(y.gather().tobytes()).hexdigest()
+        assert resumed["digest"] == expected
 
 
 class TestProbationReadmission:

@@ -12,9 +12,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import repro
 import repro.hpl as hpl
 from repro import trace
+from repro.benchsuite.common import child_env, run_child
+from repro.benchsuite.runner import _opt_pipeline_child
 from repro.clc import compile_source
 from repro.clc.ir import _IR_MAGIC, IR_SCHEMA_VERSION, ProgramIR
 from repro.errors import IRSchemaError
@@ -215,7 +216,7 @@ class TestConcurrentWriters:
             "print('ok')\n"
         )
         procs = [subprocess.Popen([sys.executable, "-c", script],
-                                  env=_child_env(), text=True,
+                                  env=child_env(), text=True,
                                   stdout=subprocess.PIPE,
                                   stderr=subprocess.PIPE)
                  for _ in range(4)]
@@ -340,60 +341,23 @@ class TestPreprocessOnce:
 
 # -- cross-process reuse ------------------------------------------------------
 
-_CHILD = """
-import json
-import numpy as np
-import repro.hpl as hpl
-from repro import trace
-from repro.hpl import Array, Float, float_, idx
-
-def scale(y, a):
-    y[idx] = y[idx] * a
-
-a = Array(float_, 64)
-a.data[:] = np.float32(3.0)
-hpl.eval(scale)(a, Float(2.0))
-registry = trace.get_registry()
-print(json.dumps({
-    "checksum": float(a.data.sum()),
-    "clc_compiles": registry.counter("clc.compiles").value,
-    "disk_cache_hits": registry.counter("hpl.disk_cache_hits").value,
-    "disk_cache_misses":
-        registry.counter("hpl.disk_cache_misses").value,
-}))
-"""
-
-
-def _child_env(cache_dir=None):
-    env = os.environ.copy()
-    src_root = str(Path(repro.__file__).resolve().parent.parent)
-    env["PYTHONPATH"] = src_root + (
-        os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
-    if cache_dir is not None:
-        env["HPL_CACHE_DIR"] = str(cache_dir)
-    return env
-
-
-def _run_child(cache_dir):
-    proc = subprocess.run([sys.executable, "-c", _CHILD],
-                          env=_child_env(cache_dir),
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    return json.loads(proc.stdout)
-
-
 class TestCrossProcessReuse:
     def test_second_process_hits_and_skips_compile(self, tmp_path):
-        cold = _run_child(tmp_path)
-        assert cold["clc_compiles"] == 1
+        # the five paper benchmarks at tiny sizes, one fresh process each
+        cold, warm = (json.loads(run_child(
+            _opt_pipeline_child, {"tiny": True},
+            env={"HPL_CACHE_DIR": tmp_path}, timeout=120).stdout)
+            for _ in range(2))
+        assert cold["clc_compiles"] == 5
         assert cold["disk_cache_hits"] == 0
-        assert cold["disk_cache_misses"] == 1
+        assert cold["disk_cache_misses"] == 5
 
-        warm = _run_child(tmp_path)
         assert warm["clc_compiles"] == 0     # served entirely from disk
-        assert warm["disk_cache_hits"] == 1
+        assert warm["disk_cache_hits"] == 5
         assert warm["disk_cache_misses"] == 0
-        assert warm["checksum"] == cold["checksum"]
+        assert warm["verified"]
+        assert ({n: b["checksum"] for n, b in warm["benchmarks"].items()}
+                == {n: b["checksum"] for n, b in cold["benchmarks"].items()})
 
 
 # -- CLI ----------------------------------------------------------------------
@@ -695,7 +659,7 @@ class TestByteTally:
             "    cache.put_source(f'{sys.argv[1]}{i:063x}', 'v' * 300)\n"
         )
         procs = [subprocess.Popen([sys.executable, "-c", script, str(n)],
-                                  env=_child_env(), text=True,
+                                  env=child_env(), text=True,
                                   stderr=subprocess.PIPE)
                  for n in range(4)]
         for proc in procs:
