@@ -5,9 +5,11 @@ The pipeline is the classic one::
     source --preprocess--> text --lex--> tokens --parse--> AST
            --sema--> typed ProgramIR
 
-:func:`compile_source` runs the whole pipeline.  The resulting
-:class:`~repro.clc.ir.ProgramIR` is what the execution engines in
-:mod:`repro.ocl.engines` consume.
+:func:`compile_source` runs the whole pipeline.  The middle-end
+(:mod:`repro.clc.passes`) optimizes the resulting
+:class:`~repro.clc.ir.ProgramIR` and lowers it to bytecode; the
+execution engines in :mod:`repro.ocl.engines` consume the
+:class:`~repro.clc.binary.ProgramBinary` built from it.
 """
 
 from __future__ import annotations

@@ -1,7 +1,7 @@
 """Untyped AST produced by the OpenCL C parser.
 
 These nodes carry only syntax; :mod:`repro.clc.sema` turns them into the
-typed IR in :mod:`repro.clc.ir` that the execution engines consume.
+typed IR in :mod:`repro.clc.ir` that the middle-end optimizes and lowers.
 All nodes record a source position for diagnostics.
 """
 

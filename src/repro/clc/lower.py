@@ -25,14 +25,14 @@ the variable's uniformity level from the analysis pass, which is what
 lets the vector engine keep launch-uniform values as true NumPy scalars
 (one arithmetic op per *launch* instead of per work-item).
 
-The bytecode is a set of plain dataclasses registered with the IR codec
-in :mod:`repro.clc.ir`, so it serializes inside ``ProgramIR.to_bytes``
-and the persistent kernel cache stores post-optimization artifacts.
+The bytecode is what the engines run: :mod:`repro.clc.binary` stores it,
+with the function signatures, in the persistent kernel cache.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Any, NamedTuple
 
 import numpy as np
 
@@ -51,16 +51,16 @@ UNIFORM_LAUNCH = 2
 
 # -- serializable containers ------------------------------------------------
 
-@dataclass
-class Instr:
+class Instr(NamedTuple):
     """One flat instruction.  ``dst``/``a``/``b``/``c`` are register
-    indices (-1 = unused); ``aux`` holds op-specific payload."""
+    indices (-1 = unused); ``aux`` holds op-specific payload.  A tuple,
+    so it encodes as the flat 9-element list it decodes from."""
     op: str = ""
     dst: int = -1
     a: int = -1
     b: int = -1
     c: int = -1
-    aux: object = None
+    aux: Any = None
     dtype: str | None = None
     line: int = 0
     uniform: int = 0
@@ -86,9 +86,6 @@ class ProgramBytecode:
     opt_level: int = 0
     pipeline_version: int = 0
     functions: dict = field(default_factory=dict)
-
-
-I.register_node_classes(Instr, KernelBytecode, ProgramBytecode)
 
 
 # -- opcodes (explicit constants; linked code dispatches on these ints) -----
@@ -486,11 +483,11 @@ class _FuncLowerer:
 
 # -- linking ----------------------------------------------------------------
 #
-# Serialized Instr objects are convenient to store but slow to execute;
-# linking converts each into a plain tuple with integer opcodes, numpy
-# dtypes and precomputed costs, shared by every engine.  The result is
-# cached on the ProgramBytecode instance (an ad-hoc attribute the IR
-# codec never sees).
+# Instr tuples are convenient to store but slow to execute; linking
+# converts each into a plain tuple with integer opcodes, numpy dtypes and
+# precomputed costs, shared by every engine.  The result is cached on the
+# ProgramBytecode instance (an ad-hoc attribute the binary codec never
+# sees).
 
 L_OP = 0
 L_DST = 1

@@ -53,9 +53,10 @@ class SemanticError(CompileError):
 
 
 class IRSchemaError(ReproError):
-    """A serialized :class:`~repro.clc.ir.ProgramIR` blob cannot be
-    decoded: bad magic, corrupt payload, unknown node kind, or a schema
-    version this build of the compiler does not understand.  Raised (and
+    """A serialized :class:`~repro.clc.binary.ProgramBinary` blob cannot
+    be decoded: bad magic, corrupt payload, a field of the wrong arity or
+    type, or a schema version this build of the compiler does not
+    understand.  Raised (and
     caught — a mismatching cache entry is a miss, never a crash) by the
     persistent kernel cache."""
 

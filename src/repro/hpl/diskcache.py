@@ -4,9 +4,11 @@ The paper's runtime "stores internally and reuses the binaries of the
 kernels it generates" (§V-B) — but the in-memory ``_captured``/``_compiled``
 caches of :mod:`repro.hpl.runtime` die with the process, so every cold
 start pays the full clc compile cost again.  This module adds the third
-cache layer: a content-addressed on-disk store of serialized
-:class:`~repro.clc.ir.ProgramIR` blobs shared by every process on the
-machine, in the spirit of pocl's kernel compiler cache.
+cache layer: a content-addressed on-disk store shared by every process
+on the machine, in the spirit of pocl's kernel compiler cache.  An
+entry holds what the engines run — a serialized
+:class:`~repro.clc.binary.ProgramBinary` (kernel signatures, bytecode
+and source), not the compiler's tree.
 
 Key anatomy (see docs/caching.md)::
 
@@ -23,6 +25,13 @@ processes do not race each other, and the store is LRU size-capped
 makes a store cost the same however many entries the cache holds: the
 store is scanned only when the tally says it may be over the cap.
 
+Every file the cache writes — ``.irbin`` entries and the ``.jitsrc``
+generated-source sidecars of codegen backends — is sealed: the hex
+sha256 of its payload and a newline come first, and a read verifies
+them before it decodes or returns anything.  A file that fails (a
+flipped bit, a truncation, a payload that does not decode) is deleted
+and read as a miss, so the caller rebuilds and overwrites it.
+
 Enabling the cache::
 
     import repro.hpl as hpl
@@ -34,7 +43,10 @@ Inspection CLI::
     python -m repro.hpl.diskcache {ls,stats,purge} [--cache-dir DIR]
 
 Metrics (process-global registry): ``hpl.disk_cache_hits``,
-``hpl.disk_cache_misses``, ``hpl.disk_cache_bytes`` (bytes written).
+``hpl.disk_cache_misses``, ``hpl.disk_cache_bytes`` (bytes written) and
+``hpl.disk_cache_corrupt`` (entries and sidecars dropped because they
+failed their seal or did not decode; each is also a miss, while an
+absent file is a plain miss).
 """
 
 from __future__ import annotations
@@ -48,7 +60,7 @@ from pathlib import Path
 
 from .. import trace
 from .._version import __version__
-from ..clc.ir import IR_SCHEMA_VERSION, ProgramIR
+from ..clc.binary import IR_SCHEMA_VERSION, ProgramBinary
 from ..errors import IRSchemaError
 
 try:                                    # POSIX only; harmless elsewhere
@@ -76,11 +88,11 @@ def cache_key(preprocessed_source: str, options: str = "",
     ``opt_signature`` (see :func:`repro.clc.passes.opt_signature`)
     identifies the middle-end configuration — opt level, pass-pipeline
     version and bytecode version — because entries store the
-    *post-optimization* artifact (IR + bytecode), not just the
+    *post-optimization* artifact (signatures + bytecode), not the
     front-end output.  ``engine_signature`` identifies the execution
     backends the build targets (engine names + their codegen versions,
     see :func:`repro.ocl.program.engine_signature_of`): codegen-capable
-    backends cache generated source alongside the IR, so switching
+    backends cache generated source alongside the entry, so switching
     engines or bumping a codegen version must miss rather than serve an
     artifact produced for a different backend.
     """
@@ -162,86 +174,103 @@ class KernelDiskCache:
 
     # -- lookup / store ----------------------------------------------------
 
-    def get(self, key: str) -> ProgramIR | None:
-        """The cached IR for ``key``, or None (a counted miss).
+    def get(self, key: str) -> ProgramBinary | None:
+        """The cached program for ``key``, or None (a counted miss).
 
-        A torn, corrupt, or schema-mismatched entry is removed and
-        reported as a miss — the caller recompiles and overwrites it.
+        A torn, damaged, or schema-mismatched entry is removed and
+        counted as corrupt and as a miss — the caller recompiles and
+        overwrites it.
         """
         with trace.span("disk_cache_lookup", category="hpl",
                         key=key[:12]) as sp:
             path = self._entry_path(key)
-            try:
-                blob = path.read_bytes()
-                program = ProgramIR.from_bytes(blob)
-            except (OSError, IRSchemaError):
-                with contextlib.suppress(OSError):
-                    if path.exists():   # invalid entry: drop it
-                        path.unlink()
+            payload = self._read_sealed(path)
+            program = None
+            if payload is not None:
+                try:
+                    program = ProgramBinary.from_bytes(payload)
+                except IRSchemaError:
+                    self._drop_corrupt(path)
+            if program is None:
                 self._registry().counter("hpl.disk_cache_misses").inc()
                 sp.set_attr("outcome", "miss")
                 return None
-            with contextlib.suppress(OSError):
-                os.utime(path)          # LRU: mark recently used
             self._registry().counter("hpl.disk_cache_hits").inc()
             sp.set_attr("outcome", "hit")
             return program
 
-    def put(self, key: str, program: ProgramIR) -> None:
+    def put(self, key: str, program: ProgramBinary) -> None:
         """Store ``program`` under ``key`` atomically, then charge it to
         the byte tally (evicting LRU entries if the store may be over
         the cap)."""
         with trace.span("disk_cache_store", category="hpl",
                         key=key[:12]) as sp:
-            blob = program.to_bytes()
-            tmp = self.path / (
-                f".{key}.{os.getpid()}.{threading.get_ident()}.tmp")
-            try:
-                tmp.write_bytes(blob)
-                os.replace(tmp, self._entry_path(key))
-            except BaseException:
-                with contextlib.suppress(OSError):
-                    tmp.unlink()
-                raise
-            self._registry().counter("hpl.disk_cache_bytes").inc(len(blob))
-            sp.set_attr("bytes", len(blob))
-            self._charge(len(blob))
+            size = self._write_sealed(self._entry_path(key),
+                                      program.to_bytes())
+            sp.set_attr("bytes", size)
 
     # -- generated-source sidecars (codegen backends) ----------------------
 
     def get_source(self, key: str) -> str | None:
-        """Cached generated source for ``key``, or None.
+        """Cached generated source for ``key``, or None (a counted miss).
 
         Sidecar entries (``<key>.jitsrc``) hold the Python module a
         codegen backend (e.g. the ``jit`` engine) emitted for a program;
         ``key`` is the backend's own codegen key, not an ``.irbin`` key.
+        A sidecar that fails its seal is removed and counted as corrupt,
+        so damaged code is regenerated, never executed.
         """
-        path = self._source_path(key)
-        try:
-            text = path.read_text(encoding="utf-8")
-        except OSError:
+        payload = self._read_sealed(self._source_path(key))
+        if payload is None:
             self._registry().counter("hpl.disk_cache_misses").inc()
             return None
-        with contextlib.suppress(OSError):
-            os.utime(path)              # LRU: mark recently used
         self._registry().counter("hpl.disk_cache_hits").inc()
-        return text
+        return payload.decode("utf-8")
 
     def put_source(self, key: str, text: str) -> None:
         """Store generated source under ``key`` atomically; sidecars
         count against the cap exactly like entries."""
-        data = text.encode("utf-8")
-        tmp = self.path / (
-            f".{key}.{os.getpid()}.{threading.get_ident()}.src.tmp")
+        self._write_sealed(self._source_path(key), text.encode("utf-8"))
+
+    # -- sealed files --------------------------------------------------------
+
+    def _read_sealed(self, path: Path) -> bytes | None:
+        """The verified payload of ``path``, or None when it is absent
+        or damaged (a damaged file is dropped and counted).  A hit marks
+        the file recently used for the LRU."""
         try:
-            tmp.write_bytes(data)
-            os.replace(tmp, self._source_path(key))
+            blob = path.read_bytes()
+        except OSError:
+            return None
+        payload = unseal(blob)
+        if payload is None:
+            self._drop_corrupt(path)
+            return None
+        with contextlib.suppress(OSError):
+            os.utime(path)
+        return payload
+
+    def _drop_corrupt(self, path: Path) -> None:
+        with contextlib.suppress(OSError):
+            path.unlink()
+        self._registry().counter("hpl.disk_cache_corrupt").inc()
+
+    def _write_sealed(self, path: Path, payload: bytes) -> int:
+        """Write ``payload`` sealed to ``path`` atomically and charge it
+        to the byte tally; returns the bytes written."""
+        blob = seal(payload)
+        tmp = self.path / (
+            f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
+        try:
+            tmp.write_bytes(blob)
+            os.replace(tmp, path)
         except BaseException:
             with contextlib.suppress(OSError):
                 tmp.unlink()
             raise
-        self._registry().counter("hpl.disk_cache_bytes").inc(len(text))
-        self._charge(len(data))
+        self._registry().counter("hpl.disk_cache_bytes").inc(len(blob))
+        self._charge(len(blob))
+        return len(blob)
 
     # -- size cap ----------------------------------------------------------
 
@@ -350,8 +379,8 @@ class KernelDiskCache:
         return removed
 
     def stats(self) -> dict:
-        """Plain-data summary: store contents plus this process's hit
-        and miss counters."""
+        """Plain-data summary: store contents plus this process's hit,
+        miss and corrupt counters."""
         entries = self.entries()
         registry = self._registry()
         return {
@@ -361,12 +390,39 @@ class KernelDiskCache:
             "max_bytes": self.max_bytes,
             "hits": registry.counter("hpl.disk_cache_hits").value,
             "misses": registry.counter("hpl.disk_cache_misses").value,
+            "corrupt": registry.counter("hpl.disk_cache_corrupt").value,
             "bytes_written": registry.counter("hpl.disk_cache_bytes").value,
         }
 
     def __repr__(self) -> str:
         return (f"<KernelDiskCache {str(self.path)!r} "
                 f"max_bytes={self.max_bytes}>")
+
+
+# -- seals -----------------------------------------------------------------------
+#
+# A sealed file is the hex sha256 of its payload, a newline, then the
+# payload.  The digest is text so that a sealed text payload (a ``.jitsrc``
+# sidecar) stays readable.
+
+_DIGEST_BYTES = 64
+
+
+def seal(payload: bytes) -> bytes:
+    """``payload`` behind its digest and a newline."""
+    return hashlib.sha256(payload).hexdigest().encode("ascii") + b"\n" \
+        + payload
+
+
+def unseal(blob: bytes) -> bytes | None:
+    """The payload of a blob written by :func:`seal`, or None when the
+    blob is truncated or its payload does not match the digest."""
+    digest, newline = blob[:_DIGEST_BYTES], blob[_DIGEST_BYTES:][:1]
+    payload = blob[_DIGEST_BYTES + 1:]
+    if newline != b"\n" or digest != hashlib.sha256(
+            payload).hexdigest().encode("ascii"):
+        return None
+    return payload
 
 
 # -- byte tally ------------------------------------------------------------------

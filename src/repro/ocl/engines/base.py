@@ -5,7 +5,7 @@ An execution backend ("engine") is a class with
 
 * a ``name`` class attribute (the registry key),
 * ``__init__(self, program, spec)`` taking the compiled
-  :class:`~repro.clc.ir.ProgramIR` and a
+  :class:`~repro.clc.binary.ProgramBinary` (signatures + bytecode) and a
   :class:`~repro.ocl.devicedb.DeviceSpec`,
 * ``run(kernel_name, args, global_size, local_size=None)`` returning a
   filled :class:`~repro.ocl.costmodel.CostCounters`,
@@ -132,7 +132,7 @@ def linked_entry(program, kernel_name: str):
     cannot drift: a program without bytecode, or with bytecode of
     another :data:`~repro.clc.lower.BYTECODE_VERSION`, raises
     :class:`~repro.errors.InvalidProgramExecutable`."""
-    pbc = getattr(program, "bytecode", None)
+    pbc = program.bytecode
     found = getattr(pbc, "version", None)
     if found != BYTECODE_VERSION:
         raise InvalidProgramExecutable(

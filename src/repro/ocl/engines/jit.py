@@ -19,9 +19,10 @@ statements from the instruction→line sidecar the lowerer already stamps
 on every instruction.
 
 Generated module source is memoized in-process per program and cached on
-disk next to the ``ProgramIR`` entries (``.jitsrc`` sidecars in
-:mod:`repro.hpl.diskcache`), keyed by program source, bytecode/pipeline
-versions and :data:`JIT_CODEGEN_VERSION`.  When codegen fails for any
+disk next to the program entries (sealed ``.jitsrc`` sidecars in
+:mod:`repro.hpl.diskcache`: a damaged one is regenerated, never run),
+keyed by program source, bytecode/pipeline versions and
+:data:`JIT_CODEGEN_VERSION`.  When codegen fails for any
 reason the engine silently falls back to the inherited bytecode
 interpreter, so ``jit`` is always safe to select.
 """
@@ -781,7 +782,7 @@ class JitEngine(VectorEngine):
     codegen_version = JIT_CODEGEN_VERSION
 
     @classmethod
-    def prebuild(cls, ir, spec) -> None:
+    def prebuild(cls, binary, spec) -> None:
         """Build-time hook (called by ``Program.build``): generate and
         compile the module now, so it lands in build accounting and the
         disk cache rather than in the first launch.  The result is
@@ -789,8 +790,8 @@ class JitEngine(VectorEngine):
         instance for this program shares.  A program without bytecode
         is left alone; its launches fail with the engines' typed
         error."""
-        if getattr(ir, "bytecode", None) is not None:
-            cls(ir, spec)._jit_functions()
+        if binary.bytecode is not None:
+            cls(binary, spec)._jit_functions()
 
     def _run_bytecode(self, entry, args) -> None:
         _code, kbc = entry
@@ -807,8 +808,9 @@ class JitEngine(VectorEngine):
 
     def _jit_functions(self):
         """Compiled function dict for this program's bytecode, memoized
-        on the bytecode object (an ad-hoc attribute the IR codec never
-        serializes, like ``_linked``); ``None`` when codegen failed."""
+        on the bytecode object (an ad-hoc attribute the binary codec
+        never serializes, like ``_linked``); ``None`` when codegen
+        failed."""
         pbc = self.program.bytecode
         cached = getattr(pbc, "_jit", None)
         if cached is not None and cached[0] == JIT_CODEGEN_VERSION:
@@ -821,9 +823,8 @@ class JitEngine(VectorEngine):
         return funcs
 
     def _module_source(self, pbc) -> str:
-        key = source_cache_key(getattr(self.program, "source", ""),
-                               getattr(pbc, "opt_level", None),
-                               getattr(pbc, "pipeline_version", None))
+        key = source_cache_key(self.program.source, pbc.opt_level,
+                               pbc.pipeline_version)
         if key is not None:
             src = _source_memo.get(key)
             if src is not None:

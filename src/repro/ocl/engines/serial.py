@@ -97,7 +97,7 @@ class SerialEngine:
 
         self._linked, entry = linked_entry(self.program, kernel_name)
         self._col = prof.begin_launch(kernel_name, self.name, self.spec,
-                                      getattr(self.program, "source", ""),
+                                      self.program.source,
                                       nd.total_items, nd.total_groups)
         try:
             with trace.span("engine_run", category="simcl",

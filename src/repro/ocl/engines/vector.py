@@ -114,7 +114,7 @@ class VectorEngine:
 
         self._linked, entry = linked_entry(self.program, kernel_name)
         self._col = prof.begin_launch(kernel_name, self.name, self.spec,
-                                      getattr(self.program, "source", ""),
+                                      self.program.source,
                                       self.n, nd.total_groups)
         try:
             with trace.span("engine_run", category="simcl",

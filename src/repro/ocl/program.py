@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from .. import trace
 from ..clc import compile_source, preprocess
-from ..clc.ir import ProgramIR
+from ..clc.binary import ProgramBinary
 from ..errors import (BuildProgramFailure, CompileError, InvalidDevice,
                       InvalidValue)
 from .context import Context
@@ -75,7 +75,9 @@ class Program:
             raise InvalidValue("first argument must be a Context")
         self.context = context
         self.source = source
-        self.ir: ProgramIR | None = None
+        #: the built :class:`~repro.clc.binary.ProgramBinary`, cold or
+        #: from the disk cache alike
+        self.ir: ProgramBinary | None = None
         #: device name -> diagnostics of that device's latest build
         self.build_logs: dict[str, str] = {}
         #: devices (by identity) holding a current program executable
@@ -143,12 +145,13 @@ class Program:
                 hook(ir, dev.spec)
         return self
 
-    def _compile(self, options: str, devices) -> ProgramIR:
+    def _compile(self, options: str, devices) -> ProgramBinary:
         """Front-end + middle-end run, served from the disk cache when
-        possible.  Cached entries hold the *post-optimization* artifact
-        (tree IR plus lowered bytecode), so a warm start runs zero
-        compiles and zero optimization passes; the opt level is part of
-        the cache key via :func:`repro.clc.passes.opt_signature`.
+        possible.  Both paths give the same artifact: signatures plus
+        lowered bytecode, built once from the optimized tree, so a warm
+        start runs zero compiles and zero optimization passes; the opt
+        level is part of the cache key via
+        :func:`repro.clc.passes.opt_signature`.
 
         A failed (re)build leaves the program consistently unbuilt: no
         IR, no built devices, and the failure log on every requested
@@ -189,10 +192,10 @@ class Program:
                 self.build_logs[dev.name] = self._last_log
             raise BuildProgramFailure(str(exc),
                                       build_log=self._last_log) from exc
-        optimize_program(ir, opt_level)
+        binary = ProgramBinary.from_ir(optimize_program(ir, opt_level))
         if cache is not None and key is not None:
-            cache.put(key, ir)
-        return ir
+            cache.put(key, binary)
+        return binary
 
     # -- build status -------------------------------------------------------
 

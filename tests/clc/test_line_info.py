@@ -72,14 +72,12 @@ def test_verify_passes_on_real_compilation():
 
 def test_verify_raises_on_dropped_line():
     program = _lowered(BRANCHY)
-    victims = [ins for ins in program.bytecode.functions["k"].instrs
-               if ins.op not in ("const", "wiq")]
-    assert victims
-    saved = victims[0].line
-    victims[0].line = 0
+    instrs = program.bytecode.functions["k"].instrs
+    pc = next(pc for pc, ins in enumerate(instrs)
+              if ins.op not in ("const", "wiq"))
+    instrs[pc] = instrs[pc]._replace(line=0)
     with pytest.raises(AssertionError, match="dropped line info"):
         verify_line_info(program)
-    victims[0].line = saved
 
 
 def test_verify_skips_unannotated_trees():
@@ -87,8 +85,8 @@ def test_verify_skips_unannotated_trees():
     program = _lowered(BRANCHY)
     func = program.functions["k"]
     func.body[0].line = 0                     # tree no longer annotated
-    for ins in program.bytecode.functions["k"].instrs:
-        ins.line = 0
+    bc = program.bytecode.functions["k"]
+    bc.instrs = [ins._replace(line=0) for ins in bc.instrs]
     verify_line_info(program)                 # must not raise
 
 

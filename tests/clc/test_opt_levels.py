@@ -15,6 +15,7 @@ import pytest
 import repro.ocl as cl
 from repro.clc import compile_source
 from repro.clc.__main__ import main as clc_main
+from repro.clc.binary import ProgramBinary
 from repro.clc.lower import BYTECODE_VERSION
 from repro.clc.passes.manager import opt_signature, optimize_program
 from repro.errors import InvalidProgramExecutable
@@ -64,30 +65,32 @@ def test_no_engine_advertises_a_tree_path():
                                      "capabilities", frozenset())
 
 
-def _run_ir(engine: str, ir):
+def _run_binary(engine: str, binary):
     out = np.zeros(4, np.int32)
     engine_cls = get_engine_class(engine)
-    return engine_cls(ir, TESLA_C2050).run("k", [BufferBinding(out)], (4,))
+    return engine_cls(binary, TESLA_C2050).run("k", [BufferBinding(out)],
+                                               (4,))
 
 
 @pytest.mark.parametrize("engine", ENGINES)
 def test_missing_bytecode_raises_typed_error(engine):
-    ir = compile_source(SOURCE)               # front end only
-    assert ir.bytecode is None
+    binary = ProgramBinary.from_ir(compile_source(SOURCE))  # front end only
+    assert binary.bytecode is None
     with pytest.raises(InvalidProgramExecutable,
                        match=r"'k'.*found version None, expected "
                              rf"{BYTECODE_VERSION}"):
-        _run_ir(engine, ir)
+        _run_binary(engine, binary)
 
 
 @pytest.mark.parametrize("engine", ENGINES)
 def test_stale_bytecode_version_raises_typed_error(engine):
-    ir = optimize_program(compile_source(SOURCE), 2)
-    ir.bytecode.version = BYTECODE_VERSION + 1
+    binary = ProgramBinary.from_ir(
+        optimize_program(compile_source(SOURCE), 2))
+    binary.bytecode.version = BYTECODE_VERSION + 1
     with pytest.raises(InvalidProgramExecutable,
                        match=rf"'k'.*found version {BYTECODE_VERSION + 1}, "
                              rf"expected {BYTECODE_VERSION}"):
-        _run_ir(engine, ir)
+        _run_binary(engine, binary)
 
 
 def test_dump_at_o0_prints_bytecode(tmp_path, capsys):

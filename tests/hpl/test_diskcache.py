@@ -17,11 +17,12 @@ from repro import trace
 from repro.benchsuite.common import child_env, run_child
 from repro.benchsuite.runner import _opt_pipeline_child
 from repro.clc import compile_source
-from repro.clc.ir import _IR_MAGIC, IR_SCHEMA_VERSION, ProgramIR
+from repro.clc.binary import _MAGIC, IR_SCHEMA_VERSION, ProgramBinary
+from repro.clc.passes import optimize_program
 from repro.errors import IRSchemaError
 from repro.hpl import Array, Float, float_, idx, reset_runtime
 from repro.hpl.diskcache import (KernelDiskCache, active_cache, cache_key,
-                                 main)
+                                 main, seal, unseal)
 
 SOURCE = """
 __kernel void scale(__global float* y, float a) {
@@ -46,6 +47,24 @@ def _counter(name):
     return trace.get_registry().counter(name).value
 
 
+def _binary(source=SOURCE):
+    """What ``Program.build`` stores for ``source`` at -O2."""
+    return ProgramBinary.from_ir(
+        optimize_program(compile_source(source), 2))
+
+
+def _entry_bytes(binary):
+    """Size of the sealed file ``put`` writes for ``binary``."""
+    return len(seal(binary.to_bytes()))
+
+
+def _tampered_schema(binary):
+    doc = json.loads(zlib.decompress(binary.to_bytes()[len(_MAGIC):]))
+    assert doc[0] == IR_SCHEMA_VERSION
+    doc[0] = IR_SCHEMA_VERSION + 1
+    return _MAGIC + zlib.compress(json.dumps(doc).encode("utf-8"))
+
+
 def _farray(n=64, value=3.0):
     a = Array(float_, n)
     a.data[:] = np.float32(value)
@@ -59,34 +78,45 @@ def _scale_kernel():
     return scale
 
 
-# -- IR serialization ---------------------------------------------------------
+# -- artifact serialization ---------------------------------------------------
 
 class TestIRSerialization:
     def test_roundtrip_preserves_compiled_program(self):
-        ir = compile_source(SOURCE)
-        clone = ProgramIR.from_bytes(ir.to_bytes())
-        assert isinstance(clone, ProgramIR)
-        assert sorted(clone.kernels) == sorted(ir.kernels)
-        assert clone.to_bytes() == ir.to_bytes()
+        binary = _binary()
+        clone = ProgramBinary.from_bytes(binary.to_bytes())
+        assert isinstance(clone, ProgramBinary)
+        assert sorted(clone.kernels) == sorted(binary.kernels)
+        assert clone.to_bytes() == binary.to_bytes()
 
     def test_bad_magic_rejected(self):
         with pytest.raises(IRSchemaError, match="magic"):
-            ProgramIR.from_bytes(b"NOTIR" + b"x" * 32)
+            ProgramBinary.from_bytes(b"NOTIR" + b"x" * 32)
 
     def test_truncated_blob_rejected(self):
-        blob = compile_source(SOURCE).to_bytes()
+        blob = _binary().to_bytes()
         with pytest.raises(IRSchemaError):
-            ProgramIR.from_bytes(blob[: len(blob) // 2])
+            ProgramBinary.from_bytes(blob[: len(blob) // 2])
 
     def test_schema_version_mismatch_rejected_not_crash(self):
-        blob = compile_source(SOURCE).to_bytes()
-        doc = json.loads(zlib.decompress(blob[len(_IR_MAGIC):]))
-        assert doc["schema"] == IR_SCHEMA_VERSION
-        doc["schema"] = IR_SCHEMA_VERSION + 1
-        tampered = _IR_MAGIC + zlib.compress(
-            json.dumps(doc).encode("utf-8"))
         with pytest.raises(IRSchemaError, match="schema"):
-            ProgramIR.from_bytes(tampered)
+            ProgramBinary.from_bytes(_tampered_schema(_binary()))
+
+
+# -- seals --------------------------------------------------------------------
+
+class TestSeal:
+    def test_round_trip(self):
+        assert unseal(seal(b"payload")) == b"payload"
+        assert unseal(seal(b"")) == b""
+
+    @pytest.mark.parametrize("damage", [
+        lambda b: b[:-1], lambda b: b[:64], lambda b: b"", lambda b: b[1:],
+        lambda b: b.replace(b"*", b"+"),
+        lambda b: b[:64] + b" " + b[65:]],
+        ids=["short", "digest-only", "empty", "shifted", "edited",
+             "no-newline"])
+    def test_damage_detected(self, damage):
+        assert unseal(damage(seal(b"R[1] * R[2]"))) is None
 
 
 # -- the store itself ---------------------------------------------------------
@@ -94,13 +124,16 @@ class TestIRSerialization:
 class TestKernelDiskCache:
     def test_put_get_roundtrip(self, tmp_path):
         cache = KernelDiskCache(tmp_path)
-        ir = compile_source(SOURCE)
+        binary = _binary()
         key = cache.key_of(SOURCE, "", ("fp64",))
-        assert cache.get(key) is None
-        cache.put(key, ir)
+        corrupt = _counter("hpl.disk_cache_corrupt")
+        assert cache.get(key) is None        # absent: a plain miss
+        assert _counter("hpl.disk_cache_corrupt") == corrupt
+        cache.put(key, binary)
+        assert cache._entry_path(key).stat().st_size == _entry_bytes(binary)
         hit = cache.get(key)
-        assert hit is not None
-        assert hit.to_bytes() == ir.to_bytes()
+        assert hit == binary
+        assert hit.to_bytes() == binary.to_bytes()
 
     def test_key_sensitive_to_every_input(self):
         base = cache_key(SOURCE, "", ("fp64",))
@@ -114,27 +147,56 @@ class TestKernelDiskCache:
         entry = cache._entry_path(key)
         entry.write_bytes(b"torn garbage, not an IR blob")
         misses = _counter("hpl.disk_cache_misses")
+        corrupt = _counter("hpl.disk_cache_corrupt")
         assert cache.get(key) is None
         assert _counter("hpl.disk_cache_misses") == misses + 1
+        assert _counter("hpl.disk_cache_corrupt") == corrupt + 1
+        assert not entry.exists()
+
+    def test_damaged_entry_is_dropped_and_counted(self, tmp_path):
+        cache = KernelDiskCache(tmp_path)
+        key = cache.key_of(SOURCE)
+        cache.put(key, _binary())
+        entry = cache._entry_path(key)
+        blob = bytearray(entry.read_bytes())
+        blob[len(blob) // 2] ^= 0x01
+        entry.write_bytes(bytes(blob))
+        corrupt = _counter("hpl.disk_cache_corrupt")
+        assert cache.get(key) is None
+        assert _counter("hpl.disk_cache_corrupt") == corrupt + 1
         assert not entry.exists()
 
     def test_stale_schema_entry_invalidated(self, tmp_path):
         cache = KernelDiskCache(tmp_path)
-        ir = compile_source(SOURCE)
+        binary = _binary()
         key = cache.key_of(SOURCE)
-        blob = ir.to_bytes()
-        doc = json.loads(zlib.decompress(blob[len(_IR_MAGIC):]))
-        doc["schema"] = IR_SCHEMA_VERSION + 1
-        cache._entry_path(key).write_bytes(
-            _IR_MAGIC + zlib.compress(json.dumps(doc).encode("utf-8")))
+        cache._entry_path(key).write_bytes(seal(_tampered_schema(binary)))
+        corrupt = _counter("hpl.disk_cache_corrupt")
         assert cache.get(key) is None        # rejected, not crashed
+        assert _counter("hpl.disk_cache_corrupt") == corrupt + 1
         assert not cache._entry_path(key).exists()
-        cache.put(key, ir)                   # caller recompiles + overwrites
+        cache.put(key, binary)               # caller recompiles + overwrites
         assert cache.get(key) is not None
 
+    def test_damaged_sidecar_is_dropped_and_counted(self, tmp_path):
+        cache = KernelDiskCache(tmp_path)
+        key = "ab" * 32
+        cache.put_source(key, "y = R[1] * R[2]\n")
+        assert cache.get_source(key) == "y = R[1] * R[2]\n"
+        path = cache._source_path(key)
+        path.write_bytes(path.read_bytes().replace(b"*", b"+"))
+        corrupt = _counter("hpl.disk_cache_corrupt")
+        misses = _counter("hpl.disk_cache_misses")
+        assert cache.get_source(key) is None
+        assert _counter("hpl.disk_cache_corrupt") == corrupt + 1
+        assert _counter("hpl.disk_cache_misses") == misses + 1
+        assert not path.exists()
+        assert cache.get_source(key) is None         # now absent: a plain
+        assert _counter("hpl.disk_cache_corrupt") == corrupt + 1  # miss
+
     def test_lru_eviction_drops_oldest(self, tmp_path):
-        ir = compile_source(SOURCE)
-        entry_size = len(ir.to_bytes())
+        ir = _binary()
+        entry_size = _entry_bytes(ir)
         cache = KernelDiskCache(tmp_path, max_bytes=3 * entry_size)
         keys = [cache.key_of(SOURCE, f"-DV={i}") for i in range(5)]
         for i, key in enumerate(keys):
@@ -145,8 +207,8 @@ class TestKernelDiskCache:
         assert sum(s for _k, s, _m in cache.entries()) <= cache.max_bytes
 
     def test_hit_refreshes_lru_position(self, tmp_path):
-        ir = compile_source(SOURCE)
-        entry_size = len(ir.to_bytes())
+        ir = _binary()
+        entry_size = _entry_bytes(ir)
         cache = KernelDiskCache(tmp_path, max_bytes=2 * entry_size)
         a, b = (cache.key_of(SOURCE, f"-DV={i}") for i in "ab")
         cache.put(a, ir)
@@ -162,8 +224,7 @@ class TestKernelDiskCache:
 
     def test_purge_and_stats(self, tmp_path):
         cache = KernelDiskCache(tmp_path)
-        ir = compile_source(SOURCE)
-        cache.put(cache.key_of(SOURCE), ir)
+        cache.put(cache.key_of(SOURCE), _binary())
         stats = cache.stats()
         assert stats["entries"] == 1
         assert stats["total_bytes"] > 0
@@ -176,7 +237,7 @@ class TestKernelDiskCache:
 class TestConcurrentWriters:
     def test_threaded_writers_never_tear_reads(self, tmp_path):
         cache = KernelDiskCache(tmp_path)
-        ir = compile_source(SOURCE)
+        ir = _binary()
         key = cache.key_of(SOURCE)
         blob = ir.to_bytes()
         errors = []
@@ -203,9 +264,12 @@ class TestConcurrentWriters:
         script = (
             "import sys\n"
             "from repro.clc import compile_source\n"
+            "from repro.clc.binary import ProgramBinary\n"
+            "from repro.clc.passes import optimize_program\n"
             "from repro.hpl.diskcache import KernelDiskCache\n"
             f"src = {SOURCE!r}\n"
-            "ir = compile_source(src)\n"
+            "ir = ProgramBinary.from_ir(\n"
+            "    optimize_program(compile_source(src), 2))\n"
             "blob = ir.to_bytes()\n"
             f"cache = KernelDiskCache({str(tmp_path)!r})\n"
             "key = cache.key_of(src)\n"
@@ -366,7 +430,7 @@ class TestCLI:
     def test_ls_stats_purge(self, tmp_path, capsys):
         cache = KernelDiskCache(tmp_path)
         key = cache.key_of(SOURCE)
-        cache.put(key, compile_source(SOURCE))
+        cache.put(key, _binary())
 
         assert main(["ls", "--cache-dir", str(tmp_path)]) == 0
         out = capsys.readouterr().out
@@ -405,7 +469,7 @@ class TestCLI:
 class TestLockLifecycle:
     def test_purge_keeps_lock_file(self, tmp_path):
         cache = KernelDiskCache(tmp_path)
-        cache.put(cache.key_of(SOURCE), compile_source(SOURCE))
+        cache.put(cache.key_of(SOURCE), _binary())
         with cache._locked():
             pass                        # materializes .lock
         assert (tmp_path / ".lock").exists()
@@ -460,11 +524,10 @@ class TestLockLifecycle:
         cache = KernelDiskCache(tmp_path, max_bytes=1)
         key = cache.key_of(SOURCE)
         blob_path = tmp_path / (key + ".irbin")
-        cache.put(key, compile_source(SOURCE))   # evicts itself (cap=1B)
+        cache.put(key, _binary())   # evicts itself (cap=1B)
         assert not blob_path.exists()
 
-        program = compile_source(SOURCE)
-        blob_path.write_bytes(program.to_bytes())
+        blob_path.write_bytes(seal(_binary().to_bytes()))
         os.utime(blob_path, (1.0, 1.0))
 
         real_entries = cache._all_entries
@@ -485,8 +548,7 @@ class TestLockLifecycle:
         cache = KernelDiskCache(tmp_path, max_bytes=1)
         key = cache.key_of(SOURCE)
         blob_path = tmp_path / (key + ".irbin")
-        program = compile_source(SOURCE)
-        blob_path.write_bytes(program.to_bytes())
+        blob_path.write_bytes(seal(_binary().to_bytes()))
 
         real_entries = cache._all_entries
 
@@ -548,7 +610,7 @@ class TestByteTally:
 
     def test_stores_below_the_cap_do_not_scan(self, tmp_path, monkeypatch):
         cache = KernelDiskCache(tmp_path)
-        ir = compile_source(SOURCE)
+        ir = _binary()
         scans = _count_scans(cache, monkeypatch)
         for i in range(12):
             cache.put(cache.key_of(SOURCE, f"-DV={i}"), ir)
@@ -557,8 +619,8 @@ class TestByteTally:
         assert _tally(tmp_path) == _store_bytes(tmp_path)
 
     def test_cap_holds_over_many_puts_with_a_small_cap(self, tmp_path):
-        ir = compile_source(SOURCE)
-        entry = len(ir.to_bytes())
+        ir = _binary()
+        entry = _entry_bytes(ir)
         cache = KernelDiskCache(tmp_path, max_bytes=entry * 7 // 2)
         for i in range(40):
             cache.put(cache.key_of(SOURCE, f"-DV={i}"), ir)
@@ -578,7 +640,7 @@ class TestByteTally:
     def test_missing_or_corrupt_tally_rescans(self, tmp_path, monkeypatch,
                                               content):
         cache = KernelDiskCache(tmp_path)
-        ir = compile_source(SOURCE)
+        ir = _binary()
         cache.put(cache.key_of(SOURCE, "-DV=a"), ir)
         lock = tmp_path / ".lock"
         if content is None:
@@ -593,7 +655,7 @@ class TestByteTally:
     def test_tally_over_the_cap_triggers_an_exact_rescan(self, tmp_path,
                                                         monkeypatch):
         cache = KernelDiskCache(tmp_path, max_bytes=10**6)
-        ir = compile_source(SOURCE)
+        ir = _binary()
         cache.put(cache.key_of(SOURCE, "-DV=a"), ir)
         (tmp_path / ".lock").write_bytes(_tally_record(10**6 - 10))
         scans = _count_scans(cache, monkeypatch)
@@ -604,7 +666,7 @@ class TestByteTally:
 
     def test_purge_resets_the_tally(self, tmp_path, monkeypatch):
         cache = KernelDiskCache(tmp_path)
-        ir = compile_source(SOURCE)
+        ir = _binary()
         for i in range(3):
             cache.put(cache.key_of(SOURCE, f"-DV={i}"), ir)
         cache.put_source("f" * 64, "w" * 50)
@@ -614,26 +676,26 @@ class TestByteTally:
         scans = _count_scans(cache, monkeypatch)
         cache.put(cache.key_of(SOURCE, "-DV=new"), ir)
         assert scans["n"] == 1
-        assert _tally(tmp_path) == _store_bytes(tmp_path) == len(ir.to_bytes())
+        assert _tally(tmp_path) == _store_bytes(tmp_path) == _entry_bytes(ir)
 
     def test_overwrites_and_dropped_entries_only_raise_the_tally(
             self, tmp_path):
         cache = KernelDiskCache(tmp_path)
-        ir = compile_source(SOURCE)
+        ir = _binary()
         key = cache.key_of(SOURCE)
         for _ in range(3):
             cache.put(key, ir)               # same key: one file on disk
         cache._entry_path(key).write_bytes(b"torn")
         assert cache.get(key) is None        # dropped as invalid
-        assert _tally(tmp_path) == 3 * len(ir.to_bytes())
+        assert _tally(tmp_path) == 3 * _entry_bytes(ir)
         assert _store_bytes(tmp_path) == 0
 
     def test_foreign_deletions_never_let_the_store_exceed_the_cap(
             self, tmp_path):
         # another process deleting entries leaves the tally too high,
         # which only brings the next rescan forward
-        ir = compile_source(SOURCE)
-        entry = len(ir.to_bytes())
+        ir = _binary()
+        entry = _entry_bytes(ir)
         cache = KernelDiskCache(tmp_path, max_bytes=4 * entry)
         for i in range(30):
             cache.put(cache.key_of(SOURCE, f"-DV={i}"), ir)
@@ -645,14 +707,17 @@ class TestByteTally:
             assert _tally(tmp_path) >= on_disk
 
     def test_concurrent_process_writers_respect_the_cap(self, tmp_path):
-        ir = compile_source(SOURCE)
-        cap = 5 * len(ir.to_bytes())
+        ir = _binary()
+        cap = 5 * _entry_bytes(ir)
         script = (
             "import sys\n"
             "from repro.clc import compile_source\n"
+            "from repro.clc.binary import ProgramBinary\n"
+            "from repro.clc.passes import optimize_program\n"
             "from repro.hpl.diskcache import KernelDiskCache\n"
             f"src = {SOURCE!r}\n"
-            "ir = compile_source(src)\n"
+            "ir = ProgramBinary.from_ir(\n"
+            "    optimize_program(compile_source(src), 2))\n"
             f"cache = KernelDiskCache({str(tmp_path)!r}, max_bytes={cap})\n"
             "for i in range(15):\n"
             "    cache.put(cache.key_of(src, f'-DW={sys.argv[1]}.{i}'), ir)\n"

@@ -1,0 +1,136 @@
+"""Damaged persistent-cache files become a counted miss, never a wrong
+buffer.
+
+Every ``.irbin`` entry and ``.jitsrc`` sidecar is sealed with the sha256
+of its payload.  A file that fails the seal (or, for an entry, does not
+decode) is deleted, counted in ``hpl.disk_cache_corrupt`` and rebuilt,
+so a rebuild after any damage computes exactly what a fault-free run
+does.
+"""
+
+from __future__ import annotations
+
+import tempfile
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+import repro.hpl as hpl
+from repro import trace
+from repro.hpl import Array, float_, idx, reset_runtime
+from repro.ocl.engines import jit as jit_mod
+
+
+def affine(y, x):
+    y[idx] = x[idx] * 3.0 + 1.0
+
+
+EXPECTED = np.array([1, 4, 7, 10], np.float32)
+
+
+def _run() -> np.ndarray:
+    x = Array(float_, 4)
+    x.data[:] = np.arange(4, dtype=np.float32)
+    y = Array(float_, 4)
+    hpl.eval(affine)(y, x)
+    return y.data.copy()
+
+
+def _corrupt() -> int:
+    return trace.get_registry().counter("hpl.disk_cache_corrupt").value
+
+
+@pytest.fixture()
+def configured():
+    """Restores the process-wide cache and engine configuration."""
+    from repro.hpl import diskcache
+
+    saved = (diskcache._active, diskcache._configured)
+    reset_runtime()
+    yield
+    hpl.configure(engine=None)
+    diskcache._active, diskcache._configured = saved
+    reset_runtime()
+
+
+def _fresh_process() -> None:
+    """Drop every in-process memo, as a new process starts without them."""
+    reset_runtime()
+    assert not jit_mod._source_memo
+
+
+def test_edited_sidecar_is_regenerated_not_run(tmp_path, configured):
+    # '*' (0x2A) and '+' (0x2B) differ in one bit: before sidecars were
+    # sealed this edit silently returned [4 5 6 7]
+    hpl.configure(cache_dir=tmp_path, engine="jit")
+    np.testing.assert_array_equal(_run(), EXPECTED)
+    (sidecar,) = tmp_path.glob("*.jitsrc")
+    text = sidecar.read_text(encoding="utf-8")
+    assert "R[1] * R[2]" in text
+    sidecar.write_text(text.replace("R[1] * R[2]", "R[1] + R[2]"),
+                       encoding="utf-8")
+
+    _fresh_process()
+    corrupt = _corrupt()
+    np.testing.assert_array_equal(_run(), EXPECTED)
+    assert _corrupt() == corrupt + 1
+    assert "R[1] * R[2]" in sidecar.read_text(encoding="utf-8")  # rebuilt
+
+
+def test_absent_files_are_plain_misses(tmp_path, configured):
+    hpl.configure(cache_dir=tmp_path, engine="jit")
+    corrupt = _corrupt()
+    np.testing.assert_array_equal(_run(), EXPECTED)
+    for path in tmp_path.glob("*.*"):
+        path.unlink()
+    _fresh_process()
+    np.testing.assert_array_equal(_run(), EXPECTED)
+    assert _corrupt() == corrupt
+
+
+# -- property: any bit flip or truncation of any cache file -----------------
+
+_damage = st.one_of(
+    st.tuples(st.just("flip"), st.floats(0, 1, exclude_max=True),
+              st.integers(0, 7)),
+    st.tuples(st.just("truncate"), st.floats(0, 1, exclude_max=True),
+              st.just(0)))
+
+
+def _damaged(blob: bytes, damage) -> bytes:
+    kind, where, bit = damage
+    at = int(where * len(blob))
+    if kind == "truncate":
+        return blob[:at]
+    out = bytearray(blob)
+    out[at] ^= 1 << bit
+    return bytes(out)
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow,
+                                 HealthCheck.function_scoped_fixture])
+@given(engine_and_suffix=st.sampled_from([
+    ("vector", ".irbin"), ("jit", ".irbin"), ("jit", ".jitsrc")]),
+    damage=_damage)
+def test_damaged_cache_file_gives_the_fault_free_output(
+        configured, engine_and_suffix, damage):
+    engine, suffix = engine_and_suffix
+    with tempfile.TemporaryDirectory() as cache_dir:
+        hpl.configure(cache_dir=cache_dir, engine=engine)
+        _fresh_process()
+        np.testing.assert_array_equal(_run(), EXPECTED)
+        (path,) = Path(cache_dir).glob("*" + suffix)
+        path.write_bytes(_damaged(path.read_bytes(), damage))
+
+        _fresh_process()
+        corrupt = _corrupt()
+        np.testing.assert_array_equal(_run(), EXPECTED)
+        assert _corrupt() == corrupt + 1
+
+        _fresh_process()                # the rebuilt file is sound
+        np.testing.assert_array_equal(_run(), EXPECTED)
+        assert _corrupt() == corrupt + 1
