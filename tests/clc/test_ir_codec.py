@@ -93,6 +93,10 @@ def _short_document(doc):
     doc.pop()
 
 
+def _not_a_program(doc):
+    doc[1:] = _kernel(doc)
+
+
 def _bad_type_kind(doc):
     _kernel(doc)[1] = {"$t": "vector"}
 
@@ -150,6 +154,10 @@ def _unknown_dtype(doc):
     (_bump_schema, "schema version"),
     (_tree_schema, "schema version 2 is not supported"),
     (_short_document, "document is not a list of 5 fields"),
+    # one function row in place of the program; the id is the one this
+    # case had under the schema-2 tree codec
+    pytest.param(_not_a_program, "document is not a list of 5 fields",
+                 id="_not_a_program-does not encode a ProgramIR"),
     (_bad_type_kind, "unknown type kind 'vector'"),
     (_bad_scalar, "unknown scalar type 'quad'"),
     (_pointer_without_pointee, "bad type: None"),
