@@ -1,7 +1,7 @@
 """``python -m repro.benchsuite`` — run paper experiments from the shell.
 
-See :func:`repro.benchsuite.runner.main` for the flags (``--trace``,
-``--verbose``, ``--json``, ``--ep-class``) and available targets.
+See :func:`repro.benchsuite.runner.main` for the flags (``--record``,
+``--json``, ``--ep-class``) and available targets.
 """
 
 from __future__ import annotations

@@ -7,34 +7,6 @@ def _rule(width: int = 72) -> str:
     return "-" * width
 
 
-def format_metrics_summary(stats) -> str:
-    """Render the runtime's metrics registry after a benchmark run.
-
-    ``stats`` is the :class:`repro.hpl.runtime.RuntimeStats` facade; the
-    headline derived numbers (cache hit rate, build/codegen time,
-    transfer traffic) are printed first, then the raw registry summary.
-    """
-    out = ["HPL runtime metrics", _rule(),
-           f"{'kernel cache hit rate':<36}"
-           f"{100.0 * stats.cache_hit_rate:>10.1f}%"
-           f"   ({stats.cache_hits} hits / {stats.kernels_built} builds)",
-           f"{'capture + codegen time':<36}"
-           f"{stats.codegen_seconds:>11.6f}s",
-           f"{'OpenCL build time':<36}{stats.build_seconds:>11.6f}s",
-           f"{'h2d traffic':<36}{stats.h2d_bytes:>12} bytes in "
-           f"{stats.h2d_transfers} transfer(s), "
-           f"{stats.h2d_seconds:.6f}s simulated",
-           f"{'d2h traffic':<36}{stats.d2h_bytes:>12} bytes in "
-           f"{stats.d2h_transfers} transfer(s), "
-           f"{stats.d2h_seconds:.6f}s simulated",
-           f"{'kernel launches':<36}{stats.launches:>12}",
-           f"{'disk cache':<36}{stats.disk_cache_hits:>12} hit(s), "
-           f"{stats.disk_cache_misses} miss(es), "
-           f"{stats.disk_cache_bytes} bytes written",
-           _rule(), "", stats.registry.summary("metrics registry")]
-    return "\n".join(out)
-
-
 def format_cluster(row: dict) -> str:
     """Render the multi-device overlap measurement (cluster target)."""
     out = [f"Cluster overlap: {row['reps']} async rounds of a "

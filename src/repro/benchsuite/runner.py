@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import inspect
 
-from ..hpl import reset_runtime
+from ..hpl import get_runtime, reset_runtime
 from ..productivity import count_sloc, count_sloc_python
 from . import ep, floyd, reduction, spmv, transpose
 from .common import run_child
@@ -491,12 +491,13 @@ def _engine_run_seconds(engine: str, module, problem, reps: int) -> tuple:
 
     reset_runtime()
     set_platform_devices(DEFAULT_DEVICES, engine)
-    tracer = trace.enable(fresh=True)
+    caller = trace.get_tracer()
+    tracer = trace.set_tracer(trace.Tracer())
     try:
         for _ in range(reps):
             run = module.run_hpl(problem, TESLA)
     finally:
-        trace.disable()
+        trace.set_tracer(caller)
         set_platform_devices(DEFAULT_DEVICES)
     spans = [s for s in tracer.spans() if s.name == "engine_run"]
     wall = sum(s.duration_seconds for s in spans)
@@ -1053,12 +1054,8 @@ def gate_cluster_resilience(row: dict) -> list[str]:
 
 # -- command-line entry point -------------------------------------------------
 #
-# ``python -m repro.benchsuite [target ...] [--trace out.json] [--verbose]``
-# regenerates paper tables/figures from the shell.  With ``--trace`` the
-# whole run executes under the global tracer and the spans are exported
-# when it finishes: ``.jsonl`` suffix -> flat span log (the input format
-# of ``python -m repro.trace summarize``), anything else -> Chrome
-# ``chrome://tracing`` JSON.
+# ``python -m repro.benchsuite [target ...] [--record run.jsonl] [--json]``
+# regenerates paper tables/figures from the shell.
 
 #: CLI target name -> (runner, formatter, gate); formatter and gate may
 #: be None.  A gated target's row is written to ``BENCH_<target>.json``
@@ -1115,75 +1112,35 @@ def _middle_end_meta() -> dict:
     }
 
 
-def main(argv: list[str] | None = None) -> int:
-    """Entry point behind ``python -m repro.benchsuite``."""
-    import argparse
+def _target_record(name: str, span) -> dict:
+    """The run record's entry for one finished (or failed) target."""
+    from .. import prof, trace
+    from ..prof.core import merge_profiles
+
+    return {"name": name, "span": span.span_id,
+            "meta": _middle_end_meta(),
+            "runtime": get_runtime().stats.registry.snapshot(),
+            "metrics": trace.get_registry().snapshot(),
+            "profiles": merge_profiles(prof.get_profiler().drain())}
+
+
+def _run_targets(ns, targets: dict, recorded: list | None) -> int:
+    """Run ``ns.targets``, appending each one's record entry to
+    ``recorded`` unless it is None; returns the exit status."""
     import json
     import sys
 
     from .. import trace
-    from ..hpl import get_runtime
-    from . import report
-
-    targets = _cli_targets()
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.benchsuite",
-        description="Run the paper's experiments "
-                    "(tables/figures) on the simulated platform.")
-    parser.add_argument("targets", nargs="*", default=["ep"],
-                        choices=sorted(targets), metavar="target",
-                        help=f"one or more of: {', '.join(sorted(targets))}"
-                             " (default: ep)")
-    parser.add_argument("--trace", metavar="PATH", default=None,
-                        help="capture a trace of the run; writes a JSONL "
-                             "span log for *.jsonl, Chrome-trace JSON "
-                             "otherwise")
-    parser.add_argument("--json", action="store_true",
-                        help="print raw result data as JSON instead of "
-                             "the formatted tables")
-    parser.add_argument("--verbose", "-v", action="store_true",
-                        help="also print the HPL metrics-registry "
-                             "summary after each target")
-    parser.add_argument("--ep-class", default="S",
-                        choices=("S", "W", "A", "B", "C"),
-                        help="NAS class for the 'ep' target (default: S)")
-    parser.add_argument("--profile", action="store_true",
-                        help="enable the source-level kernel profiler and "
-                             "print the hottest source lines after each "
-                             "target")
-    parser.add_argument("--profile-out", metavar="PREFIX", default=None,
-                        help="write the collected kernel profiles as "
-                             "PREFIX.json and PREFIX.flame "
-                             "(implies --profile)")
-    ns = parser.parse_args(argv)
-
-    if ns.trace:
-        trace.enable(fresh=True)
-    profiling = bool(ns.profile or ns.profile_out)
-    collected = []
-    was_profiling = False
-    if profiling:
-        from .. import prof
-        was_profiling = prof.is_enabled()
-        prof.enable()
-        prof.reset()
 
     gate_failed = False
     for name in ns.targets:
         run, fmt, gate = targets[name]
-        with trace.span(f"target:{name}", category="benchsuite"):
-            result = run(ns.ep_class) if name == "ep" else run()
-        if profiling:
-            from ..prof import get_profiler
-            from ..prof.core import merge_profiles
-            from ..prof.report import hotlines
-            drained = get_profiler().drain()
-            collected.extend(drained)
-            merged = merge_profiles(drained)
-            if merged:
-                print(f"\n-- kernel profile: {name} "
-                      "(hottest source lines) --")
-                print(hotlines(merged))
+        with trace.span(f"target:{name}", category="benchsuite") as span:
+            try:
+                result = run(ns.ep_class) if name == "ep" else run()
+            finally:
+                if recorded is not None:
+                    recorded.append(_target_record(name, span))
         if ns.json:
             print(json.dumps({name: result,
                               "_meta": _middle_end_meta()},
@@ -1203,29 +1160,51 @@ def main(argv: list[str] | None = None) -> int:
                 gate_failed = True
                 print(f"{name} gate failed: {'; '.join(failed)}",
                       file=sys.stderr)
-        if ns.verbose:
-            print()
-            print(report.format_metrics_summary(get_runtime().stats))
-
-    if ns.trace:
-        spans = trace.get_tracer().spans()
-        if ns.trace.endswith(".jsonl"):
-            trace.write_jsonl(ns.trace, spans)
-        else:
-            trace.write_chrome_trace(ns.trace, spans)
-        print(f"\nwrote {len(spans)} span(s) to {ns.trace}")
-
-    if ns.profile_out:
-        from ..prof.core import merge_profiles
-        from ..prof.report import flame, to_json
-        merged = merge_profiles(collected)
-        with open(ns.profile_out + ".json", "w", encoding="utf-8") as fh:
-            fh.write(to_json(merged) + "\n")
-        with open(ns.profile_out + ".flame", "w", encoding="utf-8") as fh:
-            fh.write(flame(merged))
-        print(f"\nwrote {len(merged)} kernel profile(s) to "
-              f"{ns.profile_out}.json / {ns.profile_out}.flame")
-    if profiling and not was_profiling:
-        from .. import prof
-        prof.disable()         # --profile must not outlive the run
     return 1 if gate_failed else 0
+
+
+def main(argv: list[str] | None = None) -> int:
+    """Entry point behind ``python -m repro.benchsuite``."""
+    import argparse
+    import sys
+
+    from .. import prof, trace
+
+    targets = _cli_targets()
+    parser = argparse.ArgumentParser(
+        prog="python -m repro.benchsuite",
+        description="Run the paper's experiments "
+                    "(tables/figures) on the simulated platform.")
+    parser.add_argument("targets", nargs="*", default=["ep"],
+                        choices=sorted(targets), metavar="target",
+                        help=f"one or more of: {', '.join(sorted(targets))}"
+                             " (default: ep)")
+    parser.add_argument("--record", metavar="PATH", default=None,
+                        help="trace and profile the run and write its "
+                             "JSONL run record (render it with "
+                             "'python -m repro.trace report PATH')")
+    parser.add_argument("--json", action="store_true",
+                        help="print raw result data as JSON instead of "
+                             "the formatted tables")
+    parser.add_argument("--ep-class", default="S",
+                        choices=("S", "W", "A", "B", "C"),
+                        help="NAS class for the 'ep' target (default: S)")
+    ns = parser.parse_args(argv)
+    if ns.record is None:
+        return _run_targets(ns, targets, None)
+
+    caller_tracer, caller_profiler = trace.get_tracer(), prof.get_profiler()
+    tracer = trace.set_tracer(trace.Tracer())
+    prof.set_profiler(prof.Profiler(enabled=True))
+    recorded, error = [], None
+    try:
+        return _run_targets(ns, targets, recorded)
+    except BaseException as exc:
+        error = exc
+        raise
+    finally:
+        trace.set_tracer(caller_tracer)
+        prof.set_profiler(caller_profiler)
+        trace.write_record(ns.record, sys.argv[1:] if argv is None
+                           else argv, error, tracer.spans(), recorded)
+        print(f"wrote run record {ns.record}", file=sys.stderr)

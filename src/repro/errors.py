@@ -208,5 +208,15 @@ class DeadlineExceeded(HPLError):
 
 class CheckpointError(HPLError):
     """A cluster checkpoint could not be written, or a snapshot loaded
-    for ``resume=True`` is corrupt, truncated, or from an incompatible
-    checkpoint format version."""
+    for ``resume=True`` is corrupt, truncated, unsealed, malformed, or
+    from an incompatible checkpoint format version."""
+
+
+# ---------------------------------------------------------------------------
+# Observability (repro.trace)
+# ---------------------------------------------------------------------------
+
+class RecordError(ReproError):
+    """A run record cannot be read: an empty file, a line that is not a
+    JSON object, an unknown line type, a missing or mistyped field, or a
+    record format version this build does not read."""

@@ -9,16 +9,20 @@ bit-identical results without recomputing finished work.  See
 
 Layout of a checkpoint directory::
 
-    MANIFEST.json           versioned metadata + blob references
+    MANIFEST.json           sealed, versioned metadata + blob references
     objects/<sha256>.bin    content-addressed array snapshots
 
-Writes are crash-safe the way the persistent kernel cache's are: every
-file is written to a temporary name in its final directory and
-atomically renamed into place, blobs strictly before the manifest that
-references them — so a reader (or a resumed run) only ever observes a
-complete, self-consistent snapshot, never a torn one.  Blobs are named
-by the SHA-256 of their contents, which makes re-writing an unchanged
-array free and lets :meth:`load` detect corruption byte-for-byte.
+Writes are crash-safe the way the persistent kernel cache's are
+(:func:`~repro.hpl.diskcache.atomic_write`): every file is written to a
+temporary name in its final directory and atomically renamed into
+place, blobs strictly before the manifest that references them — so a
+reader (or a resumed run) only ever observes a complete, self-consistent
+snapshot, never a torn one.  Blobs are named by the SHA-256 of their
+contents, which makes re-writing an unchanged array free and lets
+:meth:`load` detect corruption byte-for-byte.  The manifest is sealed
+with the SHA-256 of its JSON (:func:`~repro.hpl.diskcache.seal`), so an
+edited completed-block list cannot make a resume skip work it never
+did.
 """
 
 from __future__ import annotations
@@ -26,34 +30,42 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import tempfile
+import re
 
 import numpy as np
 
 from ..errors import CheckpointError
+from .diskcache import atomic_write, seal, unseal
 
 #: bump when the manifest schema changes; older snapshots are rejected
 #: (a resumed run recomputes from scratch rather than misreading them)
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 MANIFEST = "MANIFEST.json"
 
+_SHA256 = re.compile(r"[0-9a-f]{64}")
 
-def _atomic_write(path: str, data: bytes) -> None:
-    """Write ``data`` to ``path`` via temp-file + rename (atomic on
-    POSIX within one filesystem, which same-directory guarantees)."""
-    directory = os.path.dirname(path)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".ckpt-")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _check_shape(manifest: dict, path: str) -> None:
+    """Raise :class:`CheckpointError` unless the manifest's blob and
+    completed-block lists have the shape :meth:`load` reads."""
+    blobs, completed = manifest.get("blobs"), manifest.get("completed")
+    if not (isinstance(blobs, list) and all(
+            isinstance(b, dict) and isinstance(b.get("sha256"), str)
+            and _SHA256.fullmatch(b["sha256"])
+            and isinstance(b.get("dtype"), str) and _is_int(b.get("size"))
+            for b in blobs)):
+        raise CheckpointError(f"checkpoint manifest {path} has a "
+                              "malformed blob list")
+    if not (isinstance(completed, list) and all(
+            isinstance(c, list) and len(c) == 2
+            and all(_is_int(x) for x in c) for c in completed)):
+        raise CheckpointError(f"checkpoint manifest {path} has a "
+                              "malformed completed-block list")
 
 
 class CheckpointStore:
@@ -64,8 +76,9 @@ class CheckpointStore:
     ``None`` — a fresh start, not an error — when the directory holds
     no snapshot or one from a *different* run, and raises
     :class:`~repro.errors.CheckpointError` only for a snapshot that
-    claims to match but cannot be trusted (wrong format version,
-    missing blob, contents not matching their digest).
+    claims to match but cannot be trusted (a damaged, unsealed or
+    malformed manifest, wrong format version, missing blob, contents
+    not matching their digest).
     """
 
     def __init__(self, directory) -> None:
@@ -90,7 +103,7 @@ class CheckpointStore:
             sha = hashlib.sha256(data).hexdigest()
             path = self._blob_path(sha)
             if not os.path.exists(path):
-                _atomic_write(path, data)
+                atomic_write(path, data)
                 written += len(data)
             blobs.append({"sha256": sha, "dtype": str(arr.dtype),
                           "size": int(arr.size)})
@@ -100,9 +113,9 @@ class CheckpointStore:
             "completed": [[int(lo), int(hi)] for lo, hi in completed],
             "blobs": blobs,
         }
-        payload = json.dumps(manifest, sort_keys=True).encode()
-        _atomic_write(os.path.join(self.directory, MANIFEST), payload)
-        return written + len(payload)
+        sealed = seal(json.dumps(manifest, sort_keys=True).encode())
+        atomic_write(os.path.join(self.directory, MANIFEST), sealed)
+        return written + len(sealed)
 
     def load(self, run_id: dict):
         """The snapshot for ``run_id``: ``(arrays, completed)`` or None.
@@ -116,8 +129,12 @@ class CheckpointStore:
                 raw = fh.read()
         except FileNotFoundError:
             return None
+        payload = unseal(raw)
+        if payload is None:
+            raise CheckpointError(f"checkpoint manifest {path} is damaged "
+                                  "or unsealed (it fails its sha256)")
         try:
-            manifest = json.loads(raw)
+            manifest = json.loads(payload)
         except ValueError as exc:
             raise CheckpointError(
                 f"checkpoint manifest {path} is not valid JSON") from exc
@@ -129,6 +146,7 @@ class CheckpointStore:
                 f"this build reads version {FORMAT_VERSION}")
         if manifest.get("run") != run_id:
             return None     # someone else's snapshot: start fresh
+        _check_shape(manifest, path)
         arrays = []
         for blob in manifest["blobs"]:
             bpath = self._blob_path(blob["sha256"])
@@ -143,7 +161,12 @@ class CheckpointStore:
                 raise CheckpointError(
                     f"checkpoint blob {blob['sha256']} is corrupt "
                     "(contents do not match their content address)")
-            arr = np.frombuffer(data, dtype=blob["dtype"]).copy()
+            try:
+                arr = np.frombuffer(data, dtype=blob["dtype"]).copy()
+            except (TypeError, ValueError) as exc:
+                raise CheckpointError(
+                    f"checkpoint blob {blob['sha256']} cannot be read as "
+                    f"dtype {blob['dtype']!r}") from exc
             if arr.size != blob["size"]:
                 raise CheckpointError(
                     f"checkpoint blob {blob['sha256']} holds {arr.size} "

@@ -259,15 +259,7 @@ class KernelDiskCache:
         """Write ``payload`` sealed to ``path`` atomically and charge it
         to the byte tally; returns the bytes written."""
         blob = seal(payload)
-        tmp = self.path / (
-            f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
-        try:
-            tmp.write_bytes(blob)
-            os.replace(tmp, path)
-        except BaseException:
-            with contextlib.suppress(OSError):
-                tmp.unlink()
-            raise
+        atomic_write(path, blob)
         self._registry().counter("hpl.disk_cache_bytes").inc(len(blob))
         self._charge(len(blob))
         return len(blob)
@@ -397,6 +389,23 @@ class KernelDiskCache:
     def __repr__(self) -> str:
         return (f"<KernelDiskCache {str(self.path)!r} "
                 f"max_bytes={self.max_bytes}>")
+
+
+def atomic_write(path, data: bytes) -> None:
+    """Write ``data`` to ``path`` through a temporary file in the same
+    directory and a rename, so a reader sees the old file or the new
+    one, never a torn one.  The temporary name matches ``.*.tmp``, which
+    :meth:`KernelDiskCache.purge` sweeps when a killed writer left it."""
+    path = Path(path)
+    tmp = path.with_name(
+        f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
+    try:
+        tmp.write_bytes(data)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            tmp.unlink()
+        raise
 
 
 # -- seals -----------------------------------------------------------------------

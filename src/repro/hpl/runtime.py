@@ -620,7 +620,7 @@ def reset_runtime() -> None:
 
     Also drops collected kernel profiles; the profiler's enabled state
     is preserved so resetting mid-run (the benchsuite does, between the
-    OpenCL and HPL variants) can't silently turn ``--profile`` off.
+    OpenCL and HPL variants) can't silently turn ``--record`` off.
     """
     from .. import prof
     from ..ocl.engines import jit

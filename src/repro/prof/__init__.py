@@ -17,7 +17,9 @@ then read results::
     for profile in prof.get_profiler().merged():
         print(report.annotate(profile))
 
-or use the CLI: ``python -m repro.prof run reduction``.
+or record a benchsuite run and render it:
+``python -m repro.benchsuite ep --record run.jsonl`` then
+``python -m repro.trace annotate run.jsonl``.
 
 Disabled (the default), the engines pay one attribute check per launch
 and one ``is not None`` check on a local per counted instruction — see
@@ -77,7 +79,7 @@ def reset() -> None:
     """Drop collected profiles; keeps the enabled/disabled state.
 
     (:func:`repro.hpl.runtime.reset_runtime` calls this, and the
-    benchsuite resets the runtime mid-run while ``--profile`` is on —
+    benchsuite resets the runtime mid-run while ``--record`` is on —
     clearing must not silently turn profiling off.)
     """
     _default_profiler.clear()

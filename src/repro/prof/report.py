@@ -1,9 +1,9 @@
-"""Profile renderers: annotated source, flamegraph, roofline, JSON.
+"""Profile renderers: annotated source, flamegraph, roofline, hot lines.
 
 All renderers take :class:`~repro.prof.core.KernelProfile` objects
 (usually the merged-by-kernel view from ``Profiler.merged()``) and
-return strings — the CLI and the benchsuite print them, tests golden-
-match them.
+return strings — ``python -m repro.trace`` prints them from a run
+record, tests golden-match them.
 
 Formats
 -------
@@ -19,14 +19,12 @@ Formats
 ``roofline``
     Per-device table of arithmetic intensity against the compute and
     bandwidth ceilings, labeling each kernel compute- or memory-bound.
-``json``
-    Loss-free dump; ``python -m repro.prof annotate/flame/roofline``
-    re-render it.
+``hotlines``
+    The few costliest source lines of each kernel (the run report's
+    per-target block).
 """
 
 from __future__ import annotations
-
-import json
 
 from .core import KernelProfile
 
@@ -91,8 +89,9 @@ def annotate(profile: KernelProfile) -> str:
                f" {'bytes':>8} {'tx':>6} {'coal%':>6} {'occ%':>5}  source")
     out.append(_rule())
 
-    n_lines = max(len(src_lines), max(profile.lines, default=0))
-    for lineno in range(1, n_lines + 1):
+    # source lines, plus any profiled line past the end of the source
+    extra = sorted(line for line in profile.lines if line > len(src_lines))
+    for lineno in [*range(1, len(src_lines) + 1), *extra]:
         text = src_lines[lineno - 1] if lineno - 1 < len(src_lines) else ""
         rec = profile.lines.get(lineno)
         if rec is None:
@@ -197,22 +196,8 @@ def roofline(profiles: list[KernelProfile]) -> str:
     return "\n".join(out).rstrip("\n")
 
 
-def to_json(profiles: list[KernelProfile]) -> str:
-    """Loss-free JSON dump the CLI can re-render later."""
-    doc = {"version": 1,
-           "profiles": [profile.to_dict() for profile in profiles]}
-    return json.dumps(doc, indent=1, sort_keys=True)
-
-
-def from_json(text: str) -> list[KernelProfile]:
-    doc = json.loads(text)
-    return [KernelProfile.from_dict(row)
-            for row in doc.get("profiles", [])]
-
-
 def hotlines(profiles: list[KernelProfile], top: int = 5) -> str:
-    """Compact per-kernel hot-line tables (the benchsuite ``--profile``
-    report block)."""
+    """Compact per-kernel hot-line tables."""
     out = []
     for profile in profiles:
         src_lines = profile.source.splitlines()

@@ -1,10 +1,11 @@
-"""``repro.trace`` — spans, metrics and trace exporters.
+"""``repro.trace`` — spans, metrics, the run record and its renderers.
 
 The observability layer for the reproduction: a zero-dependency span
 tracer with a process-global default (disabled until :func:`enable` is
-called), a metrics registry (counters / gauges / histograms), and
-exporters for Chrome ``chrome://tracing`` JSON, flat JSONL span logs and
-a human-readable summary table.
+called), a metrics registry (counters / gauges / histograms), the JSONL
+run record (:mod:`repro.trace.record`) that ``python -m repro.benchsuite
+--record`` writes, and its renderers: Chrome ``chrome://tracing`` JSON
+and a text report (``python -m repro.trace report run.jsonl``).
 
 Typical use::
 
@@ -14,7 +15,7 @@ Typical use::
     ... run HPL / SimCL work ...
     spans = trace.get_tracer().spans()
     trace.write_chrome_trace("out.json", spans)
-    print(trace.summarize(spans))
+    print(trace.span_table(spans))
 
 Instrumenting code::
 
@@ -35,10 +36,10 @@ from __future__ import annotations
 import functools
 
 from .core import NOOP_SPAN, NoopSpan, Span, Tracer
-from .export import (chrome_trace, merge_spans, read_spans, summarize,
-                     write_chrome_trace, write_jsonl)
+from .export import chrome_trace, report, span_table, write_chrome_trace
 from .metrics import (Counter, Gauge, Histogram, MetricsRegistry,
                       get_registry)
+from .record import Record, read_record, write_record
 
 __all__ = [
     "Span", "Tracer", "NoopSpan", "NOOP_SPAN",
@@ -46,8 +47,8 @@ __all__ = [
     "span", "device_event", "current_span", "traced",
     "Counter", "Gauge", "Histogram", "MetricsRegistry", "get_registry",
     "reset_metrics",
-    "chrome_trace", "write_chrome_trace", "write_jsonl", "read_spans",
-    "merge_spans", "summarize",
+    "chrome_trace", "write_chrome_trace", "span_table", "report",
+    "Record", "read_record", "write_record",
 ]
 
 #: the process-global tracer; disabled until someone calls enable()

@@ -1,71 +1,72 @@
-"""``python -m repro.trace`` — inspect and convert trace files.
+"""``python -m repro.trace <command> RECORD [-o OUT]`` — render the
+run record that ``python -m repro.benchsuite --record`` writes.
 
-Subcommands::
-
-    summarize <trace>            print the aggregated span table
-    chrome <trace> <out.json>    convert a JSONL span log to Chrome JSON
-    merge <out> <trace>...       combine traces into one JSONL span log
-
-All accept either a JSONL span log or a Chrome-trace JSON file (the
-format is sniffed).  ``merge`` renumbers span ids so parent links from
-different files can't alias (cold/warm benchsuite subprocess runs each
-start their ids at 1).
+A record that cannot be read exits with status 2.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 
-from .export import merge_spans, read_spans, summarize, write_chrome_trace, \
-    write_jsonl
+from ..errors import RecordError
+from ..prof.core import merge_profiles
+from ..prof.report import annotate, flame, roofline
+from .export import chrome_trace, report
+from .record import read_record
+
+_COMMANDS = {
+    "report": "span table, metrics, recovery, hot lines and roofline",
+    "chrome": "chrome://tracing JSON of the spans",
+    "annotate": "annotated source of each profiled kernel",
+    "flame": "collapsed-stack flamegraph lines",
+    "roofline": "compute- vs memory-bound table",
+}
+
+
+def _render(command: str, record, path: str) -> str | None:
+    if command == "report":
+        return report(record)
+    if command == "chrome":
+        return json.dumps(chrome_trace(record.spans), indent=1)
+    profiles = merge_profiles(p for t in record.targets
+                              for p in t["profiles"])
+    if not profiles:
+        print(f"error: {path} contains no profiles", file=sys.stderr)
+        return None
+    if command == "annotate":
+        return "\n\n".join(annotate(p) for p in profiles)
+    return flame(profiles) if command == "flame" else roofline(profiles)
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
-        prog="python -m repro.trace",
-        description="Inspect and convert repro trace files.")
+        prog="python -m repro.trace", description="Render a run record.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_sum = sub.add_parser("summarize",
-                           help="print the aggregated span table")
-    p_sum.add_argument("trace", help="JSONL span log or Chrome JSON file")
-
-    p_chrome = sub.add_parser(
-        "chrome", help="convert a span log to chrome://tracing JSON")
-    p_chrome.add_argument("trace", help="JSONL span log")
-    p_chrome.add_argument("output", help="Chrome JSON file to write")
-
-    p_merge = sub.add_parser(
-        "merge", help="combine several traces into one JSONL span log")
-    p_merge.add_argument("output", help="JSONL span log to write")
-    p_merge.add_argument("traces", nargs="+",
-                         help="input trace files, in timeline order")
-
+    for name, help_ in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_)
+        p.add_argument("record", help="JSONL run record")
+        p.add_argument("-o", "--output", help="write to a file")
     ns = parser.parse_args(argv)
-    inputs = ns.traces if ns.command == "merge" else [ns.trace]
-    span_lists = []
-    for path in inputs:
-        try:
-            span_lists.append(read_spans(path))
-        except OSError as exc:
-            print(f"error: cannot read {path}: {exc}", file=sys.stderr)
-            return 2
-        except (ValueError, KeyError) as exc:
-            print(f"error: {path} is not a trace file "
-                  f"(JSONL span log or Chrome JSON): {exc}", file=sys.stderr)
-            return 2
 
-    if ns.command == "summarize":
-        print(summarize(span_lists[0]))
-    elif ns.command == "chrome":
-        write_chrome_trace(ns.output, span_lists[0])
-        print(f"wrote {len(span_lists[0])} span(s) to {ns.output}")
+    try:
+        record = read_record(ns.record)
+    except OSError as exc:
+        print(f"error: cannot read {ns.record}: {exc}", file=sys.stderr)
+        return 2
+    except RecordError as exc:
+        print(f"error: {ns.record} is not a run record: {exc}",
+              file=sys.stderr)
+        return 2
+    text = _render(ns.command, record, ns.record)
+    if text is None:
+        return 2
+    if ns.output:
+        with open(ns.output, "w", encoding="utf-8") as fh:
+            fh.write(text.rstrip("\n") + "\n")
     else:
-        spans = merge_spans(span_lists)
-        write_jsonl(ns.output, spans)
-        print(f"merged {len(spans)} span(s) from {len(span_lists)} "
-              f"trace(s) into {ns.output}")
+        print(text)
     return 0
 
 

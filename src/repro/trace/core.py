@@ -90,7 +90,7 @@ class Span:
         return self
 
     def to_dict(self) -> dict:
-        """Flat JSON-serializable form (the JSONL exporter's row)."""
+        """Flat JSON-serializable form (a run record's span line)."""
         return {
             "name": self.name,
             "cat": self.category,

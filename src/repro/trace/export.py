@@ -1,4 +1,4 @@
-"""Trace exporters: Chrome ``chrome://tracing`` JSON, JSONL, summary.
+"""Renderers of a run: Chrome ``chrome://tracing`` JSON and the report.
 
 Chrome trace (catapult) format
 ------------------------------
@@ -9,18 +9,20 @@ own process track ("sim device: <name>") whose timestamps are the
 device's simulated nanoseconds (shown as microseconds, the unit catapult
 expects).  Load the file at ``chrome://tracing`` or https://ui.perfetto.dev.
 
-JSONL
------
-One span per line, the flat dict of :meth:`Span.to_dict`.  This is the
-interchange format ``python -m repro.trace summarize`` consumes; it
-round-trips through :func:`read_spans`.
+Report
+------
+:func:`report` renders a :class:`~repro.trace.record.Record` as text:
+the span table with inclusive and self (exclusive) time, then per
+target the runtime metrics, the recovery events and, when the profiler
+ran, the hot kernel lines and the roofline table.
 """
 
 from __future__ import annotations
 
 import json
-from collections import defaultdict
+from collections import Counter, defaultdict
 
+from ..prof.report import hotlines, roofline
 from .core import Span
 
 #: pid of the wall-clock (host) track in the Chrome trace
@@ -95,81 +97,7 @@ def write_chrome_trace(path: str, spans: list[Span]) -> None:
         fh.write("\n")
 
 
-def write_jsonl(path: str, spans: list[Span]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for span in spans:
-            fh.write(json.dumps(_json_safe(span.to_dict())))
-            fh.write("\n")
-
-
-def read_spans(path: str) -> list[Span]:
-    """Load spans from a JSONL span log *or* a Chrome-trace JSON file."""
-    with open(path, encoding="utf-8") as fh:
-        text = fh.read()
-    stripped = text.lstrip()
-    if stripped.startswith("{") and '"traceEvents"' in stripped[:200]:
-        doc = json.loads(text)
-        events = doc.get("traceEvents", [])
-        pid_names = {ev["pid"]: ev.get("args", {}).get("name", "")
-                     for ev in events
-                     if ev.get("ph") == "M"
-                     and ev.get("name") == "process_name"}
-        spans = []
-        for ev in events:
-            if ev.get("ph") != "X":
-                continue
-            pid = ev.get("pid", WALL_PID)
-            is_sim = pid != WALL_PID
-            device = None
-            if is_sim:
-                device = pid_names.get(pid, "").removeprefix(
-                    "sim device: ") or None
-            span = Span(name=ev.get("name", "?"),
-                        category=ev.get("cat", "app"),
-                        span_id=ev.get("args", {}).get("span_id", 0),
-                        parent_id=ev.get("args", {}).get("parent_id"),
-                        thread_id=ev.get("tid", 0), thread_name="",
-                        start_us=ev.get("ts", 0.0),
-                        clock="sim" if is_sim else "wall",
-                        device=device,
-                        attrs={k: v for k, v in ev.get("args", {}).items()
-                               if k not in ("span_id", "parent_id")})
-            span.end_us = span.start_us + ev.get("dur", 0.0)
-            spans.append(span)
-        return spans
-    spans = []
-    for line in text.splitlines():
-        line = line.strip()
-        if line:
-            spans.append(Span.from_dict(json.loads(line)))
-    return spans
-
-
-def merge_spans(span_lists: list[list[Span]]) -> list[Span]:
-    """Combine spans from several traces into one list with unique ids.
-
-    Cold/warm benchsuite subprocess runs each write their own trace with
-    span ids starting from 1; merging them verbatim would alias parents
-    across files.  This renumbers every span, rewriting ``parent_id``
-    within each input so nesting survives; a parent id that doesn't
-    resolve inside its own file (truncated trace) becomes ``None``.
-    """
-    merged: list[Span] = []
-    next_id = 1
-    for spans in span_lists:
-        idmap: dict[int, int] = {}
-        for span in spans:
-            idmap[span.span_id] = next_id
-            next_id += 1
-        for span in spans:
-            span.span_id = idmap[span.span_id]
-            if span.parent_id is not None:
-                span.parent_id = idmap.get(span.parent_id)
-            merged.append(span)
-    return merged
-
-
-# -- summary table -----------------------------------------------------------
+# -- report ------------------------------------------------------------------
 
 
 def _fmt_us(us: float) -> str:
@@ -180,33 +108,113 @@ def _fmt_us(us: float) -> str:
     return f"{us:.1f}us"
 
 
-def summarize(spans: list[Span]) -> str:
-    """Aggregate spans by (clock, category, name) into a readable table.
+def span_table(spans: list[Span]) -> str:
+    """Spans aggregated by (clock, track, category, name), most self
+    time first.
 
     Wall-clock rows show where the host spent real time (capture,
     codegen, build); sim rows show the modelled device timeline per
-    device (transfers, kernel executions).
+    device (transfers, kernel executions).  A span's self time is its
+    duration minus those of its direct wall-clock children, so the wall
+    self times add up to the time of the root wall spans.
     """
-    groups: dict[tuple, list[Span]] = defaultdict(list)
+    children: dict = defaultdict(float)
+    for span in spans:
+        if span.clock == "wall" and span.parent_id is not None:
+            children[span.parent_id] += span.duration_us
+    groups: dict[tuple, list] = defaultdict(list)
     for span in spans:
         track = (span.device or "host") if span.clock == "sim" else "wall"
-        groups[(span.clock, track, span.category, span.name)].append(span)
+        groups[(span.clock, track, span.category, span.name)].append(
+            (span.duration_us,
+             span.duration_us - children.get(span.span_id, 0.0)))
 
-    header = (f"{'clock':<6}{'track':<26}{'span':<28}{'count':>6}"
-              f"{'total':>12}{'mean':>12}{'max':>12}")
+    header = (f"{'clock':<6}{'track':<22}{'span':<28}{'count':>6}"
+              f"{'total':>11}{'self':>11}{'mean':>11}{'max':>11}")
     rule = "-" * len(header)
     out = [f"trace summary: {len(spans)} span(s)", rule, header, rule]
-    for key in sorted(groups, key=lambda k: (k[0], k[1], k[2], k[3])):
+    wall_self = 0.0
+    for key, batch in sorted(groups.items(),
+                             key=lambda kv: -sum(o for _d, o in kv[1])):
         clock, track, category, name = key
-        batch = groups[key]
-        durations = [s.duration_us for s in batch]
-        total = sum(durations)
-        out.append(f"{clock:<6}{track[:24]:<26}"
-                   f"{(category + '.' + name)[:26]:<28}"
-                   f"{len(batch):>6}{_fmt_us(total):>12}"
-                   f"{_fmt_us(total / len(batch)):>12}"
-                   f"{_fmt_us(max(durations)):>12}")
+        total = sum(d for d, _o in batch)
+        own = sum(o for _d, o in batch)
+        wall_self += own if clock == "wall" else 0.0
+        out.append(f"{clock:<6}{track[:20]:<22}"
+                   f"{(category + '.' + name)[:26]:<28}{len(batch):>6}"
+                   f"{_fmt_us(total):>11}{_fmt_us(own):>11}"
+                   f"{_fmt_us(total / len(batch)):>11}"
+                   f"{_fmt_us(max(d for d, _o in batch)):>11}")
     if not groups:
         out.append("(no spans)")
-    out.append(rule)
+    wall_ids = {s.span_id for s in spans if s.clock == "wall"}
+    roots = [s.duration_us for s in spans if s.clock == "wall"
+             and s.parent_id not in wall_ids]
+    out += [rule, f"wall self total {_fmt_us(wall_self)} = "
+                  f"{len(roots)} root span(s) {_fmt_us(sum(roots))}"]
+    return "\n".join(out)
+
+
+def _metrics(target: dict) -> list[str]:
+    """Headline numbers of a target's runtime and process registries."""
+    run = target["runtime"]["counters"]
+    proc, meta = target["metrics"]["counters"], target["meta"]
+    hits = run.get("hpl.cache_hits", 0)
+    built = run.get("hpl.kernels_built", 0)
+    rate = hits / (hits + built) if hits + built else 0.0
+
+    def traffic(way):
+        return (f"{f'{way} traffic':<36}{run.get(f'hpl.{way}_bytes', 0):>12}"
+                f" bytes in {run.get(f'hpl.{way}_transfers', 0)} "
+                f"transfer(s), {run.get(f'hpl.{way}_seconds', 0):.6f}s "
+                "simulated")
+
+    return [f"HPL runtime metrics (engine {meta.get('engine')}, "
+            f"-O{meta.get('opt_level')})",
+            f"{'kernel cache hit rate':<36}{100.0 * rate:>10.1f}%"
+            f"   ({hits} hits / {built} builds)",
+            f"{'capture + codegen time':<36}"
+            f"{run.get('hpl.codegen_seconds', 0):>11.6f}s",
+            f"{'OpenCL build time':<36}"
+            f"{run.get('hpl.build_seconds', 0):>11.6f}s",
+            traffic("h2d"), traffic("d2h"),
+            f"{'kernel launches':<36}{run.get('hpl.launches', 0):>12}",
+            f"{'disk cache (process)':<36}"
+            f"{proc.get('hpl.disk_cache_hits', 0):>12} hit(s), "
+            f"{proc.get('hpl.disk_cache_misses', 0)} miss(es), "
+            f"{proc.get('hpl.disk_cache_bytes', 0)} bytes written"]
+
+
+def _recovery(target: dict, spans: list[Span], window) -> list[str]:
+    """The target's ``recover`` spans by action and the non-zero
+    ``cluster.*`` counters (process totals)."""
+    actions = Counter(
+        str(s.attrs.get("action")) for s in spans
+        if window is not None and s.name == "recover" and s.clock == "wall"
+        and window.start_us <= s.start_us <= window.end_us)
+    out = ["recovery: " + (", ".join(f"{action} x{n}" for action, n
+                                     in sorted(actions.items()))
+                           or "none")]
+    out += [f"  {name:<42}{value:>12}" for name, value
+            in target["metrics"]["counters"].items()
+            if name.startswith("cluster.") and value]
+    return out
+
+
+def report(record) -> str:
+    """The text view of a run record (see the module docs)."""
+    error = record.error
+    out = [f"run: {' '.join(record.argv) or '(no arguments)'}",
+           "error: " + (f"{error['type']}: {error['message']}"
+                        if error else "none"),
+           "", span_table(record.spans)]
+    spans_by_id = {s.span_id: s for s in record.spans}
+    for target in record.targets:
+        out += ["", f"== target {target['name']} " + "=" * 50]
+        out += _metrics(target)
+        out += _recovery(target, record.spans,
+                         spans_by_id.get(target["span"]))
+        if target["profiles"]:
+            out += ["", hotlines(target["profiles"]), "",
+                    roofline(target["profiles"])]
     return "\n".join(out)

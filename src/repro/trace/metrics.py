@@ -3,8 +3,8 @@
 The registry subsumes the flat counter bag the HPL runtime has always
 exposed (:class:`repro.hpl.runtime.RuntimeStats` is now backed by one of
 these), and gives every other layer a place to record scalars that are
-cheap to keep and easy to print: the benchsuite runner dumps a registry
-summary after each run with ``--verbose``.
+cheap to keep and easy to print: a ``--record`` benchsuite run keeps a
+registry snapshot per target in its run record.
 
 All three instrument types are thread-safe; a registry hands out one
 instrument per name (get-or-create), so independent call sites aggregate

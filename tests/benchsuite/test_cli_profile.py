@@ -1,66 +1,53 @@
-"""The benchsuite CLI: ``--profile`` / ``--profile-out`` pipeline.
+"""The benchsuite CLI: the kernel profiles a ``--record`` run keeps.
 
-The acceptance path of the profiler issue: run EP under ``--profile``,
-check the hot-line table lands next to the benchmark output, and that
-``--profile-out`` writes the JSON + flamegraph pair CI uploads as a
-workflow artifact (re-renderable by ``python -m repro.prof``).
+The acceptance path of the profiler work: the EP target of the shared
+recorded run (see ``conftest.py``) must come back from the record with
+its hot source lines and a compute-bound roofline row, and recording
+must not leave the profiler on.
 """
 
 from __future__ import annotations
 
-import json
-
-import pytest
-
 from repro import prof
 from repro.benchsuite.runner import main as bench_main
 from repro.hpl import reset_runtime
-from repro.prof.__main__ import main as prof_cli
-
-
-@pytest.fixture()
-def clean_state():
-    """Reset runtime and restore a disabled fresh profiler."""
-    old = prof.get_profiler()
-    prof.set_profiler(prof.Profiler(enabled=False))
-    reset_runtime()
-    yield
-    prof.set_profiler(old)
-    reset_runtime()
+from repro.trace import read_record
+from repro.trace.__main__ import main as trace_cli
 
 
 class TestBenchsuiteProfileFlag:
-    def test_ep_with_profile_prints_hot_lines(self, clean_state, capsys):
-        assert bench_main(["ep", "--profile"]) == 0
-        out = capsys.readouterr().out
-        assert "-- kernel profile: ep (hottest source lines) --" in out
-        assert "kernel ep_hpl_kernel" in out
-        assert "bound=compute" in out
-        # hot lines are shown with their cost share and source text
-        assert "%  L" in out
-
-    def test_profile_out_writes_artifact_pair(self, clean_state,
-                                              tmp_path, capsys):
-        prefix = str(tmp_path / "BENCH_profile")
-        assert bench_main(["ep", "--profile-out", prefix]) == 0
-
-        doc = json.loads((tmp_path / "BENCH_profile.json").read_text())
-        assert doc["version"] == 1
-        assert any(p["kernel"] == "ep_hpl_kernel"
-                   for p in doc["profiles"])
-
-        flame = (tmp_path / "BENCH_profile.flame").read_text()
-        assert "ep_hpl_kernel [vector]" in flame
-
-        # the saved JSON re-renders through the prof CLI
+    def test_ep_with_profile_prints_hot_lines(self, recorded_run, capsys):
         capsys.readouterr()
-        assert prof_cli(["roofline", prefix + ".json"]) == 0
+        assert trace_cli(["report", recorded_run[0]]) == 0
+        out = capsys.readouterr().out
+        ep = out.split("== target ep ")[1].split("== target ")[0]
+        assert "kernel ep_hpl_kernel" in ep
+        assert "bound=compute" in ep
+        # hot lines are shown with their cost share and source text
+        assert "%  L" in ep
+
+    def test_profile_out_writes_artifact_pair(self, recorded_run, capsys):
+        ep = read_record(recorded_run[0]).targets[0]
+        assert any(p.kernel == "ep_hpl_kernel" for p in ep["profiles"])
+
+        capsys.readouterr()
+        assert trace_cli(["flame", recorded_run[0]]) == 0
+        assert "ep_hpl_kernel [vector]" in capsys.readouterr().out
+        assert trace_cli(["roofline", recorded_run[0]]) == 0
         assert "compute-bound" in capsys.readouterr().out
 
-    def test_profile_flag_does_not_leak(self, clean_state):
-        assert bench_main(["ep", "--profile"]) == 0
-        # --profile enables the global profiler for the run only; a
-        # later plain run must not silently keep collecting
-        assert not prof.is_enabled()
-        assert bench_main(["ep"]) == 0
-        assert len(prof.get_profiler()) == 0
+    def test_profile_flag_does_not_leak(self, tmp_path):
+        saved = prof.get_profiler()
+        prof.set_profiler(prof.Profiler(enabled=False))
+        reset_runtime()
+        try:
+            assert bench_main(["table1", "--record",
+                               str(tmp_path / "t.jsonl")]) == 0
+            # --record profiles the run only; a later plain run must
+            # not silently keep collecting
+            assert not prof.is_enabled()
+            assert bench_main(["ep"]) == 0
+            assert len(prof.get_profiler()) == 0
+        finally:
+            prof.set_profiler(saved)
+            reset_runtime()

@@ -108,6 +108,27 @@ class TestEngineJit:
         text = report.format_engine_jit(row)
         assert "geomean" in text and "jit" in text
 
+    def test_engine_timing_keeps_the_callers_tracer(self):
+        from repro import trace
+        from repro.benchsuite import floyd
+
+        saved = trace.get_tracer()
+        mine = trace.set_tracer(trace.Tracer())
+        try:
+            with trace.span("target:ep", category="benchsuite"):
+                wall, _checksum, engines = runner._engine_run_seconds(
+                    "vector", floyd, floyd.floyd_problem(16, n_run=8), 1)
+                with trace.span("after", category="benchsuite"):
+                    pass
+            current = trace.get_tracer()
+        finally:
+            trace.set_tracer(saved)
+        assert wall > 0 and engines == ["vector"]
+        assert current is mine and mine.enabled
+        names = {s.name for s in mine.spans()}
+        assert {"target:ep", "after"} <= names
+        assert "engine_run" not in names
+
     def test_engine_jit_gate_fires(self):
         assert runner.gate_engine_jit({"geomean_speedup": 2.15}) == []
         assert runner.gate_engine_jit({"geomean_speedup": 1.99}) == [

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 import signal
 
 import numpy as np
@@ -23,6 +24,7 @@ from repro.errors import (CheckpointError, ClusterExecutionError,
 from repro.hpl import CheckpointStore, Float, calibration, cluster_eval, float_
 from repro.hpl.cluster import (Cluster, DistributedArray, DynamicScheduler,
                                _backoff_delay)
+from repro.hpl.diskcache import seal, unseal
 from repro.ocl import faults
 from repro.ocl.platform import reset_platform_devices
 
@@ -199,6 +201,20 @@ class TestDeadline:
         assert np.array_equal(out, _expected())
 
 
+def _manifest(directory) -> dict:
+    """The JSON payload of a checkpoint directory's sealed manifest."""
+    return json.loads(unseal((directory / "MANIFEST.json").read_bytes()))
+
+
+def _reseal_manifest(directory, edit) -> None:
+    """Apply ``edit`` to the manifest and seal it again, as a writer
+    that knows the format would."""
+    manifest = _manifest(directory)
+    edit(manifest)
+    (directory / "MANIFEST.json").write_bytes(
+        seal(json.dumps(manifest).encode()))
+
+
 class TestCheckpointResume:
     @pytest.mark.parametrize("schedule", ["dynamic", "weighted"])
     def test_deadline_abort_then_resume_is_bit_identical(
@@ -243,8 +259,7 @@ class TestCheckpointResume:
         # corrupt a blob the final manifest references (the objects/
         # dir also holds stale content-addressed snapshots from the
         # intermediate saves, which load never reads)
-        manifest = json.loads((tmp_path / "MANIFEST.json").read_text())
-        sha = manifest["blobs"][0]["sha256"]
+        sha = _manifest(tmp_path)["blobs"][0]["sha256"]
         (tmp_path / "objects" / f"{sha}.bin").write_bytes(b"garbage")
         with pytest.raises(CheckpointError):
             _run(None, "dynamic", checkpoint=tmp_path, resume=True)
@@ -252,12 +267,42 @@ class TestCheckpointResume:
     def test_incompatible_version_raises(self, tmp_path):
         store = CheckpointStore(tmp_path)
         store.save({"k": 1}, [np.zeros(2, np.float32)], [(0, 2)])
-        manifest = tmp_path / "MANIFEST.json"
-        data = json.loads(manifest.read_text())
-        data["version"] = 999
-        manifest.write_text(json.dumps(data))
-        with pytest.raises(CheckpointError):
+        _reseal_manifest(tmp_path, lambda m: m.update(version=999))
+        with pytest.raises(CheckpointError, match="format version 999"):
             store.load({"k": 1})
+
+    def test_edited_completed_list_raises_not_a_wrong_buffer(
+            self, tmp_path):
+        # widening the completed blocks of an aborted run by hand once
+        # made the resume launch nothing and return 10,808 of 20,000
+        # elements never computed
+        with pytest.raises(DeadlineExceeded):
+            _run(None, "dynamic", checkpoint=tmp_path, deadline=1e-6)
+        path = tmp_path / "MANIFEST.json"
+        text = path.read_text()
+        edited = re.sub(r'"completed": \[[^"]*\]\]',
+                        f'"completed": [[0, {N}]]', text)
+        assert edited != text
+        path.write_text(edited)
+        with pytest.raises(CheckpointError, match="sha256"):
+            _run(None, "dynamic", checkpoint=tmp_path, resume=True)
+
+    @pytest.mark.parametrize("edit", [
+        lambda m: m.pop("blobs"),
+        lambda m: m.update(completed=[5]),
+        lambda m: m["blobs"].__setitem__(0, 7),
+        lambda m: m["blobs"][0].update(dtype="nope"),
+        lambda m: m["blobs"][0].update(dtype="O"),
+    ], ids=["no-blobs", "completed-int", "blob-int", "dtype-nope",
+            "dtype-object"])
+    def test_malformed_manifest_raises_checkpoint_error(self, tmp_path,
+                                                        edit):
+        run_id = {"k": 1}
+        CheckpointStore(tmp_path).save(
+            run_id, [np.arange(4, dtype=np.float32)], [(0, 4)])
+        _reseal_manifest(tmp_path, edit)
+        with pytest.raises(CheckpointError):
+            CheckpointStore(tmp_path).load(run_id)
 
 
 class TestKillAndResume:

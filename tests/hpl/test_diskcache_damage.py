@@ -1,15 +1,18 @@
-"""Damaged persistent-cache files become a counted miss, never a wrong
-buffer.
+"""Damaged persistent files become a counted miss or a typed error,
+never a wrong buffer.
 
 Every ``.irbin`` entry and ``.jitsrc`` sidecar is sealed with the sha256
 of its payload.  A file that fails the seal (or, for an entry, does not
 decode) is deleted, counted in ``hpl.disk_cache_corrupt`` and rebuilt,
 so a rebuild after any damage computes exactly what a fault-free run
-does.
+does.  A damaged ``.lock`` byte tally makes the store rescan, so it stays
+under its cap.  A damaged checkpoint manifest or blob makes a resumed
+``cluster_eval`` raise :class:`~repro.errors.CheckpointError`.
 """
 
 from __future__ import annotations
 
+import json
 import tempfile
 from pathlib import Path
 
@@ -20,7 +23,10 @@ from hypothesis import strategies as st
 
 import repro.hpl as hpl
 from repro import trace
+from repro.errors import CheckpointError, DeadlineExceeded
 from repro.hpl import Array, float_, idx, reset_runtime
+from repro.hpl.cluster import Cluster, DistributedArray
+from repro.hpl.diskcache import unseal
 from repro.ocl.engines import jit as jit_mod
 
 
@@ -134,3 +140,90 @@ def test_damaged_cache_file_gives_the_fault_free_output(
         _fresh_process()                # the rebuilt file is sound
         np.testing.assert_array_equal(_run(), EXPECTED)
         assert _corrupt() == corrupt + 1
+
+
+# -- property: a damaged byte tally is rescanned, the cap still holds --------
+
+def _scaled(factor: float):
+    def kernel(y, x):
+        y[idx] = x[idx] * factor + 1.0
+    kernel.__name__ = f"scaled_{int(factor)}"
+    return kernel
+
+
+def _scaled_run(factor: float) -> np.ndarray:
+    x = Array(float_, 4)
+    x.data[:] = np.arange(4, dtype=np.float32)
+    y = Array(float_, 4)
+    hpl.eval(_scaled(factor))(y, x)
+    return y.data.copy()
+
+
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow,
+                                 HealthCheck.function_scoped_fixture])
+@given(damage=_damage)
+def test_damaged_tally_rescans_and_keeps_the_cap(configured, damage):
+    with tempfile.TemporaryDirectory() as cache_dir:
+        store = Path(cache_dir)
+        hpl.configure(cache_dir=cache_dir, engine="vector")
+        _fresh_process()
+        _scaled_run(2.0)
+        (entry,) = store.glob("*.irbin")
+        cap = entry.stat().st_size * 5 // 2
+        hpl.configure(cache_dir=cache_dir, max_bytes=cap)
+        lock = store / ".lock"
+        lock.write_bytes(_damaged(lock.read_bytes(), damage))
+
+        for factor in (3.0, 4.0, 5.0, 2.0):
+            _fresh_process()
+            np.testing.assert_array_equal(
+                _scaled_run(factor),
+                np.arange(4, dtype=np.float32) * factor + 1.0)
+            on_disk = sum(p.stat().st_size for p in store.glob("*.irbin"))
+            assert on_disk <= cap
+
+
+# -- property: a damaged checkpoint resumes exactly or raises ---------------
+
+N = 20000
+
+
+def saxpy_part(y, x, a, offset, count):
+    y[idx] = a * x[idx] + y[idx]
+
+
+def _cluster_run(checkpoint, **kwargs) -> np.ndarray:
+    reset_runtime()
+    cluster = Cluster(hpl.get_devices())
+    rng = np.random.default_rng(11)
+    x = DistributedArray(float_, N, cluster,
+                         data=rng.random(N).astype(np.float32))
+    y = DistributedArray(float_, N, cluster,
+                         data=rng.random(N).astype(np.float32))
+    hpl.cluster_eval(saxpy_part, cluster, y, x, hpl.Float(2.0),
+                     schedule="dynamic", checkpoint=checkpoint, **kwargs)
+    return y.gather()
+
+
+@settings(max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow,
+                                 HealthCheck.function_scoped_fixture])
+@given(target=st.sampled_from(["manifest", "blob"]), damage=_damage)
+def test_damaged_checkpoint_resumes_exactly_or_raises(
+        configured, target, damage):
+    with tempfile.TemporaryDirectory() as directory:
+        expected = _cluster_run(None)
+        with pytest.raises(DeadlineExceeded):
+            _cluster_run(directory, deadline=1e-6)
+        manifest = Path(directory) / "MANIFEST.json"
+        path = manifest
+        if target == "blob":
+            blobs = json.loads(unseal(manifest.read_bytes()))["blobs"]
+            path = Path(directory) / "objects" / f"{blobs[0]['sha256']}.bin"
+        path.write_bytes(_damaged(path.read_bytes(), damage))
+        try:
+            out = _cluster_run(directory, resume=True)
+        except CheckpointError:
+            return
+        np.testing.assert_array_equal(out, expected)

@@ -45,7 +45,7 @@ class TestResetRuntime:
         assert len(profiler) == 1
         reset_runtime()
         assert len(profiler) == 0
-        # the benchsuite resets mid-run under --profile: staying enabled
+        # the benchsuite resets mid-run under --record: staying enabled
         # is what keeps the HPL leg's profile collectable
         assert profiler.enabled
         _launch(cl_run)

@@ -1,10 +1,13 @@
-"""Exporters: Chrome-trace validity, JSONL round trip, summary, CLI."""
+"""Renderers: Chrome-trace validity, record round trip, span table, CLI."""
 
 from __future__ import annotations
 
 import json
 
+import pytest
+
 from repro import trace
+from repro.errors import RecordError
 from repro.trace.__main__ import main as trace_cli
 
 
@@ -72,36 +75,39 @@ class TestChromeTrace:
         json.dumps(doc)                     # must not raise
 
 
+def _write(path, spans) -> str:
+    trace.write_record(str(path), ["test"], None, spans, [])
+    return str(path)
+
+
 class TestJsonl:
     def test_roundtrip(self, tracer, tmp_path):
         spans = _make_spans(tracer)
-        path = tmp_path / "trace.jsonl"
-        trace.write_jsonl(str(path), spans)
-        lines = path.read_text().strip().splitlines()
-        assert len(lines) == len(spans)
-        for line in lines:
-            json.loads(line)
+        path = _write(tmp_path / "run.jsonl", spans)
+        lines = open(path).read().strip().splitlines()
+        assert len(lines) == 1 + len(spans)
+        rows = [json.loads(line) for line in lines]
+        assert rows[0]["type"] == "run"
+        assert {r["type"] for r in rows[1:]} == {"span"}
 
-        back = trace.read_spans(str(path))
+        back = trace.read_record(path).spans
         assert [s.name for s in back] == [s.name for s in spans]
         assert [s.clock for s in back] == [s.clock for s in spans]
+        assert [s.parent_id for s in back] == [s.parent_id for s in spans]
         sim = [s for s in back if s.clock == "sim"]
         assert {s.device for s in sim} == {"GPU0", "GPU1"}
 
-    def test_read_spans_sniffs_chrome_json(self, tracer, tmp_path):
-        spans = _make_spans(tracer)
+    def test_chrome_json_is_not_a_record(self, tracer, tmp_path):
         path = tmp_path / "trace.json"
-        trace.write_chrome_trace(str(path), spans)
-        back = trace.read_spans(str(path))
-        assert len(back) == len(spans)
-        devices = {s.device for s in back if s.clock == "sim"}
-        assert devices == {"GPU0", "GPU1"}
+        trace.write_chrome_trace(str(path), _make_spans(tracer))
+        with pytest.raises(RecordError):
+            trace.read_record(str(path))
 
 
 class TestSummary:
     def test_summary_groups_and_counts(self, tracer):
         spans = _make_spans(tracer)
-        text = trace.summarize(spans)
+        text = trace.span_table(spans)
         assert f"{len(spans)} span(s)" in text
         assert "hpl.outer" in text
         assert "clc.inner" in text
@@ -109,28 +115,47 @@ class TestSummary:
         assert "GPU0" in text and "GPU1" in text
 
     def test_summary_of_nothing(self):
-        assert "(no spans)" in trace.summarize([])
+        assert "(no spans)" in trace.span_table([])
+
+    def test_self_time_excludes_wall_children_only(self):
+        def span(name, span_id, parent, dur, clock="wall"):
+            s = trace.Span(name, "t", span_id, parent, 1, "main", 0.0,
+                           clock=clock, device="GPU0" if clock == "sim"
+                           else None)
+            s.end_us = dur
+            return s
+
+        spans = [span("root", 1, None, 100.0), span("child", 2, 1, 30.0),
+                 span("grandchild", 3, 2, 10.0),
+                 span("kernel", 4, 1, 50.0, clock="sim")]
+        rows = {line.split()[2]: line.split()
+                for line in trace.span_table(spans).splitlines()
+                if line.startswith(("wall ", "sim "))}
+        # columns: clock track span count total self mean max
+        assert rows["t.root"][5] == "70.0us"
+        assert rows["t.child"][5] == "20.0us"
+        assert rows["t.grandchild"][5] == "10.0us"
+        assert rows["t.kernel"][5] == "50.0us"
+        assert "wall self total 100.0us = 1 root span(s) 100.0us" in \
+            trace.span_table(spans)
 
 
 class TestCli:
-    def test_summarize_command(self, tracer, tmp_path, capsys):
-        spans = _make_spans(tracer)
-        path = tmp_path / "trace.jsonl"
-        trace.write_jsonl(str(path), spans)
-        assert trace_cli(["summarize", str(path)]) == 0
+    def test_report_command(self, tracer, tmp_path, capsys):
+        path = _write(tmp_path / "run.jsonl", _make_spans(tracer))
+        assert trace_cli(["report", path]) == 0
         out = capsys.readouterr().out
         assert "trace summary" in out
         assert "simcl.ndrange_kernel" in out
+        assert "error: none" in out
 
     def test_chrome_command(self, tracer, tmp_path, capsys):
-        spans = _make_spans(tracer)
-        src = tmp_path / "trace.jsonl"
+        src = _write(tmp_path / "run.jsonl", _make_spans(tracer))
         dst = tmp_path / "chrome.json"
-        trace.write_jsonl(str(src), spans)
-        assert trace_cli(["chrome", str(src), str(dst)]) == 0
+        assert trace_cli(["chrome", src, "-o", str(dst)]) == 0
         doc = json.loads(dst.read_text())
         assert "traceEvents" in doc
 
     def test_missing_file_is_an_error(self, tmp_path, capsys):
-        assert trace_cli(["summarize", str(tmp_path / "nope.jsonl")]) == 2
+        assert trace_cli(["report", str(tmp_path / "nope.jsonl")]) == 2
         assert "error" in capsys.readouterr().err
