@@ -73,7 +73,7 @@ def test_ablation_kernel_cache(benchmark):
 def test_ablation_coalescing_sensitivity(benchmark):
     """Scattered traffic must cost more simulated time than streaming
     traffic of the same element count."""
-    device = cl.Device(cl.TESLA_C2050, "vector")
+    device = cl.Device(cl.TESLA_C2050, "jit")
     n = 1 << 14
     rng = np.random.default_rng(0)
 

@@ -201,7 +201,7 @@ def format_opt_pipeline(row: dict) -> str:
             f"{'warm pass runs':<34}{row['warm_pass_runs']:>12}",
             f"{'warm == cold results':<34}"
             f"{str(row['warm_results_identical']):>12}",
-            f"{'serial-O0 == serial-O2 == vector-O2':<34}"
+            f"{'serial-O0 == serial-O2 == jit-O2':<34}"
             f"{str(row['differential_identical']):>12}",
             f"{'verified':<34}{str(row['verified']):>12}",
             _rule()]
@@ -209,14 +209,14 @@ def format_opt_pipeline(row: dict) -> str:
 
 
 def format_engine_jit(row: dict) -> str:
-    """Render the vector-vs-JIT engine shoot-out."""
-    out = ["Execution engines: vector interpreter vs NumPy-codegen JIT "
+    """Render the jit engine's interpreted-vs-compiled tier shoot-out."""
+    out = ["jit engine tiers: bytecode interpreter vs generated NumPy code "
            f"(median ratio of {row['rounds']} interleaved rounds)", _rule(),
-           f"{'Benchmark':<20}{'vector s':>12}{'jit s':>12}"
+           f"{'Benchmark':<20}{'interp s':>12}{'compiled s':>12}"
            f"{'Speedup':>10}", _rule()]
     for name, r in row["benchmarks"].items():
-        out.append(f"{name:<20}{r['vector_seconds']:>12.4f}"
-                   f"{r['jit_seconds']:>12.4f}{r['speedup']:>9.2f}x")
+        out.append(f"{name:<20}{r['interp_seconds']:>12.4f}"
+                   f"{r['compiled_seconds']:>12.4f}{r['speedup']:>9.2f}x")
     out += [_rule(),
             f"{'geomean speedup':<34}{row['geomean_speedup']:>11.2f}x",
             f"{'gate':<34}{row['gate']:>11.1f}x",

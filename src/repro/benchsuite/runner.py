@@ -9,6 +9,7 @@ EXPERIMENTS.md for paper-vs-measured numbers.
 from __future__ import annotations
 
 import inspect
+import math
 
 from ..hpl import get_runtime, reset_runtime
 from ..productivity import count_sloc, count_sloc_python
@@ -271,7 +272,7 @@ def _checksum(output) -> float:
                      for p in parts))
 
 
-def _opt_pipeline_child(engine: str = "vector", tiny: bool = False) -> dict:
+def _opt_pipeline_child(engine: str = "jit", tiny: bool = False) -> dict:
     """One measured process of the opt-pipeline experiment.
 
     The optimization level arrives through ``$HPL_OPT_LEVEL`` and the
@@ -287,7 +288,7 @@ def _opt_pipeline_child(engine: str = "vector", tiny: bool = False) -> dict:
     from ..ocl.devicedb import DEFAULT_DEVICES
     from ..ocl.platform import set_platform_devices
 
-    if engine != "vector":
+    if engine != "jit":
         set_platform_devices(DEFAULT_DEVICES, engine)
     problems = _problems_opt_tiny() if tiny else _problems_warm_cache()
     rows = {}
@@ -332,7 +333,7 @@ def run_opt_pipeline(cache_dir=None) -> dict:
     cross-checked.  Three claims, each measured in fresh subprocesses
     and each checked by :func:`gate_opt_pipeline`:
 
-    * **optimization pays** — all five benchmarks on the vector engine
+    * **optimization pays** — all five benchmarks on the jit engine
       at ``-O0`` (unoptimized bytecode) vs ``-O2`` (optimized
       bytecode): per benchmark, the O2 checksum must equal the O0 one
       and the O2 simulated kernel seconds must not exceed the O0
@@ -346,16 +347,16 @@ def run_opt_pipeline(cache_dir=None) -> dict:
       (the cached artifact already holds the lowered bytecode) — and
       reproduce the cold checksums exactly.  Per-benchmark cold and
       warm build seconds are reported; host timings are not gated.
-    * **correctness** — serial-O0, serial-O2 and vector-O2 runs of tiny
+    * **correctness** — serial-O0, serial-O2 and jit-O2 runs of tiny
       instances must produce bit-identical checksums, so every pass and
-      both bytecode interpreters preserve semantics.  Every leg's
-      output must also match the benchmark's NumPy oracle.
+      both engines (the jit's interpreted and compiled tiers alike)
+      preserve semantics.  Every leg's output must also match the
+      benchmark's NumPy oracle.
     """
     import json
-    import math
     import tempfile
 
-    def leg(cache, opt_level, engine="vector", tiny=False):
+    def leg(cache, opt_level, engine="jit", tiny=False):
         # uncached legs drop any inherited cache to stay genuinely cold
         proc = run_child(_opt_pipeline_child,
                          {"engine": engine, "tiny": tiny},
@@ -373,7 +374,7 @@ def run_opt_pipeline(cache_dir=None) -> dict:
         o2_warm = leg(cache_dir, 2)
         serial_o0 = leg(None, 0, "serial", tiny=True)
         serial_o2 = leg(None, 2, "serial", tiny=True)
-        vector_o2 = leg(None, 2, "vector", tiny=True)
+        jit_o2 = leg(None, 2, "jit", tiny=True)
     finally:
         if cleanup is not None:
             cleanup.cleanup()
@@ -398,7 +399,7 @@ def run_opt_pipeline(cache_dir=None) -> dict:
             "warm_build_seconds": o2["build_seconds"]}
     geomean = math.exp(sum(math.log(s) for s in speedups)
                        / len(speedups)) if speedups else 0.0
-    diff = [serial_o0, serial_o2, vector_o2]
+    diff = [serial_o0, serial_o2, jit_o2]
     return {
         "benchmarks": benchmarks,
         "geomean_speedup": geomean,
@@ -455,14 +456,14 @@ def gate_opt_pipeline(row: dict) -> list[str]:
     })
 
 
-# -- engine shoot-out: vector interpreter vs codegen JIT -----------------------
+# -- tier shoot-out: the jit engine interpreted vs compiled ------------------
 
 def _problems_engine_jit() -> dict:
-    """Loop-heavy instances of the five paper benchmarks for the
-    engine shoot-out: sizes chosen so each kernel launches many times
-    (or iterates long in-kernel loops) over moderate arrays — the
-    regime where per-instruction interpreter dispatch, the cost the
-    JIT removes, dominates the shared NumPy work.
+    """Loop-heavy instances of the five paper benchmarks for the tier
+    shoot-out: sizes chosen so each kernel launches many times (or
+    iterates long in-kernel loops) over moderate arrays — the regime
+    where per-instruction interpreter dispatch, the cost the compiled
+    tier removes, dominates the shared NumPy work.
 
     Values are ``(problem, reps)``: each measured leg invokes the
     benchmark ``reps`` times so the summed span time of single-launch
@@ -478,88 +479,100 @@ def _problems_engine_jit() -> dict:
     }
 
 
-def _engine_run_seconds(engine: str, module, problem, reps: int) -> tuple:
-    """One benchmark on one engine from a cold runtime; returns the
-    summed ``engine_run`` span wall-clock over ``reps`` invocations
-    (pure engine execution — excludes driver, compile and codegen
-    time) plus the output checksum and the engine names the spans
-    report."""
-    from .. import trace
+#: ``JitEngine._HOT_LAUNCHES`` per leg: never compile, compile at once
+TIER_LEGS = {"interp": math.inf, "compiled": 1}
 
+
+def _engine_run_seconds(tier: str, module, problem, reps: int) -> tuple:
+    """One benchmark on the jit engine pinned to ``tier`` (see
+    :data:`TIER_LEGS`) from a cold runtime; returns the summed
+    ``engine_run`` span wall-clock over ``reps`` invocations less the
+    ``jit_compile`` spans inside them (pure execution — excludes driver,
+    compile and codegen time), plus the output checksum and the tiers
+    the spans report."""
+    from .. import trace
     from ..ocl.devicedb import DEFAULT_DEVICES
+    from ..ocl.engines.jit import JitEngine
     from ..ocl.platform import set_platform_devices
 
     reset_runtime()
-    set_platform_devices(DEFAULT_DEVICES, engine)
+    set_platform_devices(DEFAULT_DEVICES, "jit")
     caller = trace.get_tracer()
     tracer = trace.set_tracer(trace.Tracer())
+    saved = JitEngine._HOT_LAUNCHES
+    JitEngine._HOT_LAUNCHES = TIER_LEGS[tier]
     try:
         for _ in range(reps):
             run = module.run_hpl(problem, TESLA)
     finally:
+        JitEngine._HOT_LAUNCHES = saved
         trace.set_tracer(caller)
         set_platform_devices(DEFAULT_DEVICES)
-    spans = [s for s in tracer.spans() if s.name == "engine_run"]
-    wall = sum(s.duration_seconds for s in spans)
-    engines = sorted({s.attrs.get("engine") for s in spans})
-    return wall, _checksum(run.output), engines
+    spans = tracer.spans()
+    runs = [s for s in spans if s.name == "engine_run"]
+    wall = (sum(s.duration_seconds for s in runs)
+            - sum(s.duration_seconds for s in spans
+                  if s.name == "jit_compile"))
+    tiers = sorted({s.attrs.get("tier") for s in runs})
+    return wall, _checksum(run.output), tiers
 
 
-#: the JIT must beat the vector interpreter by this wall-clock geomean
+#: the compiled tier must beat the interpreted one by this wall-clock
+#: geomean
 ENGINE_JIT_GATE = 2.0
 
 
 def run_engine_jit(rounds: int = 7) -> dict:
-    """Vector-vs-JIT engine shoot-out over the five paper benchmarks.
+    """Interpreted-vs-compiled tier shoot-out of the jit engine over the
+    five paper benchmarks.
 
-    For each benchmark the two engines run interleaved for ``rounds``
+    For each benchmark the two tiers run interleaved for ``rounds``
     rounds from a cold runtime.  Each round's legs execute back to
-    back, so ambient machine load hits both engines alike — the
+    back, so ambient machine load hits both tiers alike — the
     per-benchmark speedup is therefore the *median of per-round
-    ratios* (vector wall over jit wall, summed ``engine_run`` spans),
-    which a single loaded or lucky round cannot move.  Every round
-    must produce bit-identical output checksums across the two
-    engines (the JIT is a pure execution substrate swap), and
-    :func:`gate_engine_jit` requires the JIT to beat the vector
-    interpreter by at least :data:`ENGINE_JIT_GATE` wall-clock geomean.
+    ratios* (interpreted wall over compiled wall, summed
+    ``engine_run`` spans), which a single loaded or lucky round cannot
+    move.  Every round must produce bit-identical output checksums
+    across the two tiers (compiling is a pure execution substrate
+    swap), and :func:`gate_engine_jit` requires the compiled tier to
+    beat the interpreter by at least :data:`ENGINE_JIT_GATE` wall-clock
+    geomean.
     """
-    import math
-
     benchmarks = {}
     speedups = []
     for name, (problem, reps) in _problems_engine_jit().items():
         module = _BENCH_MODULES[name]
-        best = {"vector": None, "jit": None}
+        best = {tier: None for tier in TIER_LEGS}
         checksum = None
         ratios = []
         for _ in range(rounds):
             walls = {}
-            for engine in ("vector", "jit"):
-                wall, csum, engines = _engine_run_seconds(
-                    engine, module, problem, reps)
-                if engines != [engine]:
+            for tier in TIER_LEGS:
+                wall, csum, tiers = _engine_run_seconds(
+                    tier, module, problem, reps)
+                if tiers != [tier]:
                     raise AssertionError(
-                        f"{name}: engine_run spans report {engines}, "
-                        f"expected [{engine!r}]")
+                        f"{name}: engine_run spans report tiers {tiers}, "
+                        f"expected [{tier!r}]")
                 if checksum is None:
                     checksum = csum
                 elif csum != checksum:
                     raise AssertionError(
-                        f"{name}: {engine} checksum {csum} diverges "
+                        f"{name}: {tier} checksum {csum} diverges "
                         f"from {checksum}")
-                walls[engine] = wall
-                if best[engine] is None or wall < best[engine]:
-                    best[engine] = wall
-            ratios.append(walls["vector"] / walls["jit"]
-                          if walls["jit"] > 0 else float("inf"))
+                walls[tier] = wall
+                if best[tier] is None or wall < best[tier]:
+                    best[tier] = wall
+            ratios.append(walls["interp"] / walls["compiled"]
+                          if walls["compiled"] > 0 else float("inf"))
         ratios.sort()
         mid = len(ratios) // 2
         speedup = (ratios[mid] if len(ratios) % 2
                    else (ratios[mid - 1] + ratios[mid]) / 2)
         speedups.append(speedup)
         benchmarks[name] = {
-            "vector_seconds": best["vector"],
-            "jit_seconds": best["jit"],
+            "interp_seconds": best["interp"],
+            "compiled_seconds": best["compiled"],
             "speedup": speedup,
             "round_ratios": [round(r, 3) for r in ratios],
             "checksum": checksum,

@@ -22,7 +22,7 @@ machine:
 
 Only ``mov`` instructions ever target a variable register; each carries
 the variable's uniformity level from the analysis pass, which is what
-lets the vector engine keep launch-uniform values as true NumPy scalars
+lets the lock-step engine keep launch-uniform values as true NumPy scalars
 (one arithmetic op per *launch* instead of per work-item).
 
 The bytecode is what the engines run: :mod:`repro.clc.binary` stores it,

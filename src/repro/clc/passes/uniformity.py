@@ -19,7 +19,7 @@ the value is uniform, because some items skip it).  ``break`` /
 ``continue`` lower the control level of their loop, ``return`` lowers
 the whole function — so a ``LAUNCH`` classification really does mean
 "all lanes execute this in lock step with the same value", which is
-what lets the vector engine compute such expressions once as scalars
+what lets the lock-step engine compute such expressions once as scalars
 instead of per-lane arrays.
 
 Results are attached as ``expr._uniform`` (an ad-hoc attribute the IR

@@ -109,7 +109,7 @@ def configure(cache_dir=_UNSET, max_bytes=None, opt_level=_UNSET,
     ``docs/faults.md``); ``None`` removes the active plan.  The
     ``HPL_FAULTS`` environment variable sets the initial plan.
     ``engine`` selects the default execution backend for every device
-    that has no explicit override (``"vector"``, ``"serial"``, ``"jit"``
+    that has no explicit override (``"jit"``, ``"serial"``
     or any backend registered via
     :func:`repro.ocl.engines.base.register_engine`); ``None`` restores
     the ``$HPL_ENGINE``/built-in default.  Unknown names raise

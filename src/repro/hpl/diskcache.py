@@ -25,12 +25,11 @@ processes do not race each other, and the store is LRU size-capped
 makes a store cost the same however many entries the cache holds: the
 store is scanned only when the tally says it may be over the cap.
 
-Every file the cache writes — ``.irbin`` entries and the ``.jitsrc``
-generated-source sidecars of codegen backends — is sealed: the hex
-sha256 of its payload and a newline come first, and a read verifies
-them before it decodes or returns anything.  A file that fails (a
-flipped bit, a truncation, a payload that does not decode) is deleted
-and read as a miss, so the caller rebuilds and overwrites it.
+Every entry the cache writes is sealed: the hex sha256 of its payload
+and a newline come first, and a read verifies them before it decodes
+anything.  An entry that fails (a flipped bit, a truncation, a payload
+that does not decode) is deleted and read as a miss, so the caller
+rebuilds and overwrites it.
 
 Enabling the cache::
 
@@ -44,9 +43,9 @@ Inspection CLI::
 
 Metrics (process-global registry): ``hpl.disk_cache_hits``,
 ``hpl.disk_cache_misses``, ``hpl.disk_cache_bytes`` (bytes written) and
-``hpl.disk_cache_corrupt`` (entries and sidecars dropped because they
-failed their seal or did not decode; each is also a miss, while an
-absent file is a plain miss).
+``hpl.disk_cache_corrupt`` (entries dropped because they failed their
+seal or did not decode; each is also a miss, while an absent file is a
+plain miss).
 """
 
 from __future__ import annotations
@@ -76,7 +75,6 @@ ENV_CACHE_MAX_BYTES = "HPL_CACHE_MAX_BYTES"
 DEFAULT_MAX_BYTES = 256 * 1024 * 1024
 
 _ENTRY_SUFFIX = ".irbin"
-_SOURCE_SUFFIX = ".jitsrc"
 
 
 def cache_key(preprocessed_source: str, options: str = "",
@@ -89,12 +87,9 @@ def cache_key(preprocessed_source: str, options: str = "",
     identifies the middle-end configuration — opt level, pass-pipeline
     version and bytecode version — because entries store the
     *post-optimization* artifact (signatures + bytecode), not the
-    front-end output.  ``engine_signature`` identifies the execution
-    backends the build targets (engine names + their codegen versions,
-    see :func:`repro.ocl.program.engine_signature_of`): codegen-capable
-    backends cache generated source alongside the entry, so switching
-    engines or bumping a codegen version must miss rather than serve an
-    artifact produced for a different backend.
+    front-end output.  ``engine_signature`` names the execution
+    backends the build targets (see
+    :func:`repro.ocl.program.engine_signature_of`).
     """
     h = hashlib.sha256()
     for part in ("hpl-kernel-cache", __version__, str(IR_SCHEMA_VERSION),
@@ -126,9 +121,6 @@ class KernelDiskCache:
 
     def _entry_path(self, key: str) -> Path:
         return self.path / (key + _ENTRY_SUFFIX)
-
-    def _source_path(self, key: str) -> Path:
-        return self.path / (key + _SOURCE_SUFFIX)
 
     @contextlib.contextmanager
     def _locked(self):
@@ -205,32 +197,11 @@ class KernelDiskCache:
         the cap)."""
         with trace.span("disk_cache_store", category="hpl",
                         key=key[:12]) as sp:
-            size = self._write_sealed(self._entry_path(key),
-                                      program.to_bytes())
-            sp.set_attr("bytes", size)
-
-    # -- generated-source sidecars (codegen backends) ----------------------
-
-    def get_source(self, key: str) -> str | None:
-        """Cached generated source for ``key``, or None (a counted miss).
-
-        Sidecar entries (``<key>.jitsrc``) hold the Python module a
-        codegen backend (e.g. the ``jit`` engine) emitted for a program;
-        ``key`` is the backend's own codegen key, not an ``.irbin`` key.
-        A sidecar that fails its seal is removed and counted as corrupt,
-        so damaged code is regenerated, never executed.
-        """
-        payload = self._read_sealed(self._source_path(key))
-        if payload is None:
-            self._registry().counter("hpl.disk_cache_misses").inc()
-            return None
-        self._registry().counter("hpl.disk_cache_hits").inc()
-        return payload.decode("utf-8")
-
-    def put_source(self, key: str, text: str) -> None:
-        """Store generated source under ``key`` atomically; sidecars
-        count against the cap exactly like entries."""
-        self._write_sealed(self._source_path(key), text.encode("utf-8"))
+            blob = seal(program.to_bytes())
+            atomic_write(self._entry_path(key), blob)
+            self._registry().counter("hpl.disk_cache_bytes").inc(len(blob))
+            self._charge(len(blob))
+            sp.set_attr("bytes", len(blob))
 
     # -- sealed files --------------------------------------------------------
 
@@ -254,15 +225,6 @@ class KernelDiskCache:
         with contextlib.suppress(OSError):
             path.unlink()
         self._registry().counter("hpl.disk_cache_corrupt").inc()
-
-    def _write_sealed(self, path: Path, payload: bytes) -> int:
-        """Write ``payload`` sealed to ``path`` atomically and charge it
-        to the byte tally; returns the bytes written."""
-        blob = seal(payload)
-        atomic_write(path, blob)
-        self._registry().counter("hpl.disk_cache_bytes").inc(len(blob))
-        self._charge(len(blob))
-        return len(blob)
 
     # -- size cap ----------------------------------------------------------
 
@@ -288,7 +250,7 @@ class KernelDiskCache:
 
     def _evict_lru(self) -> int:
         """Remove oldest entries until the store fits the cap; returns
-        the bytes the scanned files still hold.
+        the bytes the scanned entries still hold.
 
         Runs under :meth:`_locked`, but the mtime order was scanned in
         this process and ``get``/``put`` mutate entries without taking
@@ -298,12 +260,13 @@ class KernelDiskCache:
         scan chose, so it survives this round (the next ``put`` evicts
         again if the store is still over the cap).
         """
-        entries = self._all_entries()
-        total = sum(size for _p, size, _m in entries)
+        entries = self.entries()
+        total = sum(size for _k, size, _m in entries)
         # oldest mtime first; stop as soon as we fit under the cap
-        for path, size, mtime in sorted(entries, key=lambda e: e[2]):
+        for key, size, mtime in sorted(entries, key=lambda e: e[2]):
             if total <= self.max_bytes:
                 break
+            path = self._entry_path(key)
             try:
                 st = path.stat()
             except OSError:             # already gone: freed elsewhere
@@ -315,19 +278,6 @@ class KernelDiskCache:
                 path.unlink()
                 total -= st.st_size
         return total
-
-    def _all_entries(self) -> list[tuple[Path, int, float]]:
-        """``(path, size, mtime)`` of every evictable file: ``.irbin``
-        entries and ``.jitsrc`` generated-source sidecars."""
-        out = []
-        for suffix in (_ENTRY_SUFFIX, _SOURCE_SUFFIX):
-            for path in self.path.glob("*" + suffix):
-                try:
-                    st = path.stat()
-                except OSError:         # raced with an eviction
-                    continue
-                out.append((path, st.st_size, st.st_mtime))
-        return out
 
     # -- inspection --------------------------------------------------------
 
@@ -346,23 +296,18 @@ class KernelDiskCache:
     def purge(self) -> int:
         """Delete every entry; returns how many were removed.
 
-        Also sweeps ``.jitsrc`` generated-source sidecars and stale
-        ``.tmp`` files abandoned by killed writers, and clears the byte
-        tally so the next store rescans.  The ``.lock`` file itself is
-        never removed: a concurrent :meth:`_locked` holder flocks that
-        very inode, and unlinking it would let the next locker acquire a
-        *new* file while the old holder still believes it has
-        exclusivity.
+        Also sweeps stale ``.tmp`` files abandoned by killed writers,
+        and clears the byte tally so the next store rescans.  The
+        ``.lock`` file itself is never removed: a concurrent
+        :meth:`_locked` holder flocks that very inode, and unlinking it
+        would let the next locker acquire a *new* file while the old
+        holder still believes it has exclusivity.
         """
         removed = 0
         with self._locked() as fd:
             for key, _size, _mtime in self.entries():
                 with contextlib.suppress(OSError):
                     self._entry_path(key).unlink()
-                    removed += 1
-            for source in self.path.glob("*" + _SOURCE_SUFFIX):
-                with contextlib.suppress(OSError):
-                    source.unlink()
                     removed += 1
             for stale in self.path.glob(".*.tmp"):
                 with contextlib.suppress(OSError):
@@ -411,8 +356,8 @@ def atomic_write(path, data: bytes) -> None:
 # -- seals -----------------------------------------------------------------------
 #
 # A sealed file is the hex sha256 of its payload, a newline, then the
-# payload.  The digest is text so that a sealed text payload (a ``.jitsrc``
-# sidecar) stays readable.
+# payload.  The digest is text so that a sealed text payload (a
+# checkpoint manifest) stays readable.
 
 _DIGEST_BYTES = 64
 

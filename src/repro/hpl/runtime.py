@@ -618,12 +618,13 @@ def get_device(fragment: str | int) -> HPLDevice:
 def reset_runtime() -> None:
     """Forget devices, caches and statistics (primarily for tests).
 
-    Also drops collected kernel profiles; the profiler's enabled state
-    is preserved so resetting mid-run (the benchsuite does, between the
-    OpenCL and HPL variants) can't silently turn ``--record`` off.
+    The compiled programs go with their launch counts and JIT-compiled
+    code, which live on each program's bytecode, so the next launch of
+    a kernel is interpreted again.  Also drops collected kernel
+    profiles; the profiler's enabled state is preserved so resetting
+    mid-run (the benchsuite does, between the OpenCL and HPL variants)
+    can't silently turn ``--record`` off.
     """
     from .. import prof
-    from ..ocl.engines import jit
     HPLRuntime.reset()
     prof.reset()
-    jit.clear_cache()

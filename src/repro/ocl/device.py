@@ -14,7 +14,7 @@ class Device:
     from the :mod:`repro.ocl.engines.base` registry; pass ``engine=`` for
     an explicit choice, set ``engine`` on the :class:`DeviceSpec` for a
     per-device default, or leave both unset to track the process-wide
-    default (``hpl.configure(engine=)`` / ``$HPL_ENGINE`` / ``vector``).
+    default (``hpl.configure(engine=)`` / ``$HPL_ENGINE`` / ``jit``).
     The unset case re-resolves on every launch, so reconfiguring the
     default mid-session affects already-constructed devices.
 

@@ -1,19 +1,20 @@
 """Execution backends that run compiled kernel IR.
 
-Three engines implement the backend protocol documented in
+Two engines implement the backend protocol documented in
 :mod:`repro.ocl.engines.base` and register themselves with its registry:
 
-* :class:`~repro.ocl.engines.serial.SerialEngine` — a per-work-item
-  reference interpreter with generator-based barriers.  Slow, obviously
-  correct; used for small problems and as the differential-testing oracle.
-* :class:`~repro.ocl.engines.vector.VectorEngine` — a lock-step SIMT
-  engine that executes every work-item of the NDRange simultaneously as
-  NumPy lanes, handling divergence with activity masks.  This is how the
-  simulated GPUs execute real workloads at tolerable wall-clock cost.
-* :class:`~repro.ocl.engines.jit.JitEngine` — compiles each kernel's
-  optimized bytecode into generated Python/NumPy source (no interpreter
-  dispatch loop) with results, cost counters and per-line profiles
-  bit-identical to the vector engine.
+* :class:`~repro.ocl.engines.serial.SerialEngine` (``serial``) — a
+  per-work-item reference interpreter with generator-based barriers.
+  Slow, obviously correct; used for small problems and as the
+  differential-testing oracle.
+* :class:`~repro.ocl.engines.jit.JitEngine` (``jit``, the default) — the
+  lock-step SIMT engine: every work-item of the NDRange executes
+  simultaneously as NumPy lanes, with divergence handled by activity
+  masks.  A program's first launch runs the bytecode interpreter it
+  inherits from :class:`~repro.ocl.engines.vector.VectorEngine`; from the
+  second launch on the program's bytecode is compiled into generated
+  NumPy code, with results, cost counters and per-line profiles
+  bit-identical across the two tiers.
 
 Every engine fills a :class:`repro.ocl.costmodel.CostCounters` while it
 runs; the cost model turns those counts into simulated device time.

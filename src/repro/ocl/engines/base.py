@@ -8,18 +8,14 @@ An execution backend ("engine") is a class with
   :class:`~repro.clc.binary.ProgramBinary` (signatures + bytecode) and a
   :class:`~repro.ocl.devicedb.DeviceSpec`,
 * ``run(kernel_name, args, global_size, local_size=None)`` returning a
-  filled :class:`~repro.ocl.costmodel.CostCounters`,
-* a ``capabilities`` frozenset of feature flags (``"bytecode"``,
-  ``"simt"``, ``"codegen"``) and a ``codegen_version``
-  int (0 for interpreters; bumped whenever a code-generating backend
-  changes its emitted code, so cached artifacts are invalidated).
+  filled :class:`~repro.ocl.costmodel.CostCounters`.
 
 Backends register themselves with :func:`register_engine` (usable as a
 decorator); :class:`~repro.ocl.device.Device` resolves names through
 :func:`get_engine_class`.  The default engine for devices constructed
 without an explicit name is resolved by :func:`default_engine`:
 ``hpl.configure(engine=...)`` wins, then the ``HPL_ENGINE`` environment
-variable, then ``"vector"``.
+variable, then ``"jit"``.
 """
 
 from __future__ import annotations
@@ -116,14 +112,14 @@ def set_default_engine(name: str | None) -> None:
 def default_engine() -> str:
     """The engine name devices fall back to: the
     ``hpl.configure(engine=...)`` override, else a validated
-    ``$HPL_ENGINE``, else ``"vector"``."""
+    ``$HPL_ENGINE``, else ``"jit"``."""
     if _default_override is not None:
         return _default_override
     env = os.environ.get(ENV_ENGINE)
     if env:
         get_engine_class(env)           # validate: typos must not
         return env                      # silently fall back
-    return "vector"
+    return "jit"
 
 
 def linked_entry(program, kernel_name: str):
@@ -193,7 +189,7 @@ class NDRange:
 
     Work-items are flattened **group-major**: all items of group 0 first
     (local x fastest), then group 1, ... — the natural layout for the
-    lock-step vector engine and for per-warp coalescing measurement.
+    lock-step jit engine and for per-warp coalescing measurement.
     """
 
     def __init__(self, global_size, local_size=None,
@@ -257,7 +253,7 @@ class NDRange:
             budget = max(1, budget // l)
         return tuple(lsize)
 
-    # -- flattened id arrays (vector engine) -----------------------------------
+    # -- flattened id arrays (lock-step engine) -------------------------------
 
     def lane_ids(self) -> dict[str, np.ndarray]:
         """Per-lane id arrays in group-major order (see class docstring).

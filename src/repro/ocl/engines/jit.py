@@ -1,40 +1,38 @@
-"""NumPy-codegen JIT execution backend.
+"""The SIMT execution engine: a tiered bytecode JIT.
 
-Instead of interpreting :class:`~repro.clc.lower.KernelBytecode` one
-instruction at a time, this backend compiles each bytecode function into
-generated Python source that executes the whole work-group as straight
-NumPy operations with masked divergence — the per-instruction dispatch
-loop, tuple indexing and opcode chains of the interpreter disappear, and
-consecutive counted ALU instructions charge the cost counters in one
-batched add per basic block (exact, because every static op cost is an
-integer-valued float).
+A program's first launch runs the lock-step bytecode interpreter this
+class inherits from :class:`~repro.ocl.engines.vector.VectorEngine`.
+From its second launch on, the engine compiles every bytecode function
+of the program into generated Python source that executes the whole
+work-group as straight NumPy operations with masked divergence — the
+per-instruction dispatch loop, tuple indexing and opcode chains of the
+interpreter disappear, and consecutive counted ALU instructions charge
+the cost counters in one batched add per basic block (exact, because
+every static op cost is an integer-valued float).  A kernel launched
+once never pays for code generation and Python's ``compile()``.
 
 The generated code mirrors :meth:`VectorEngine._bx_span` operation for
 operation — same ``to_dtype`` coercions, same mask algebra, same
 transaction counting from actual byte addresses — so buffers, cost
-counters and per-line profiler attribution are bit-identical to the
-vector engine.  Per-line profiling works through the same
+counters and per-line profiler attribution are bit-identical on both
+sides of the tier boundary.  Per-line profiling works through the same
 ``LaunchCollector`` calls, emitted as literal ``(line, cost)`` replay
 statements from the instruction→line sidecar the lowerer already stamps
 on every instruction.
 
-Generated module source is memoized in-process per program and cached on
-disk next to the program entries (sealed ``.jitsrc`` sidecars in
-:mod:`repro.hpl.diskcache`: a damaged one is regenerated, never run),
-keyed by program source, bytecode/pipeline versions and
-:data:`JIT_CODEGEN_VERSION`.  When codegen fails for any
-reason the engine silently falls back to the inherited bytecode
-interpreter, so ``jit`` is always safe to select.
+Launch counts and compiled functions live on the program's bytecode
+object, so they die with the program (``reset_runtime()`` drops both).
+A codegen or ``compile()`` failure raises
+:class:`~repro.errors.KernelLaunchError` with the cause chained.
 """
 
 from __future__ import annotations
 
-import hashlib
-
 import numpy as np
 
+from ... import trace
 from ...clc.builtins import BUILTINS
-from ...clc.lower import (BYTECODE_VERSION, L_A, L_AUX, L_B, L_C, L_DST,
+from ...clc.lower import (L_A, L_AUX, L_B, L_C, L_DST,
                           L_ISDBL, L_ISFLOAT, L_LINE, L_NP, L_UNI,
                           L_VCOST, OP_ADD, OP_ATOMIC, OP_BAND,
                           OP_BARRIER, OP_BNOT, OP_BOR, OP_BREAK,
@@ -56,12 +54,6 @@ from .carith import (c_idiv_raw, c_imod_raw, c_shl, c_shr, to_dtype,
                      truth)
 from .vector import VectorEngine, _BFrame
 
-#: bump whenever the emitted code changes — invalidates cached sources
-JIT_CODEGEN_VERSION = 1
-
-#: in-process memo: codegen cache key -> generated module source
-_source_memo: dict[str, str] = {}
-
 #: names the generated source expects in its exec namespace
 _EXEC_ENV = {
     "np": np,
@@ -82,26 +74,11 @@ _EXEC_ENV = {
     "KernelLaunchError": KernelLaunchError,
 }
 
-
-def clear_cache() -> None:
-    """Drop the in-process generated-source memo (``reset_runtime()``
-    calls this so a reset never serves stale codegen)."""
-    _source_memo.clear()
-
-
-def source_cache_key(program_source: str, opt_level, pipeline_version
-                     ) -> str | None:
-    """Disk-cache key for a program's generated module, or ``None`` when
-    the program carries no source to key by."""
-    if not program_source:
-        return None
-    h = hashlib.sha256()
-    for part in ("hpl-jit-codegen", str(JIT_CODEGEN_VERSION),
-                 str(BYTECODE_VERSION), str(opt_level),
-                 str(pipeline_version), program_source):
-        h.update(part.encode("utf-8", "replace"))
-        h.update(b"\x00")
-    return h.hexdigest()
+#: what a bug in the emitter, in ``compile()`` or in the generated
+#: module's top level raises
+_CODEGEN_ERRORS = (ArithmeticError, AttributeError, LookupError,
+                   NameError, RuntimeError, SyntaxError, TypeError,
+                   ValueError)
 
 
 # -- code generation -----------------------------------------------------------------
@@ -184,8 +161,7 @@ class _ModuleEmitter:
             code, kbc = self.linked[fname]
             fn_blocks.append(_FnEmitter(self, code, kbc).emit())
         lines = [
-            f"# generated by repro.ocl.engines.jit codegen "
-            f"v{JIT_CODEGEN_VERSION} -- do not edit",
+            "# generated by repro.ocl.engines.jit codegen -- do not edit",
             "import numpy as np",
             "_asarray = np.asarray",
             "_cnz = np.count_nonzero",
@@ -769,81 +745,52 @@ def load_module(source: str):
 
 @register_engine
 class JitEngine(VectorEngine):
-    """Whole-work-group execution through generated NumPy code.
+    """Whole-NDRange lock-step execution: interpreted while a program is
+    cold, through generated NumPy code once it is hot.
 
-    Inherits the vector engine's launch plumbing, argument binding and
-    bounds/atomic helpers; only the bytecode execution path is replaced
-    by compiled functions.  Any codegen failure falls back to the
-    interpreter.
+    Inherits the vector engine's launch plumbing, argument binding,
+    interpreter and bounds/atomic helpers; a hot program's launches
+    replace only the bytecode execution path with compiled functions.
     """
 
     name = "jit"
-    capabilities = frozenset({"bytecode", "simt", "codegen"})
-    codegen_version = JIT_CODEGEN_VERSION
 
-    @classmethod
-    def prebuild(cls, binary, spec) -> None:
-        """Build-time hook (called by ``Program.build``): generate and
-        compile the module now, so it lands in build accounting and the
-        disk cache rather than in the first launch.  The result is
-        memoized on the bytecode object, which every later engine
-        instance for this program shares.  A program without bytecode
-        is left alone; its launches fail with the engines' typed
-        error."""
-        if binary.bytecode is not None:
-            cls(binary, spec)._jit_functions()
+    #: a program runs compiled code from this launch of it on
+    _HOT_LAUNCHES = 2
 
-    def _run_bytecode(self, entry, args) -> None:
+    @staticmethod
+    def prebuild(binary, spec) -> None:
+        """Compile every function of ``binary``'s bytecode (the tier-up
+        step) and memoize the result on the bytecode object, which
+        every later engine instance for the program shares.  ``spec``
+        is the device the launch runs on; the generated code reads its
+        warp and segment sizes at run time."""
+        pbc = binary.bytecode
+        with trace.span("jit_compile", category="simcl",
+                        device=spec.name):
+            try:
+                pbc._jit = load_module(generate_module(pbc))
+            except _CODEGEN_ERRORS as exc:
+                raise KernelLaunchError(
+                    f"code generation failed for kernels "
+                    f"{sorted(binary.kernels)}: "
+                    f"{type(exc).__name__}: {exc}") from exc
+
+    def _run_bytecode(self, entry, args) -> str:
+        pbc = self.program.bytecode
+        # unlocked: a count lost to a concurrent launch only delays the
+        # tier-up, and two concurrent tier-ups build the same functions
+        pbc._launches = getattr(pbc, "_launches", 0) + 1
+        if pbc._launches < self._HOT_LAUNCHES:
+            return super()._run_bytecode(entry, args)
+        if getattr(pbc, "_jit", None) is None:
+            # through the class attribute, where the benchmark's
+            # per-layer ledger looks it up
+            JitEngine.prebuild(self.program, self.spec)
         _code, kbc = entry
-        funcs = self._jit_functions()
-        fn = None if funcs is None else funcs.get(kbc.name)
-        if fn is None:
-            super()._run_bytecode(entry, args)
-            return
         frame = self._bc_frame(kbc, args)
         self._bloops = []
         self._dead = np.zeros(self.n, dtype=bool)
         mask = np.ones(self.n, dtype=bool)
-        fn(self, frame, mask, True)
-
-    def _jit_functions(self):
-        """Compiled function dict for this program's bytecode, memoized
-        on the bytecode object (an ad-hoc attribute the binary codec
-        never serializes, like ``_linked``); ``None`` when codegen
-        failed."""
-        pbc = self.program.bytecode
-        cached = getattr(pbc, "_jit", None)
-        if cached is not None and cached[0] == JIT_CODEGEN_VERSION:
-            return cached[1]
-        try:
-            funcs = load_module(self._module_source(pbc))
-        except Exception:  # fall back to the interpreter, never fail
-            funcs = None
-        pbc._jit = (JIT_CODEGEN_VERSION, funcs)
-        return funcs
-
-    def _module_source(self, pbc) -> str:
-        key = source_cache_key(self.program.source, pbc.opt_level,
-                               pbc.pipeline_version)
-        if key is not None:
-            src = _source_memo.get(key)
-            if src is not None:
-                return src
-            cache = self._disk_cache()
-            if cache is not None:
-                src = cache.get_source(key)
-                if src is not None:
-                    _source_memo[key] = src
-                    return src
-        src = generate_module(pbc)
-        if key is not None:
-            _source_memo[key] = src
-            cache = self._disk_cache()
-            if cache is not None:
-                cache.put_source(key, src)
-        return src
-
-    @staticmethod
-    def _disk_cache():
-        from ...hpl.diskcache import active_cache
-        return active_cache()
+        pbc._jit[kbc.name](self, frame, mask, True)
+        return "compiled"

@@ -73,8 +73,6 @@ class SerialEngine:
     """Execute a kernel launch one work-item at a time (with barriers)."""
 
     name = "serial"
-    capabilities = frozenset({"bytecode"})
-    codegen_version = 0
 
     def __init__(self, program, spec) -> None:
         self.program = program

@@ -1,4 +1,9 @@
-"""Lock-step SIMT execution engine.
+"""Lock-step SIMT bytecode interpreter.
+
+The interpreter tier of the ``jit`` engine
+(:class:`~repro.ocl.engines.jit.JitEngine` subclasses
+:class:`VectorEngine` and runs a program's first launch through it); it
+is not registered as an engine of its own.
 
 Every work-item of the NDRange executes simultaneously as one NumPy
 "lane"; private variables are length-``n`` arrays, divergent control flow
@@ -34,7 +39,7 @@ from ...errors import InvalidKernelArgs, KernelLaunchError, OutOfResources
 from ..costmodel import CostCounters, count_index_transactions
 from .base import (ATOMIC_UFUNCS, MAX_LOOP_ITERATIONS, BufferBinding,
                    Mem as _Mem, NDRange, check_args, linked_entry,
-                   register_engine, wiq_value)
+                   wiq_value)
 from .carith import binary_value, compare_value, to_dtype, truth
 
 _MAX_LOOP_ITERATIONS = MAX_LOOP_ITERATIONS
@@ -60,13 +65,12 @@ class _BFrame:
         self.ret_np = ret_np
 
 
-@register_engine
 class VectorEngine:
-    """Execute one kernel launch over a whole NDRange in lock step."""
+    """Execute one kernel launch over a whole NDRange in lock step.
 
-    name = "vector"
-    capabilities = frozenset({"bytecode", "simt"})
-    codegen_version = 0
+    Subclasses set the registry ``name``; :meth:`_run_bytecode` returns
+    the tier a launch ran in, which the ``engine_run`` span records.
+    """
 
     def __init__(self, program, spec) -> None:
         self.program = program
@@ -119,9 +123,9 @@ class VectorEngine:
         try:
             with trace.span("engine_run", category="simcl",
                             engine=self.name, kernel=kernel_name,
-                            work_items=self.n):
+                            work_items=self.n) as sp:
                 with np.errstate(all="ignore"):
-                    self._run_bytecode(entry, args)
+                    sp.set_attr("tier", self._run_bytecode(entry, args))
                 prof.finish_launch(self._col, self.counters)
         finally:
             self._col = None
@@ -180,13 +184,14 @@ class VectorEngine:
                 frame.mems[p[3]] = _Mem(storage, "local", "local", p[1])
         return frame
 
-    def _run_bytecode(self, entry, args) -> None:
+    def _run_bytecode(self, entry, args) -> str:
         code, kbc = entry
         frame = self._bc_frame(kbc, args)
         self._bloops: list = []
         self._dead = np.zeros(self.n, dtype=bool)
         mask = np.ones(self.n, dtype=bool)
         self._bx_span(code, 0, len(code), frame, mask, True)
+        return "interp"
 
     def _bx_span(self, code, pos, end, frame, mask, full):
         """Execute ``code[pos:end]`` under ``mask``; returns the

@@ -20,7 +20,7 @@ def set_platform_devices(specs, engine: str | None = None) -> None:
     """Replace the simulated device roster (affects new ``get_platforms``).
 
     ``engine=None`` leaves devices on the process-wide default backend
-    (``hpl.configure(engine=)`` / ``$HPL_ENGINE`` / ``vector``); an
+    (``hpl.configure(engine=)`` / ``$HPL_ENGINE`` / ``jit``); an
     explicit name pins every roster device to that backend.
     """
     global _current_specs, _default_engine

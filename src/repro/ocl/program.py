@@ -14,21 +14,8 @@ from .kernel_obj import Kernel
 
 def engine_signature_of(devices) -> str:
     """Cache-key component naming the execution backends ``devices``
-    resolve to, with their codegen versions (``jit+cg1,vector+cg0``).
-
-    Interpreters carry ``codegen_version = 0`` and produce no generated
-    artifacts, but codegen backends cache source next to the IR — so the
-    set of target backends (and each backend's codegen version) must be
-    part of the compile key: switching engines mid-session or upgrading
-    a backend's emitter can never serve a stale artifact.
-    """
-    from .engines.base import get_engine_class
-    parts = set()
-    for dev in devices:
-        name = dev.engine_name
-        cls = get_engine_class(name)
-        parts.add(f"{name}+cg{getattr(cls, 'codegen_version', 0)}")
-    return ",".join(sorted(parts))
+    resolve to (``jit,serial``)."""
+    return ",".join(sorted({dev.engine_name for dev in devices}))
 
 
 def _disk_cache():
@@ -61,9 +48,8 @@ class Program:
     disk when possible: the cache key covers the preprocessed source,
     build options, compiler version, device fp64 caps, the middle-end
     configuration (opt level, pass-pipeline and bytecode versions) and
-    the target execution backends (engine names + codegen versions), so
-    a hit is always safe to reuse; per-device validation still runs on
-    every build.
+    the names of the target execution backends, so a hit is always safe
+    to reuse; per-device validation still runs on every build.
 
     The optimization level comes from the build options (``-O0``..
     ``-O3``, with ``-cl-opt-disable`` forcing ``-O0``) and otherwise
@@ -134,15 +120,6 @@ class Program:
             self._last_log = "\n".join(flat)
             raise BuildProgramFailure(flat[0], build_log=self._last_log)
         self._last_log = "build succeeded"
-        # backends with a build step of their own (the JIT's codegen)
-        # run it now, as a vendor compiler would, instead of at the
-        # first enqueue
-        from .engines.base import get_engine_class
-        for dev in devices:
-            hook = getattr(get_engine_class(dev.engine_name),
-                           "prebuild", None)
-            if hook is not None:
-                hook(ir, dev.spec)
         return self
 
     def _compile(self, options: str, devices) -> ProgramBinary:

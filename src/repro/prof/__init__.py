@@ -2,9 +2,9 @@
 
 Attributes the cost model's counters back to kernel source lines (via
 the ``line`` debug info the clc bytecode carries), tracks SIMT
-divergence and lane occupancy in the vector engine, measures memory
-coalescing from the warp address streams, and classifies each kernel
-against its device's roofline (compute- vs. memory-bound).
+divergence and lane occupancy in the lock-step jit engine, measures
+memory coalescing from the warp address streams, and classifies each
+kernel against its device's roofline (compute- vs. memory-bound).
 
 Enable with any of::
 

@@ -5,7 +5,7 @@ launch gets a :class:`LaunchCollector`; the engines call its recording
 methods from the exact sites that already update
 :class:`~repro.ocl.costmodel.CostCounters`, so every counted ALU op,
 memory access, transaction and barrier is *also* attributed to the
-kernel source line the bytecode instruction carries.  The vector
+kernel source line the bytecode instruction carries.  The lock-step
 engine additionally records SIMT facts the serial engine cannot see:
 active-lane occupancy per instruction and per-branch divergence.
 
@@ -46,7 +46,7 @@ class LineStat:
         self.transactions = 0   # coalesced memory transactions
         self.local_accesses = 0
         self.barriers = 0
-        self.lane_slots = 0     # SIMT slots offered (vector engine only)
+        self.lane_slots = 0     # SIMT slots offered (lock-step engine only)
         self.active_lanes = 0   # SIMT slots actually active
         self.cost_seconds = 0.0  # modeled cost (filled by build_profile)
 
@@ -85,7 +85,7 @@ class LineStat:
 
 
 class BranchStat:
-    """Divergence record of one masked branch (vector engine)."""
+    """Divergence record of one masked branch (lock-step engine)."""
 
     __slots__ = ("events", "divergent", "active_lanes", "taken_lanes")
 

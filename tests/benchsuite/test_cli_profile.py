@@ -32,7 +32,7 @@ class TestBenchsuiteProfileFlag:
 
         capsys.readouterr()
         assert trace_cli(["flame", recorded_run[0]]) == 0
-        assert "ep_hpl_kernel [vector]" in capsys.readouterr().out
+        assert "ep_hpl_kernel [jit]" in capsys.readouterr().out
         assert trace_cli(["roofline", recorded_run[0]]) == 0
         assert "compute-bound" in capsys.readouterr().out
 

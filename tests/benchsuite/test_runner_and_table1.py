@@ -94,7 +94,7 @@ class TestFigureRunners:
 class TestEngineJit:
     def test_engine_jit_wiring(self, monkeypatch):
         """`run_engine_jit` plumbing on tiny problems: interleaved
-        rounds, per-engine bests, identical checksums.  The real >= 2x
+        rounds, per-tier bests, identical checksums.  The real >= 2x
         perf gate runs on the full sizes in CI."""
         from repro.benchsuite import floyd
 
@@ -103,27 +103,29 @@ class TestEngineJit:
             lambda: {"Floyd-Warshall": (floyd.floyd_problem(64, n_run=4), 2)})
         row = runner.run_engine_jit(rounds=1)
         leg = row["benchmarks"]["Floyd-Warshall"]
-        assert leg["vector_seconds"] > 0 and leg["jit_seconds"] > 0
+        assert leg["interp_seconds"] > 0 and leg["compiled_seconds"] > 0
         assert row["checksums_identical"]
         text = report.format_engine_jit(row)
-        assert "geomean" in text and "jit" in text
+        assert "geomean" in text and "compiled" in text
 
     def test_engine_timing_keeps_the_callers_tracer(self):
         from repro import trace
         from repro.benchsuite import floyd
+        from repro.ocl.engines import JitEngine
 
         saved = trace.get_tracer()
         mine = trace.set_tracer(trace.Tracer())
         try:
             with trace.span("target:ep", category="benchsuite"):
-                wall, _checksum, engines = runner._engine_run_seconds(
-                    "vector", floyd, floyd.floyd_problem(16, n_run=8), 1)
+                wall, _checksum, tiers = runner._engine_run_seconds(
+                    "compiled", floyd, floyd.floyd_problem(16, n_run=8), 1)
                 with trace.span("after", category="benchsuite"):
                     pass
             current = trace.get_tracer()
         finally:
             trace.set_tracer(saved)
-        assert wall > 0 and engines == ["vector"]
+        assert wall > 0 and tiers == ["compiled"]
+        assert JitEngine._HOT_LAUNCHES == 2     # restored after the leg
         assert current is mine and mine.enabled
         names = {s.name for s in mine.spans()}
         assert {"target:ep", "after"} <= names

@@ -46,9 +46,9 @@ def corpus() -> dict:
 
 def build(source: str, level: int):
     """``Program.build`` of ``source`` at ``-O<level>`` on a Tesla
-    running the vector engine; returns what the program holds for the
+    running the jit engine; returns what the program holds for the
     engines."""
-    device = cl.Device(cl.TESLA_C2050, "vector")
+    device = cl.Device(cl.TESLA_C2050, "jit")
     program = cl.Program(cl.Context([device]), source)
     return program.build(f"-O{level}").ir
 

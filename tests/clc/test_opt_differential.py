@@ -2,18 +2,20 @@
 
 ~200 seeded random OpenCL C kernels (integer/uint/float arithmetic,
 nested ifs and for loops, selects, barriers with __local staging) are
-executed six ways — the serial, vector and codegen JIT engines, each at
--O0 (unoptimized bytecode: no rewriting pass ran) and -O2 (optimized
-bytecode) — and every output buffer must match **bit for bit**.  Any
+executed six ways — the serial engine and the jit engine pinned to its
+interpreted and to its compiled tier, each at -O0 (unoptimized
+bytecode: no rewriting pass ran) and -O2 (optimized bytecode) — and
+every output buffer must match **bit for bit**.  Any
 unsound fold, wrong strength reduction, bad uniformity tag, bytecode
 lowering bug or codegen emission bug shows up as a divergence with a
 reproducible seed.
 
 Two counter invariants ride along, at both levels:
 
-* the JIT reports cost counters identical to the vector engine's (it is
-  the same SIMT execution model on a different substrate);
-* the serial engine agrees with the vector engine on every counter the
+* the compiled tier reports cost counters identical to the
+  interpreter's (it is the same SIMT execution model on a different
+  substrate; ``tests/ocl/counter_golden.json`` pins both);
+* the serial engine agrees with the jit engine on every counter the
   execution model cannot influence (memory traffic, barriers, NDRange
   shape).  Its ALU and *transaction* counters legitimately differ — it
   models a CPU, one work-item at a time.
@@ -224,7 +226,7 @@ def _run_config(engine: str, options: str, source: str, gsize, lsize,
 
 
 #: the engines and opt levels every fuzz kernel runs on
-_ENGINES = ("serial", "vector", "jit")
+_ENGINES = ("serial", "jit-interp", "jit-compiled")
 _LEVELS = ("-O0", "-O2")
 
 #: counters independent of the engine's execution model
@@ -235,10 +237,11 @@ _MODEL_INDEPENDENT = ("global_loads", "global_stores", "global_load_bytes",
 
 @pytest.mark.parametrize("batch", range(_BATCHES))
 def test_random_kernels_bit_identical_across_engines(batch):
-    """serial, vector and jit at -O0 and -O2 agree bit for bit on 10
+    """serial and both jit tiers at -O0 and -O2 agree bit for bit on 10
     random kernels per batch (seeds are stable, failures name the
-    kernel); at each level jit counters == vector counters field for
-    field, and serial == vector on the model-independent fields."""
+    kernel); at each level compiled counters == interpreted counters
+    field for field, and serial == jit on the model-independent
+    fields."""
     for i in range(_KERNELS_PER_BATCH):
         seed = 1000 + batch * _KERNELS_PER_BATCH + i
         gen = _KernelGen(seed)
@@ -265,19 +268,19 @@ def test_random_kernels_bit_identical_across_engines(batch):
                 f"seed {seed}: int outputs of {name} != {ref_name}\n"
                 f"{source}")
         for level in _LEVELS:
-            vector = vars(legs[f"vector {level}"][2])
-            # the jit engine swaps the execution substrate, not the
-            # model: every counter (ALU, traffic, transactions,
-            # barriers) must match the vector interpreter exactly
-            assert vars(legs[f"jit {level}"][2]) == vector, (
-                f"seed {seed}: jit {level} counters diverge from vector "
-                f"{level}\n{source}")
+            interp = vars(legs[f"jit-interp {level}"][2])
+            # compiling swaps the execution substrate, not the model:
+            # every counter (ALU, traffic, transactions, barriers) must
+            # match the interpreter exactly
+            assert vars(legs[f"jit-compiled {level}"][2]) == interp, (
+                f"seed {seed}: compiled {level} counters diverge from "
+                f"interpreted {level}\n{source}")
             serial = vars(legs[f"serial {level}"][2])
-            diff = {k: (serial[k], vector[k]) for k in _MODEL_INDEPENDENT
-                    if serial[k] != vector[k]}
+            diff = {k: (serial[k], interp[k]) for k in _MODEL_INDEPENDENT
+                    if serial[k] != interp[k]}
             assert not diff, (
-                f"seed {seed}: serial {level} != vector {level} on "
-                f"model-independent counters (serial, vector): {diff}\n"
+                f"seed {seed}: serial {level} != jit {level} on "
+                f"model-independent counters (serial, jit): {diff}\n"
                 f"{source}")
 
 

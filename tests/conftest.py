@@ -1,6 +1,9 @@
-"""Shared fixtures for the test suite."""
+"""Shared fixtures for the test suite, and the test-only engines that
+pin the ``jit`` engine to one tier."""
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 import pytest
@@ -8,6 +11,34 @@ import pytest
 import repro.ocl as cl
 from repro.hpl import reset_runtime
 from repro.ocl import QUADRO_FX380, TESLA_C2050, XEON_HOST
+from repro.ocl.engines import JitEngine, register_engine
+
+
+@register_engine
+class InterpretingJit(JitEngine):
+    """The ``jit`` engine that never compiles: every launch runs the
+    lock-step bytecode interpreter."""
+
+    name = "jit-interp"
+    _HOT_LAUNCHES = math.inf
+
+
+@register_engine
+class CompilingJit(JitEngine):
+    """The ``jit`` engine that compiles on a program's first launch."""
+
+    name = "jit-compiled"
+    _HOT_LAUNCHES = 1
+
+
+#: the engine legs of the differential tests: the serial reference and
+#: the jit engine pinned to each tier.  The ids name the execution path
+#: a leg covers — ``vector`` is the lock-step interpreter — and so keep
+#: the test ids these legs had while that interpreter was an engine of
+#: its own.
+ENGINE_LEGS = [pytest.param("serial", id="serial"),
+               pytest.param("jit-interp", id="vector"),
+               pytest.param("jit-compiled", id="jit")]
 
 
 @pytest.fixture()
@@ -19,9 +50,9 @@ def fresh_runtime():
 
 
 @pytest.fixture()
-def tesla_vector():
-    """A Tesla-spec device running the lock-step vector engine."""
-    return cl.Device(TESLA_C2050, "vector")
+def tesla_jit():
+    """A Tesla-spec device running the default lock-step jit engine."""
+    return cl.Device(TESLA_C2050, "jit")
 
 
 @pytest.fixture()
@@ -30,9 +61,9 @@ def tesla_serial():
     return cl.Device(TESLA_C2050, "serial")
 
 
-@pytest.fixture(params=["vector", "serial", "jit"])
+@pytest.fixture(params=ENGINE_LEGS)
 def any_engine_device(request):
-    """Parametrized over every built-in execution engine."""
+    """Parametrized over the serial engine and both jit tiers."""
     return cl.Device(TESLA_C2050, request.param)
 
 

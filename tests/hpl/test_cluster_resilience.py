@@ -27,6 +27,7 @@ from repro.hpl.cluster import (Cluster, DistributedArray, DynamicScheduler,
 from repro.hpl.diskcache import seal, unseal
 from repro.ocl import faults
 from repro.ocl.platform import reset_platform_devices
+from tests.conftest import ENGINE_LEGS
 
 N = 20000
 STRAGGLER = "device=Quadro kind=slow factor=1024"
@@ -165,7 +166,7 @@ class TestWatchdogSpeculation:
         assert result.failures.clean
         assert np.array_equal(out, _expected())
 
-    @pytest.mark.parametrize("engine", ["serial", "vector", "jit"])
+    @pytest.mark.parametrize("engine", ENGINE_LEGS)
     def test_cancelled_losers_never_mutate_buffers(self, engine):
         # differential: with speculation firing, every engine must
         # produce bits identical to its own fault-free run — if a

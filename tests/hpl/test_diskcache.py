@@ -178,22 +178,6 @@ class TestKernelDiskCache:
         cache.put(key, binary)               # caller recompiles + overwrites
         assert cache.get(key) is not None
 
-    def test_damaged_sidecar_is_dropped_and_counted(self, tmp_path):
-        cache = KernelDiskCache(tmp_path)
-        key = "ab" * 32
-        cache.put_source(key, "y = R[1] * R[2]\n")
-        assert cache.get_source(key) == "y = R[1] * R[2]\n"
-        path = cache._source_path(key)
-        path.write_bytes(path.read_bytes().replace(b"*", b"+"))
-        corrupt = _counter("hpl.disk_cache_corrupt")
-        misses = _counter("hpl.disk_cache_misses")
-        assert cache.get_source(key) is None
-        assert _counter("hpl.disk_cache_corrupt") == corrupt + 1
-        assert _counter("hpl.disk_cache_misses") == misses + 1
-        assert not path.exists()
-        assert cache.get_source(key) is None         # now absent: a plain
-        assert _counter("hpl.disk_cache_corrupt") == corrupt + 1  # miss
-
     def test_lru_eviction_drops_oldest(self, tmp_path):
         ir = _binary()
         entry_size = _entry_bytes(ir)
@@ -360,7 +344,7 @@ def preprocess_calls(monkeypatch):
 def _build(source):
     import repro.ocl as cl
 
-    ctx = cl.Context([cl.Device(cl.TESLA_C2050, "vector")])
+    ctx = cl.Context([cl.Device(cl.TESLA_C2050, "jit")])
     return cl.Program(ctx, source).build()
 
 
@@ -419,6 +403,12 @@ class TestCrossProcessReuse:
         assert warm["clc_compiles"] == 0     # served entirely from disk
         assert warm["disk_cache_hits"] == 5
         assert warm["disk_cache_misses"] == 0
+        # the jit engine compiles hot kernels in memory and writes
+        # nothing of its own next to the entries
+        assert cold["engine"] == warm["engine"] == "jit"
+        assert len(list(tmp_path.glob("*.irbin"))) == 5
+        assert {p.name for p in tmp_path.iterdir()
+                if p.suffix != ".irbin"} == {".lock"}
         assert warm["verified"]
         assert ({n: b["checksum"] for n, b in warm["benchmarks"].items()}
                 == {n: b["checksum"] for n, b in cold["benchmarks"].items()})
@@ -530,7 +520,7 @@ class TestLockLifecycle:
         blob_path.write_bytes(seal(_binary().to_bytes()))
         os.utime(blob_path, (1.0, 1.0))
 
-        real_entries = cache._all_entries
+        real_entries = cache.entries
 
         def entries_then_touch():
             scanned = real_entries()
@@ -538,7 +528,7 @@ class TestLockLifecycle:
             os.utime(blob_path, (2.0, 2.0))
             return scanned
 
-        monkeypatch.setattr(cache, "_all_entries", entries_then_touch)
+        monkeypatch.setattr(cache, "entries", entries_then_touch)
         with cache._locked():
             cache._evict_lru()
         assert blob_path.exists()       # re-stat saw the newer mtime
@@ -550,14 +540,14 @@ class TestLockLifecycle:
         blob_path = tmp_path / (key + ".irbin")
         blob_path.write_bytes(seal(_binary().to_bytes()))
 
-        real_entries = cache._all_entries
+        real_entries = cache.entries
 
         def entries_then_remove():
             scanned = real_entries()
             blob_path.unlink()          # concurrent purge got it first
             return scanned
 
-        monkeypatch.setattr(cache, "_all_entries", entries_then_remove)
+        monkeypatch.setattr(cache, "entries", entries_then_remove)
         with cache._locked():
             cache._evict_lru()          # must not raise
         assert real_entries() == []
@@ -566,9 +556,8 @@ class TestLockLifecycle:
 # -- byte tally: constant-cost stores under the size cap -----------------------
 
 def _store_bytes(path):
-    """Bytes held by entries and sidecars, as a scan would count them."""
-    return sum(p.stat().st_size for suffix in ("*.irbin", "*.jitsrc")
-               for p in Path(path).glob(suffix))
+    """Bytes held by entries, as a scan would count them."""
+    return sum(p.stat().st_size for p in Path(path).glob("*.irbin"))
 
 
 def _tally(path):
@@ -588,33 +577,23 @@ def _tally_record(total):
 def _count_scans(cache, monkeypatch):
     """Count the store scans ``cache`` makes from now on."""
     scans = {"n": 0}
-    real = cache._all_entries
+    real = cache.entries
 
     def counted():
         scans["n"] += 1
         return real()
 
-    monkeypatch.setattr(cache, "_all_entries", counted)
+    monkeypatch.setattr(cache, "entries", counted)
     return scans
 
 
 class TestByteTally:
-    def test_sidecars_count_against_the_cap(self, tmp_path):
-        # regression: put_source never evicted, so 20 sidecars of 400 B
-        # left 8000 B in a 1000 B store
-        cache = KernelDiskCache(tmp_path, max_bytes=1000)
-        for i in range(20):
-            cache.put_source(f"{i:064x}", "x" * 400)
-            assert _store_bytes(tmp_path) <= 1000
-        assert len(list(tmp_path.glob("*.jitsrc"))) == 2
-
     def test_stores_below_the_cap_do_not_scan(self, tmp_path, monkeypatch):
         cache = KernelDiskCache(tmp_path)
         ir = _binary()
         scans = _count_scans(cache, monkeypatch)
         for i in range(12):
             cache.put(cache.key_of(SOURCE, f"-DV={i}"), ir)
-            cache.put_source(f"{i:064x}", "y" * 100)
         assert scans["n"] == 1               # the first store: no tally yet
         assert _tally(tmp_path) == _store_bytes(tmp_path)
 
@@ -624,8 +603,6 @@ class TestByteTally:
         cache = KernelDiskCache(tmp_path, max_bytes=entry * 7 // 2)
         for i in range(40):
             cache.put(cache.key_of(SOURCE, f"-DV={i}"), ir)
-            if i % 3 == 0:
-                cache.put_source(f"{i:064x}", "z" * (entry // 3))
             on_disk = _store_bytes(tmp_path)
             assert on_disk <= cache.max_bytes
             assert _tally(tmp_path) >= on_disk
@@ -669,9 +646,8 @@ class TestByteTally:
         ir = _binary()
         for i in range(3):
             cache.put(cache.key_of(SOURCE, f"-DV={i}"), ir)
-        cache.put_source("f" * 64, "w" * 50)
         assert _tally(tmp_path) > 0
-        assert cache.purge() == 4
+        assert cache.purge() == 3
         assert _tally(tmp_path) is None
         scans = _count_scans(cache, monkeypatch)
         cache.put(cache.key_of(SOURCE, "-DV=new"), ir)
@@ -721,7 +697,6 @@ class TestByteTally:
             f"cache = KernelDiskCache({str(tmp_path)!r}, max_bytes={cap})\n"
             "for i in range(15):\n"
             "    cache.put(cache.key_of(src, f'-DW={sys.argv[1]}.{i}'), ir)\n"
-            "    cache.put_source(f'{sys.argv[1]}{i:063x}', 'v' * 300)\n"
         )
         procs = [subprocess.Popen([sys.executable, "-c", script, str(n)],
                                   env=child_env(), text=True,

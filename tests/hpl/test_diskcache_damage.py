@@ -1,13 +1,13 @@
 """Damaged persistent files become a counted miss or a typed error,
 never a wrong buffer.
 
-Every ``.irbin`` entry and ``.jitsrc`` sidecar is sealed with the sha256
-of its payload.  A file that fails the seal (or, for an entry, does not
-decode) is deleted, counted in ``hpl.disk_cache_corrupt`` and rebuilt,
-so a rebuild after any damage computes exactly what a fault-free run
-does.  A damaged ``.lock`` byte tally makes the store rescan, so it stays
-under its cap.  A damaged checkpoint manifest or blob makes a resumed
-``cluster_eval`` raise :class:`~repro.errors.CheckpointError`.
+Every ``.irbin`` entry is sealed with the sha256 of its payload.  An
+entry that fails the seal or does not decode is deleted, counted in
+``hpl.disk_cache_corrupt`` and rebuilt, so a rebuild after any damage
+computes exactly what a fault-free run does.  A damaged ``.lock`` byte
+tally makes the store rescan, so it stays under its cap.  A damaged
+checkpoint manifest or blob makes a resumed ``cluster_eval`` raise
+:class:`~repro.errors.CheckpointError`.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from repro.errors import CheckpointError, DeadlineExceeded
 from repro.hpl import Array, float_, idx, reset_runtime
 from repro.hpl.cluster import Cluster, DistributedArray
 from repro.hpl.diskcache import unseal
-from repro.ocl.engines import jit as jit_mod
 
 
 def affine(y, x):
@@ -62,37 +61,13 @@ def configured():
     reset_runtime()
 
 
-def _fresh_process() -> None:
-    """Drop every in-process memo, as a new process starts without them."""
-    reset_runtime()
-    assert not jit_mod._source_memo
-
-
-def test_edited_sidecar_is_regenerated_not_run(tmp_path, configured):
-    # '*' (0x2A) and '+' (0x2B) differ in one bit: before sidecars were
-    # sealed this edit silently returned [4 5 6 7]
-    hpl.configure(cache_dir=tmp_path, engine="jit")
-    np.testing.assert_array_equal(_run(), EXPECTED)
-    (sidecar,) = tmp_path.glob("*.jitsrc")
-    text = sidecar.read_text(encoding="utf-8")
-    assert "R[1] * R[2]" in text
-    sidecar.write_text(text.replace("R[1] * R[2]", "R[1] + R[2]"),
-                       encoding="utf-8")
-
-    _fresh_process()
-    corrupt = _corrupt()
-    np.testing.assert_array_equal(_run(), EXPECTED)
-    assert _corrupt() == corrupt + 1
-    assert "R[1] * R[2]" in sidecar.read_text(encoding="utf-8")  # rebuilt
-
-
 def test_absent_files_are_plain_misses(tmp_path, configured):
     hpl.configure(cache_dir=tmp_path, engine="jit")
     corrupt = _corrupt()
     np.testing.assert_array_equal(_run(), EXPECTED)
     for path in tmp_path.glob("*.*"):
         path.unlink()
-    _fresh_process()
+    reset_runtime()
     np.testing.assert_array_equal(_run(), EXPECTED)
     assert _corrupt() == corrupt
 
@@ -119,25 +94,23 @@ def _damaged(blob: bytes, damage) -> bytes:
 @settings(max_examples=40, deadline=None,
           suppress_health_check=[HealthCheck.too_slow,
                                  HealthCheck.function_scoped_fixture])
-@given(engine_and_suffix=st.sampled_from([
-    ("vector", ".irbin"), ("jit", ".irbin"), ("jit", ".jitsrc")]),
-    damage=_damage)
+@given(engine=st.sampled_from(["serial", "jit-interp", "jit-compiled"]),
+       damage=_damage)
 def test_damaged_cache_file_gives_the_fault_free_output(
-        configured, engine_and_suffix, damage):
-    engine, suffix = engine_and_suffix
+        configured, engine, damage):
     with tempfile.TemporaryDirectory() as cache_dir:
         hpl.configure(cache_dir=cache_dir, engine=engine)
-        _fresh_process()
+        reset_runtime()
         np.testing.assert_array_equal(_run(), EXPECTED)
-        (path,) = Path(cache_dir).glob("*" + suffix)
+        (path,) = Path(cache_dir).glob("*.irbin")
         path.write_bytes(_damaged(path.read_bytes(), damage))
 
-        _fresh_process()
+        reset_runtime()
         corrupt = _corrupt()
         np.testing.assert_array_equal(_run(), EXPECTED)
         assert _corrupt() == corrupt + 1
 
-        _fresh_process()                # the rebuilt file is sound
+        reset_runtime()                # the rebuilt file is sound
         np.testing.assert_array_equal(_run(), EXPECTED)
         assert _corrupt() == corrupt + 1
 
@@ -166,8 +139,8 @@ def _scaled_run(factor: float) -> np.ndarray:
 def test_damaged_tally_rescans_and_keeps_the_cap(configured, damage):
     with tempfile.TemporaryDirectory() as cache_dir:
         store = Path(cache_dir)
-        hpl.configure(cache_dir=cache_dir, engine="vector")
-        _fresh_process()
+        hpl.configure(cache_dir=cache_dir, engine="jit")
+        reset_runtime()
         _scaled_run(2.0)
         (entry,) = store.glob("*.irbin")
         cap = entry.stat().st_size * 5 // 2
@@ -176,7 +149,7 @@ def test_damaged_tally_rescans_and_keeps_the_cap(configured, damage):
         lock.write_bytes(_damaged(lock.read_bytes(), damage))
 
         for factor in (3.0, 4.0, 5.0, 2.0):
-            _fresh_process()
+            reset_runtime()
             np.testing.assert_array_equal(
                 _scaled_run(factor),
                 np.arange(4, dtype=np.float32) * factor + 1.0)

@@ -70,12 +70,12 @@ class TestEngineSwitchRecompiles:
         def k(y):
             y[idx] = y[idx] * 3.0
 
-        a_vector, a_jit = _farray(), _farray()
-        hpl.eval(k)(a_vector)
+        a_jit, a_serial = _farray(), _farray()
+        hpl.eval(k)(a_jit)
         assert rt.stats.kernels_built == 1
-        hpl.configure(engine="jit")
+        hpl.configure(engine="serial")
         try:
-            switched = hpl.eval(k)(a_jit)
+            switched = hpl.eval(k)(a_serial)
             assert not switched.from_cache
             assert rt.stats.kernels_built == 2
             again = hpl.eval(k)(_farray())
@@ -85,20 +85,38 @@ class TestEngineSwitchRecompiles:
         back = hpl.eval(k)(_farray())
         assert back.from_cache              # original entry still valid
         assert rt.stats.kernels_built == 2
-        np.testing.assert_array_equal(a_vector.data, a_jit.data)
+        np.testing.assert_array_equal(a_jit.data, a_serial.data)
 
-    def test_reset_runtime_drops_jit_codegen(self):
+    def test_reset_runtime_drops_jit_codegen(self, monkeypatch):
+        """Launch counts and compiled code live on each program's
+        bytecode, so a reset drops both: the next launch is interpreted
+        again, and the one after it generates code afresh."""
+        from repro import trace
         from repro.hpl import reset_runtime
         from repro.ocl.engines import jit as jit_mod
 
-        hpl.configure(engine="jit")
-        try:
-            hpl.eval(lambda y: y.__setitem__(idx, y[idx] + 1.0))(_farray())
-        finally:
-            hpl.configure(engine=None)
-        assert jit_mod._source_memo
+        calls = []
+        original = jit_mod.generate_module
+        monkeypatch.setattr(jit_mod, "generate_module",
+                            lambda pbc: calls.append(pbc) or original(pbc))
+
+        def k(y):
+            y[idx] = y[idx] + 1.0
+
+        def tiers():
+            tracer = trace.enable(fresh=True)
+            try:
+                for _ in range(2):
+                    hpl.eval(k)(_farray())
+            finally:
+                trace.disable()
+            return [s.attrs["tier"] for s in tracer.spans()
+                    if s.name == "engine_run"]
+
+        assert tiers() == ["interp", "compiled"]
         reset_runtime()
-        assert not jit_mod._source_memo
+        assert tiers() == ["interp", "compiled"]
+        assert len(calls) == 2
 
 
 class TestWeakrefPurge:

@@ -1,6 +1,7 @@
-"""Differential testing: the two execution engines must agree exactly on
-the real benchmark kernels, and on randomized elementwise kernels
-generated through the HPL DSL (compared against a NumPy oracle too).
+"""Differential testing: the serial engine and both tiers of the jit
+engine must agree exactly on the real benchmark kernels, and randomized
+elementwise kernels generated through the HPL DSL must match a NumPy
+oracle.
 """
 
 import numpy as np
@@ -14,12 +15,25 @@ from repro.benchsuite.spmv.kernels import SPMV_OPENCL_SOURCE
 from repro.benchsuite.transpose.kernels import TRANSPOSE_OPENCL_SOURCE
 from tests.conftest import run_cl_kernel
 
+ENGINES = ("serial", "jit-interp", "jit-compiled")
+
 
 def run_on(engine, source, name, args, gsize, lsize=None):
     device = cl.Device(cl.TESLA_C2050, engine)
     copies = [a.copy() if isinstance(a, np.ndarray) else a for a in args]
     run_cl_kernel(device, source, name, copies, gsize, lsize)
     return [a for a in copies if isinstance(a, np.ndarray)]
+
+
+def run_everywhere(source, name, args, gsize, lsize=None):
+    """Output arrays of the first engine, after checking that every
+    engine produced the same bits."""
+    ref, *others = [run_on(engine, source, name, args, gsize, lsize)
+                    for engine in ENGINES]
+    for engine, outs in zip(ENGINES[1:], others):
+        for want, got in zip(ref, outs):
+            assert got.tobytes() == want.tobytes(), engine
+    return ref
 
 
 class TestBenchmarkKernelsAgree:
@@ -29,46 +43,34 @@ class TestBenchmarkKernelsAgree:
         values, cols, rowptr = random_csr(n, per_row=6)
         x = rng.random(n).astype(np.float32)
         out = np.zeros(n, np.float32)
-        args = [values, x, cols, rowptr, out]
-        a = run_on("vector", SPMV_OPENCL_SOURCE, "spmv", args,
-                   (n * 8,), (8,))
-        b = run_on("serial", SPMV_OPENCL_SOURCE, "spmv", args,
-                   (n * 8,), (8,))
-        assert np.array_equal(a[-1], b[-1])
+        run_everywhere(SPMV_OPENCL_SOURCE, "spmv",
+                       [values, x, cols, rowptr, out], (n * 8,), (8,))
 
     def test_transpose_kernel(self, rng):
         n = 32
         src = rng.random((n, n)).astype(np.float32)
         out = np.zeros_like(src)
-        args = [out, src, np.int32(n), np.int32(n)]
-        a = run_on("vector", TRANSPOSE_OPENCL_SOURCE, "matrixTranspose",
-                   args, (n, n), (16, 16))
-        b = run_on("serial", TRANSPOSE_OPENCL_SOURCE, "matrixTranspose",
-                   args, (n, n), (16, 16))
-        assert np.array_equal(a[0], b[0])
-        assert np.array_equal(a[0], src.T)
+        outs = run_everywhere(TRANSPOSE_OPENCL_SOURCE, "matrixTranspose",
+                              [out, src, np.int32(n), np.int32(n)],
+                              (n, n), (16, 16))
+        assert np.array_equal(outs[0], src.T)
 
     def test_reduction_kernel(self, rng):
         n = 4096
         data = rng.random(n).astype(np.float32)
         out = np.zeros(8, np.float32)
-        args = [data, out, ("local", 64 * 4), np.int32(n)]
-        a = run_on("vector", REDUCTION_OPENCL_SOURCE, "reduce", args,
-                   (8 * 64,), (64,))
-        b = run_on("serial", REDUCTION_OPENCL_SOURCE, "reduce", args,
-                   (8 * 64,), (64,))
-        assert np.array_equal(a[-1], b[-1])
+        run_everywhere(REDUCTION_OPENCL_SOURCE, "reduce",
+                       [data, out, ("local", 64 * 4), np.int32(n)],
+                       (8 * 64,), (64,))
 
     def test_ep_kernel_small(self):
         from repro.benchsuite.ep.kernels import EP_OPENCL_SOURCE
         sx = np.zeros(8, np.float64)
         sy = np.zeros(8, np.float64)
         q = np.zeros(80, np.int32)
-        args = [sx, sy, q, np.int64(64), 271828183.0, 1220703125.0]
-        a = run_on("vector", EP_OPENCL_SOURCE, "ep", args, (8,), (4,))
-        b = run_on("serial", EP_OPENCL_SOURCE, "ep", args, (8,), (4,))
-        for x, y in zip(a, b):
-            assert np.array_equal(x, y)
+        run_everywhere(EP_OPENCL_SOURCE, "ep",
+                       [sx, sy, q, np.int64(64), 271828183.0, 1220703125.0],
+                       (8,), (4,))
 
 
 # -- randomized elementwise kernels through the HPL DSL -----------------------

@@ -195,8 +195,8 @@ class TestKernelSemantics:
 @given(st.lists(st.integers(-2**31, 2**31 - 1), min_size=1, max_size=16),
        st.integers(1, 1000))
 def test_engines_agree_on_int_expression(values, divisor):
-    """Differential property: both engines compute the same expression
-    over arbitrary int inputs."""
+    """Differential property: the serial engine and both jit tiers
+    compute the same expression over arbitrary int inputs."""
     import repro.ocl as cl
     from tests.conftest import run_cl_kernel
 
@@ -207,10 +207,11 @@ def test_engines_agree_on_int_expression(values, divisor):
     }"""
     a = np.array(values, np.int32)
     results = []
-    for engine in ("vector", "serial"):
+    for engine in ("jit-interp", "jit-compiled", "serial"):
         device = cl.Device(cl.TESLA_C2050, engine)
         o = np.zeros(len(values), np.int32)
         run_cl_kernel(device, src, "f", [o, a.copy(), np.int32(divisor)],
                       (len(values),))
         results.append(o.copy())
     assert np.array_equal(results[0], results[1])
+    assert np.array_equal(results[0], results[2])

@@ -128,7 +128,7 @@ class TestMeasuredCoalescing:
     """The engines must measure real coalescing differences."""
 
     def _counters(self, src, n, cl_run):
-        device = cl.Device(cl.TESLA_C2050, "vector")
+        device = cl.Device(cl.TESLA_C2050, "jit")
         a = np.zeros(n, dtype=np.float32)
         return cl_run(device, src, "f", [a], (n,)).counters
 
@@ -137,7 +137,7 @@ class TestMeasuredCoalescing:
             int i = get_global_id(0);
             a[i] = a[i] + 1.0f;
         }"""
-        device = cl.Device(cl.TESLA_C2050, "vector")
+        device = cl.Device(cl.TESLA_C2050, "jit")
         n = 4096
         a = np.zeros(2 * n, dtype=np.float32)
         ev_seq = cl_run(device, seq, "f", [a], (n,))
@@ -151,7 +151,7 @@ class TestMeasuredCoalescing:
             ev_seq.counters.global_load_transactions
 
     def test_gather_costs_most(self, cl_run):
-        device = cl.Device(cl.TESLA_C2050, "vector")
+        device = cl.Device(cl.TESLA_C2050, "jit")
         n = 4096
         rng = np.random.default_rng(0)
         idx = rng.permutation(n).astype(np.int32)

@@ -6,9 +6,9 @@ smallest inputs and for the 25 fuzz kernels of
 kernel name, every :class:`~repro.ocl.costmodel.CostCounters` field,
 its per-line profile (every :class:`~repro.prof.LineStat` field, the
 modeled cost included) and its branch divergence tallies, plus a digest
-of the program's output.  Each SIMT engine must reproduce it exactly: an
-engine may change how it executes bytecode, never what the cost model
-and the profiler see.
+of the program's output.  Both tiers of the jit engine must reproduce
+it exactly: a tier may change how bytecode executes, never what the
+cost model and the profiler see.
 
 Regenerate (only for an intended change to the cost model, lowering or
 the profiler) with::
@@ -40,10 +40,11 @@ TABLE = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
 
 LEVELS = (0, 2)
 
-#: the engine the table is recorded under, and the engines checked
-#: against it
-RECORD_ENGINE = "vector"
-ENGINES = ("vector", "jit")
+#: the engine the table is recorded under (it was first recorded under
+#: the lock-step interpreter while that was an engine of its own), and
+#: the engines checked against it: the jit engine pinned to each tier
+RECORD_ENGINE = "jit-interp"
+ENGINES = ("jit-interp", "jit-compiled")
 
 
 def fuzz_cases() -> dict:

@@ -168,7 +168,7 @@ class TestLocalMemoryAndBarriers:
     def test_local_memory_capacity_enforced(self, cl_run):
         small = cl.DeviceSpec(name="tiny", type=cl.device_type.GPU,
                               local_mem_bytes=64)
-        device = cl.Device(small, "vector")
+        device = cl.Device(small, "jit")
         src = """__kernel void f(__global float* o) {
             __local float s[64];
             s[get_local_id(0)] = 0.0f;

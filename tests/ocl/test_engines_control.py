@@ -220,7 +220,7 @@ class TestLoops:
 
     def test_logical_and_short_circuit_effects(self, any_engine_device,
                                                cl_run):
-        # both engines must agree on && even though the vector engine
+        # every engine must agree on && even though the lock-step engine
         # evaluates both sides (expressions are side-effect free)
         src = """__kernel void f(__global int* o, __global const int* a) {
             int i = get_global_id(0);

@@ -1,15 +1,14 @@
-"""The NumPy-codegen JIT engine: identity with the vector interpreter,
-codegen engagement, cache behavior and interpreter fallback."""
+"""The jit engine's two tiers: bit identity across the tier boundary,
+when code generation runs, and typed codegen failures."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-import repro.hpl as hpl
 import repro.ocl as cl
-from repro import prof
-from repro.hpl import reset_runtime
+from repro import prof, trace
+from repro.errors import KernelLaunchError
 from repro.ocl import TESLA_C2050
 from repro.ocl.engines import jit as jit_mod
 from tests.conftest import run_cl_kernel
@@ -41,16 +40,71 @@ KERNEL = """__kernel void mix(__global float* out,
 N = 64
 
 
-def _run(engine: str, options: str = "-O2"):
-    device = cl.Device(TESLA_C2050, engine)
+def _inputs():
     rng = np.random.default_rng(11)
     x = rng.uniform(-2, 2, N).astype(np.float32)
-    out = np.zeros(N, np.float32)
-    hist = np.zeros(4, np.int32)
-    event = run_cl_kernel(device, KERNEL, "mix",
-                          [out, x, hist, np.int32(N)],
+    return [np.zeros(N, np.float32), x, np.zeros(4, np.int32), np.int32(N)]
+
+
+def _run(engine: str, options: str = "-O2"):
+    device = cl.Device(TESLA_C2050, engine)
+    out, x, hist, n = _inputs()
+    event = run_cl_kernel(device, KERNEL, "mix", [out, x, hist, n],
                           (N,), (16,), options=options)
     return out, hist, event.counters
+
+
+class _Launcher:
+    """One built program on a ``jit`` device, launched on demand with
+    fresh buffers of the same inputs."""
+
+    def __init__(self, options: str = "-O2") -> None:
+        device = cl.Device(TESLA_C2050, "jit")
+        self.ctx = cl.Context([device])
+        self.queue = cl.CommandQueue(self.ctx, device)
+        self.program = cl.Program(self.ctx, KERNEL).build(options)
+        self.kernel = self.program.create_kernel("mix")
+
+    def launch(self):
+        args = _inputs()
+        buffers = []
+        for i, arg in enumerate(args):
+            if isinstance(arg, np.ndarray):
+                buf = cl.Buffer(self.ctx, cl.mem_flags.READ_WRITE,
+                                size=arg.nbytes)
+                self.queue.enqueue_write_buffer(buf, arg)
+                buffers.append((buf, arg))
+                arg = buf
+            self.kernel.set_arg(i, arg)
+        event = self.queue.enqueue_nd_range_kernel(self.kernel, (N,), (16,))
+        for buf, host in buffers:
+            self.queue.enqueue_read_buffer(buf, host)
+        self.queue.finish()
+        return args[0], args[2], event.counters
+
+
+def _profiled(fn):
+    """``(fn(), [per-line dict, per-branch dict])`` of its one launch."""
+    was_enabled = prof.is_enabled()
+    prof.enable()
+    try:
+        prof.reset()
+        result = fn()
+        (profile,) = prof.get_profiler().drain()
+    finally:
+        if not was_enabled:
+            prof.disable()
+    return result, [{ln: rec.to_dict() for ln, rec in profile.lines.items()},
+                    {ln: b.to_dict() for ln, b in profile.branches.items()}]
+
+
+def _spans(fn):
+    tracer = trace.enable(fresh=True)
+    try:
+        fn()
+    finally:
+        trace.disable()
+    return tracer.spans()
 
 
 @pytest.fixture(autouse=True)
@@ -58,136 +112,107 @@ def _fresh(fresh_runtime):
     yield
 
 
+@pytest.fixture()
+def codegen_calls(monkeypatch):
+    """The list that gets one entry per ``generate_module`` call."""
+    calls = []
+    original = jit_mod.generate_module
+    monkeypatch.setattr(jit_mod, "generate_module",
+                        lambda pbc: calls.append(pbc) or original(pbc))
+    return calls
+
+
 class TestBitIdentity:
+    """The compiled tier against the lock-step interpreter (the
+    ``vector`` path the ids name)."""
+
     @pytest.mark.parametrize("options", ["-cl-opt-disable", "-O1", "-O2"])
     def test_buffers_and_counters_match_vector(self, options):
-        v_out, v_hist, v_c = _run("vector", options)
-        j_out, j_hist, j_c = _run("jit", options)
+        v_out, v_hist, v_c = _run("jit-interp", options)
+        j_out, j_hist, j_c = _run("jit-compiled", options)
         assert j_out.tobytes() == v_out.tobytes()
         assert j_hist.tobytes() == v_hist.tobytes()
         assert vars(j_c) == vars(v_c)
 
     def test_per_line_profiles_match_vector(self):
-        was_enabled = prof.is_enabled()
-        prof.enable()
+        _r, v_profile = _profiled(lambda: _run("jit-interp"))
+        _r, j_profile = _profiled(lambda: _run("jit-compiled"))
+        assert j_profile == v_profile
+
+    @pytest.mark.parametrize("options", ["-cl-opt-disable", "-O2"])
+    def test_second_launch_matches_the_first(self, options):
+        """One program launched twice on the default engine crosses the
+        tier boundary; buffers, counters and per-line profiles stay
+        bit-identical."""
+        launcher = _Launcher(options)
+        tracer = trace.enable(fresh=True)
         try:
-            prof.reset()
-            _run("vector")
-            (v_profile,) = prof.get_profiler().drain()
-            _run("jit")
-            (j_profile,) = prof.get_profiler().drain()
+            first, p_first = _profiled(launcher.launch)
+            second, p_second = _profiled(launcher.launch)
         finally:
-            if not was_enabled:
-                prof.disable()
-        v_lines = {ln: rec.to_dict() for ln, rec in v_profile.lines.items()}
-        j_lines = {ln: rec.to_dict() for ln, rec in j_profile.lines.items()}
-        assert j_lines == v_lines
-        assert ({ln: b.to_dict() for ln, b in j_profile.branches.items()}
-                == {ln: b.to_dict() for ln, b in v_profile.branches.items()})
+            trace.disable()
+        assert [s.attrs["tier"] for s in tracer.spans()
+                if s.name == "engine_run"] == ["interp", "compiled"]
+        assert second[0].tobytes() == first[0].tobytes()
+        assert second[1].tobytes() == first[1].tobytes()
+        assert vars(second[2]) == vars(first[2])
+        assert p_second == p_first
 
 
 class TestCodegenEngagement:
-    def test_o2_run_uses_generated_code(self):
-        """At -O2 the JIT must actually execute generated functions —
-        the in-process source memo fills and the bytecode object holds
-        compiled callables for the kernel."""
-        jit_mod.clear_cache()
-        device = cl.Device(TESLA_C2050, "jit")
-        ctx = cl.Context([device])
-        program = cl.Program(ctx, KERNEL).build("-O2")
-        assert jit_mod._source_memo          # codegen ran at build time
-        version, funcs = program.ir.bytecode._jit
-        assert version == jit_mod.JIT_CODEGEN_VERSION
-        assert callable(funcs["mix"])
+    def test_single_launch_never_generates_code(self, codegen_calls):
+        """A kernel launched once stays in the interpreter: no codegen,
+        no ``compile()``, nothing memoized."""
+        launcher = _Launcher()
+        launcher.launch()
+        assert codegen_calls == []
+        assert getattr(launcher.program.ir.bytecode, "_jit", None) is None
 
-    def test_prebuild_hook_compiles_at_build_time(self):
-        """``Program.build`` on a jit device triggers codegen (the
-        prebuild hook), so the first enqueue pays nothing."""
-        jit_mod.clear_cache()
-        device = cl.Device(TESLA_C2050, "jit")
-        program = cl.Program(cl.Context([device]), KERNEL).build("-O2")
-        assert getattr(program.ir.bytecode, "_jit", None) is not None
+    def test_o2_run_uses_generated_code(self, codegen_calls):
+        """From the second launch on, the program's bytecode object
+        holds compiled callables, generated once."""
+        launcher = _Launcher("-O2")
+        for _ in range(3):
+            launcher.launch()
+        assert len(codegen_calls) == 1
+        assert callable(launcher.program.ir.bytecode._jit["mix"])
 
     def test_o0_runs_generated_code(self):
         """-O0 programs are lowered to unoptimized bytecode, so the jit
         engine compiles and runs them like any other level, with
-        vector-identical output."""
-        jit_mod.clear_cache()
-        device = cl.Device(TESLA_C2050, "jit")
-        program = cl.Program(cl.Context([device]), KERNEL).build(
-            "-cl-opt-disable")
-        assert program.ir.opt_level == 0
-        version, funcs = program.ir.bytecode._jit
-        assert version == jit_mod.JIT_CODEGEN_VERSION
-        assert callable(funcs["mix"])
-        v_out, _h, v_c = _run("vector", "-cl-opt-disable")
-        j_out, _h, j_c = _run("jit", "-cl-opt-disable")
+        output identical to the interpreter's."""
+        launcher = _Launcher("-cl-opt-disable")
+        assert launcher.program.ir.opt_level == 0
+        launcher.launch()
+        launcher.launch()
+        assert callable(launcher.program.ir.bytecode._jit["mix"])
+        v_out, _h, v_c = _run("jit-interp", "-cl-opt-disable")
+        j_out, _h, j_c = _run("jit-compiled", "-cl-opt-disable")
         assert j_out.tobytes() == v_out.tobytes()
         assert vars(j_c) == vars(v_c)
 
-    def test_codegen_failure_falls_back_to_interpreter(self, monkeypatch):
-        """Any codegen breakage degrades to the interpreter, never to a
-        launch failure."""
-        jit_mod.clear_cache()
+    def test_codegen_failure_raises_kernel_launch_error(self, monkeypatch):
+        """A codegen or ``compile()`` failure is a typed launch error
+        with the cause chained, never a silent fallback."""
         monkeypatch.setattr(jit_mod, "generate_module",
                             lambda pbc: (_ for _ in ()).throw(
                                 RuntimeError("boom")))
-        v_out, v_hist, v_c = _run("vector")
-        j_out, j_hist, j_c = _run("jit")
-        assert j_out.tobytes() == v_out.tobytes()
-        assert vars(j_c) == vars(v_c)
+        _run("jit")                     # interpreted: codegen not reached
+        with pytest.raises(KernelLaunchError, match="boom") as exc:
+            _run("jit-compiled")
+        assert isinstance(exc.value.__cause__, RuntimeError)
 
     def test_engine_run_span_records_engine(self):
-        from repro import trace
-        tracer = trace.enable(fresh=True)
-        try:
-            _run("jit")
-        finally:
-            trace.disable()
-        spans = [s for s in tracer.spans() if s.name == "engine_run"]
-        assert spans and all(s.attrs["engine"] == "jit" for s in spans)
+        spans = _spans(lambda: _run("jit"))
+        runs = [s for s in spans if s.name == "engine_run"]
+        assert runs and all(s.attrs["engine"] == "jit" for s in runs)
+        assert [s.attrs["tier"] for s in runs] == ["interp"]
 
-
-class TestSourceCache:
-    def test_generated_source_cached_on_disk(self, tmp_path):
-        """With the disk cache active, codegen writes a ``.jitsrc``
-        sidecar; a fresh process-state (memo cleared) is served from
-        disk without regenerating."""
-        hpl.configure(cache_dir=tmp_path)
-        try:
-            _run("jit")
-            sidecars = list(tmp_path.glob("*.jitsrc"))
-            assert len(sidecars) == 1
-            text = sidecars[0].read_text(encoding="utf-8")
-            assert "def " in text and "FUNCS" in text
-
-            reset_runtime()             # drops the in-process memo
-            assert not jit_mod._source_memo
-            calls = []
-            orig = jit_mod.generate_module
-            jit_mod.generate_module = \
-                lambda pbc: calls.append(1) or orig(pbc)
-            try:
-                _run("jit")
-            finally:
-                jit_mod.generate_module = orig
-            assert calls == []          # served from the .jitsrc sidecar
-        finally:
-            hpl.configure(cache_dir=None)
-
-    def test_purge_sweeps_jitsrc_sidecars(self, tmp_path):
-        cache = hpl.configure(cache_dir=tmp_path)
-        try:
-            _run("jit")
-            assert list(tmp_path.glob("*.jitsrc"))
-            cache.purge()
-            assert not list(tmp_path.glob("*.jitsrc"))
-            assert not list(tmp_path.glob("*.irbin"))
-        finally:
-            hpl.configure(cache_dir=None)
-
-    def test_reset_runtime_clears_source_memo(self):
-        _run("jit")
-        assert jit_mod._source_memo
-        reset_runtime()
-        assert not jit_mod._source_memo
+    def test_tier_up_opens_a_jit_compile_span(self):
+        launcher = _Launcher()
+        spans = _spans(lambda: [launcher.launch() for _ in range(3)])
+        runs = [s for s in spans if s.name == "engine_run"]
+        (compile_span,) = [s for s in spans if s.name == "jit_compile"]
+        assert [s.attrs["tier"] for s in runs] == \
+            ["interp", "compiled", "compiled"]
+        assert compile_span.parent_id == runs[1].span_id

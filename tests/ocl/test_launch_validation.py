@@ -55,7 +55,7 @@ class TestDefaultLocalSize:
         from dataclasses import replace
 
         spec = replace(TESLA_C2050, max_work_item_sizes=(64, 64, 64))
-        device = cl.Device(spec, "vector")
+        device = cl.Device(spec, "jit")
         dst = np.zeros(256, dtype=np.float32)
         src = np.arange(256, dtype=np.float32)
         cl_run(device, COPY_SRC, "copy", [dst, src], (256,))
@@ -75,8 +75,8 @@ __kernel void dscale(__global double* y, double a) {
 
 @pytest.fixture()
 def two_gpus():
-    tesla = cl.Device(TESLA_C2050, "vector")
-    quadro = cl.Device(QUADRO_FX380, "vector")
+    tesla = cl.Device(TESLA_C2050, "jit")
+    quadro = cl.Device(QUADRO_FX380, "jit")
     return cl.Context([tesla, quadro]), tesla, quadro
 
 
@@ -143,7 +143,7 @@ class TestPerDeviceBuild:
 
     def test_build_rejects_foreign_device(self, two_gpus):
         ctx, tesla, _quadro = two_gpus
-        other = cl.Device(TESLA_C2050, "vector")   # not in this context
+        other = cl.Device(TESLA_C2050, "jit")   # not in this context
         with pytest.raises(InvalidDevice):
             cl.Program(ctx, COPY_SRC).build(devices=[other])
 
@@ -159,20 +159,20 @@ __kernel void gather(__global float* dst, __constant float* table) {
 
 
 class TestConstantArgs:
-    def test_small_constant_buffer_runs(self, cl_run, tesla_vector):
+    def test_small_constant_buffer_runs(self, cl_run, tesla_jit):
         dst = np.zeros(64, dtype=np.float32)
         table = np.arange(16, dtype=np.float32)
-        cl_run(tesla_vector, CONST_SRC, "gather", [dst, table], (64,))
+        cl_run(tesla_jit, CONST_SRC, "gather", [dst, table], (64,))
         np.testing.assert_array_equal(dst, np.tile(table, 4))
 
-    def test_oversized_constant_buffer_rejected(self, tesla_vector):
+    def test_oversized_constant_buffer_rejected(self, tesla_jit):
         # regression: the device's CL_DEVICE_MAX_CONSTANT_BUFFER_SIZE
         # (64 KB) was not enforced at launch
-        ctx = cl.Context([tesla_vector])
-        queue = cl.CommandQueue(ctx, tesla_vector)
+        ctx = cl.Context([tesla_jit])
+        queue = cl.CommandQueue(ctx, tesla_jit)
         program = cl.Program(ctx, CONST_SRC).build()
         kernel = program.create_kernel("gather")
-        too_big = tesla_vector.max_constant_buffer_size + 4
+        too_big = tesla_jit.max_constant_buffer_size + 4
         dst = cl.Buffer(ctx, cl.mem_flags.READ_WRITE, size=64 * 4)
         table = cl.Buffer(ctx, cl.mem_flags.READ_ONLY, size=too_big)
         kernel.set_arg(0, dst)

@@ -12,11 +12,11 @@ record must show exactly
 
 Those numbers are engine- and opt-level-independent.  Transaction
 counts differ by *model*: the serial (CPU) engine counts one
-transaction per access (192), the vector (GPU) engine coalesces each
-warp's 128 contiguous bytes into one segment (3 accesses x 2 warps =
-6).  Both engines must also agree line-by-line on execution counts for
-every kernel, at -O0 (unoptimized bytecode) and -O2 (optimized
-bytecode) alike.
+transaction per access (192), the lock-step (GPU) jit engine coalesces
+each warp's 128 contiguous bytes into one segment (3 accesses x 2 warps
+= 6).  The serial engine and both jit tiers must also agree line-by-line
+on execution counts for every kernel, at -O0 (unoptimized bytecode) and
+-O2 (optimized bytecode) alike.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ import pytest
 
 import repro.ocl as cl
 from repro.ocl import TESLA_C2050
+from tests.conftest import ENGINE_LEGS
 
 AXPY = """__kernel void axpy(__global const float* x,
                    __global float* y,
@@ -52,7 +53,7 @@ LOOP = """__kernel void looped(__global int* out)
 """
 
 OPT_LEVELS = ("-cl-opt-disable", "-O2")
-ENGINES = ("serial", "vector", "jit")
+ENGINES = ("serial", "jit-interp", "jit-compiled")
 
 
 def _run_axpy(cl_run, engine, options):
@@ -66,7 +67,7 @@ def _run_axpy(cl_run, engine, options):
 
 class TestHandComputedCounts:
     @pytest.mark.parametrize("options", OPT_LEVELS)
-    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("engine", ENGINE_LEGS)
     def test_axpy_line_stats(self, profiler, cl_run, engine, options):
         x, y = _run_axpy(cl_run, engine, options)
         np.testing.assert_allclose(y, 2.0 * x + 1.0, rtol=1e-6)
@@ -88,12 +89,12 @@ class TestHandComputedCounts:
         _run_axpy(cl_run, "serial", options)
         (serial,) = profiler.drain()
         assert serial.lines[AXPY_LINE].transactions == 3 * N
-        # vector = GPU model: each warp's 32 contiguous floats coalesce
+        # jit = GPU model: each warp's 32 contiguous floats coalesce
         # into one 128-byte segment -> 3 accesses x 2 warps
-        _run_axpy(cl_run, "vector", options)
-        (vector,) = profiler.drain()
-        assert vector.lines[AXPY_LINE].transactions == 6
-        assert vector.lines[AXPY_LINE].coalescing(128) == pytest.approx(1.0)
+        _run_axpy(cl_run, "jit", options)
+        (jit,) = profiler.drain()
+        assert jit.lines[AXPY_LINE].transactions == 6
+        assert jit.lines[AXPY_LINE].coalescing(128) == pytest.approx(1.0)
 
 
 class TestEngineParity:
@@ -122,8 +123,8 @@ class TestEngineParity:
             per_engine[engine] = {
                 line: (s.execs, s.loads, s.stores, s.mem_bytes)
                 for line, s in profile.lines.items()}
-        assert per_engine["serial"] == per_engine["vector"]
-        assert per_engine["jit"] == per_engine["vector"]
+        assert per_engine["serial"] == per_engine["jit-interp"]
+        assert per_engine["jit-compiled"] == per_engine["jit-interp"]
 
     def test_loop_body_attribution(self, profiler, cl_run):
         """The while body must carry the trip count: 10 iterations x 64

@@ -104,7 +104,7 @@ class TestSavedProfiles:
 
         for command, needle in (
                 ("annotate", "kernel ep_hpl_kernel"),
-                ("flame", "ep_hpl_kernel [vector]"),
+                ("flame", "ep_hpl_kernel [jit]"),
                 ("roofline", "compute-bound"),
                 ("report", "kernel ep_hpl_kernel ")):
             rc, out = _run(capsys, command, path)

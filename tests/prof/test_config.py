@@ -20,7 +20,7 @@ AXPY = """__kernel void axpy(__global float* y)
 
 
 def _launch(cl_run):
-    device = cl.Device(TESLA_C2050, "vector")
+    device = cl.Device(TESLA_C2050, "jit")
     cl_run(device, AXPY, "axpy", [np.zeros(64, dtype=np.float32)],
            (64,), (64,))
 

@@ -8,7 +8,7 @@ from repro.prof import BranchStat, KernelProfile, LineStat
 from repro.prof.core import merge_profiles
 
 
-def _mk_profile(kernel="k", engine="vector", launches=1,
+def _mk_profile(kernel="k", engine="jit", launches=1,
                 compute_s=2.0, memory_s=1.0) -> KernelProfile:
     p = KernelProfile()
     p.kernel = kernel
@@ -83,7 +83,7 @@ class TestMerge:
 
     def test_different_engines_stay_separate(self):
         merged = merge_profiles([_mk_profile(engine="serial"),
-                                 _mk_profile(engine="vector")])
+                                 _mk_profile(engine="jit")])
         assert len(merged) == 2
 
 

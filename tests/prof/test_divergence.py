@@ -1,4 +1,5 @@
-"""SIMT divergence and lane-occupancy tracking (vector engine only)."""
+"""SIMT divergence and lane-occupancy tracking (lock-step jit engine
+only)."""
 
 from __future__ import annotations
 
@@ -31,7 +32,7 @@ UNIFORM = """__kernel void allon(__global float* out)
 
 
 def _run(cl_run, source, name, options="-O2"):
-    device = cl.Device(TESLA_C2050, "vector")
+    device = cl.Device(TESLA_C2050, "jit")
     out = np.zeros(128, dtype=np.float32)
     cl_run(device, source, name, [out], (128,), (64,), options=options)
     return out

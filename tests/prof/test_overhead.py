@@ -19,7 +19,7 @@ from repro import prof
 class TestDisabledFastPath:
     def test_begin_launch_returns_none(self):
         prof.disable()
-        assert prof.begin_launch("k", "vector", None, "", 64, 1) is None
+        assert prof.begin_launch("k", "jit", None, "", 64, 1) is None
         assert len(prof.get_profiler()) == 0
 
     def test_finish_launch_of_none_is_noop(self):
@@ -32,7 +32,7 @@ class TestDisabledFastPath:
         n = 100_000
         t0 = time.perf_counter()
         for _ in range(n):
-            prof.begin_launch("k", "vector", None, "", 64, 1)
+            prof.begin_launch("k", "jit", None, "", 64, 1)
         elapsed = time.perf_counter() - t0
         # generous CI bound: 10us/call would still pass; typical ~0.3us
         assert elapsed < n * 10e-6, (
@@ -53,7 +53,7 @@ class TestDisabledFastPath:
 
 class TestEnabledStillBounded:
     def test_collector_recording_is_cheap(self, profiler):
-        col = profiler.begin_launch("k", "vector", None, "", 64, 1)
+        col = profiler.begin_launch("k", "jit", None, "", 64, 1)
         n = 100_000
         t0 = time.perf_counter()
         for i in range(n):

@@ -111,7 +111,7 @@ class TestSimclSpans:
         assert all(s.attrs["kernel"] == "saxpy" for s in kernel_events)
         engine_runs = [s for s in spans if s.name == "engine_run"]
         assert len(engine_runs) == 2
-        assert all(s.attrs["engine"] in ("vector", "serial")
+        assert all(s.attrs["engine"] in ("jit", "serial")
                    for s in engine_runs)
         assert all(s.attrs["work_items"] == 32 for s in engine_runs)
 
@@ -140,7 +140,7 @@ class TestProfilingDisabledError:
         import repro.ocl as cl
         from repro.ocl import TESLA_C2050
 
-        device = cl.Device(TESLA_C2050, "vector")
+        device = cl.Device(TESLA_C2050, "jit")
         ctx = cl.Context([device])
         queue = cl.CommandQueue(ctx, device, profiling=False)
         buf = cl.Buffer(ctx, cl.mem_flags.READ_WRITE, size=64)
@@ -157,7 +157,7 @@ class TestProfilingDisabledError:
         import repro.ocl as cl
         from repro.ocl import TESLA_C2050
 
-        device = cl.Device(TESLA_C2050, "vector")
+        device = cl.Device(TESLA_C2050, "jit")
         ctx = cl.Context([device])
         queue = cl.CommandQueue(ctx, device, profiling=True)
         buf = cl.Buffer(ctx, cl.mem_flags.READ_WRITE, size=64)

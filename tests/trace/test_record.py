@@ -48,7 +48,7 @@ def good_lines(tmp_path_factory) -> list[str]:
     path = tmp_path_factory.mktemp("record") / "run.jsonl"
     trace.write_record(str(path), ["tiny"], None, tracer.spans(), [
         {"name": "tiny", "span": target.span_id,
-         "meta": {"engine": "vector", "opt_level": 2},
+         "meta": {"engine": "jit", "opt_level": 2},
          "runtime": snapshot, "metrics": trace.get_registry().snapshot(),
          "profiles": profiles}])
     return path.read_text().splitlines()
