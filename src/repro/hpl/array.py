@@ -16,6 +16,8 @@ scratchpad) array instead — the same dual role the C++ template has.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from ..errors import CoherenceError, HPLError, KernelCaptureError
@@ -84,10 +86,10 @@ class Array:
                     f"provided storage has dtype {data.dtype}, expected "
                     f"{dtype.np_dtype} — HPL wraps user memory without "
                     "copying, so the types must match")
-            if data.size != int(np.prod(shape)):
+            if data.size != math.prod(shape):
                 raise HPLError(
                     f"provided storage has {data.size} elements, shape "
-                    f"{shape} needs {int(np.prod(shape))}")
+                    f"{shape} needs {math.prod(shape)}")
             self._host = np.ascontiguousarray(data).reshape(shape)
             self._user_owned = True
         else:
@@ -112,7 +114,7 @@ class Array:
 
     @property
     def size(self) -> int:
-        return int(np.prod(self.shape))
+        return math.prod(self.shape)
 
     @property
     def nbytes(self) -> int:
@@ -142,7 +144,6 @@ class Array:
     def fill(self, value) -> "Array":
         """Set every element to ``value`` (host-side write)."""
         self._host[...] = value
-        self._host_valid = True
         self._invalidate_devices()
         return self
 
@@ -263,6 +264,8 @@ class Array:
             "coherence error)")
 
     def _invalidate_devices(self) -> None:
+        """Make the host copy the only valid one."""
+        self._host_valid = True
         for dev in self._device_valid:
             self._device_valid[dev] = False
         self._device_event.clear()

@@ -155,8 +155,7 @@ def _probation(schedule):
         faults.configure("device=Quadro kind=transient code=lost nth=1 "
                          "count=3")
         cluster, args = _problem()
-        record = _call(cluster, args, schedule=schedule, probation=True,
-                       probe_interval=1)
+        record = _call(cluster, args, schedule=schedule, probation=True)
         record["roster"] = [d.label for d in cluster.devices]
         return record
     return case

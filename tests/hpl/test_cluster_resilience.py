@@ -345,7 +345,7 @@ class TestProbationReadmission:
         readmit0 = registry.counter("cluster.readmitted").value
         out, result, c = _run(
             "device=Quadro kind=transient code=lost nth=1 count=3",
-            "dynamic", probation=True, probe_interval=1)
+            "dynamic", probation=True)
         f = result.failures
         assert "SimCL Quadro FX 380#1" in f.devices_lost
         assert "SimCL Quadro FX 380#1" in f.readmitted
@@ -363,7 +363,7 @@ class TestProbationReadmission:
         before = calibration().throughput("saxpy_part", quadro)
         assert before
         _run("device=Quadro kind=transient code=lost nth=1 count=2",
-             "dynamic", probation=True, probe_interval=1)
+             "dynamic", probation=True)
         after = calibration().throughput("saxpy_part", quadro)
         assert after < before
 
@@ -384,7 +384,6 @@ class TestProbationReadmission:
         faults.configure(None)
         args, _ = _problem(c)
         result = cluster_eval(saxpy_part, c, *args, probation=True,
-                              probe_interval=1,
                               schedule=DynamicScheduler(min_chunk=1))
         assert quadro in result.failures.readmitted
         sizes = [hi - lo for (lo, hi), r in zip(args[0].bounds, result)
@@ -400,8 +399,7 @@ class TestProbationReadmission:
         registry = trace.get_registry()
         probes0 = registry.counter("cluster.probes").value
         with pytest.raises(ClusterExecutionError):
-            _run("device=* kind=lost at=0", schedule, probation=True,
-                 probe_interval=1)
+            _run("device=* kind=lost at=0", schedule, probation=True)
         assert registry.counter("cluster.probes").value > probes0
 
     def test_without_probation_all_lost_fails_without_probing(self):
