@@ -190,6 +190,10 @@ class Preprocessor:
     # -- macro expansion -------------------------------------------------------
 
     def _expand_line(self, line: str, lineno: int) -> str:
+        if not self.macros:
+            # what _expand returns with nothing to expand: its tokens
+            # cover every character of a line
+            return line
         return self._expand(line, lineno, frozenset())
 
     def _expand(self, text: str, lineno: int, hidden: frozenset[str]) -> str:

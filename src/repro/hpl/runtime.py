@@ -17,6 +17,7 @@ measure exactly what the paper measured.
 from __future__ import annotations
 
 import inspect
+import math
 import time
 import weakref
 from dataclasses import dataclass, field
@@ -33,6 +34,13 @@ from .builder import KernelBuilder
 from .codegen import generate_source
 from .proxy import ArrayHandle, ScalarParam
 from .scalars import HostScalar
+
+
+#: leaf types whose exact type alone completes their key: equal values
+#: of one type trace identically
+_PLAIN_LEAVES = (int, str, bytes, type(None))
+#: follows a float leaf equal to ``-0.0`` in a closure key's shape
+_NEGATIVE_ZERO = "-0.0"
 
 
 def _stat_property(key: str, cast):
@@ -387,21 +395,56 @@ class HPLRuntime:
 
     # -- cache keys --------------------------------------------------------------------------
 
-    #: closure-cell values that may participate in a cache key by value;
-    #: anything else falls back to identity (weak) keying, since HPL
-    #: cannot tell whether the object influences the traced source
-    _VALUE_TYPES = (int, float, complex, bool, str, bytes, frozenset,
-                    type(None))
-
     @classmethod
     def _cell_signature(cls, value):
-        """A hashable by-value stand-in for one closure cell, or None."""
-        if isinstance(value, cls._VALUE_TYPES):
-            return (type(value).__name__, value)
-        if isinstance(value, tuple):
-            parts = tuple(cls._cell_signature(v) for v in value)
-            return None if None in parts else ("tuple", parts)
-        return None
+        """A hashable by-value key for closure contents, or None.
+
+        The key is ``(value, shape)``.  ``shape`` lists, in pre-order,
+        each tuple's length and each leaf's exact type, so values that
+        compare equal but trace differently (``1``/``1.0``/``True``,
+        ``(1,)``/``(1.0,)``) get different keys.  A ``-0.0`` leaf adds
+        a marker after its type, since it equals ``0.0`` but divides to
+        the other infinity.  A frozenset adds the frozenset of its
+        elements' keys: equal sets of differently typed elements can
+        iterate in the same type order, so iteration order is no key.
+        Anything else (lists, dicts, sets, arbitrary objects) is not
+        plain data: HPL cannot tell whether it shapes the traced
+        source, so the caller falls back to identity keying.
+        """
+        shape: list = []
+        append = shape.append
+        stack = [value]
+        pop, push = stack.pop, stack.extend
+        while stack:
+            v = pop()
+            t = type(v)
+            if isinstance(v, tuple):
+                if t is not tuple:              # e.g. a namedtuple
+                    append(t)
+                append(len(v))
+                push(v[::-1])
+            elif isinstance(v, _PLAIN_LEAVES):
+                append(t)
+            elif isinstance(v, float):
+                append(t)
+                if v == 0.0 and math.copysign(1.0, v) < 0.0:
+                    append(_NEGATIVE_ZERO)
+            elif isinstance(v, complex):
+                append(t)
+                append((math.copysign(1.0, v.real),
+                        math.copysign(1.0, v.imag)))
+            elif isinstance(v, frozenset):
+                keys = []
+                for item in v:
+                    key = cls._cell_signature(item)
+                    if key is None:
+                        return None
+                    keys.append(key)
+                append(t)
+                append(frozenset(keys))
+            else:
+                return None
+        return value, tuple(shape)
 
     def _func_key(self, func):
         """A cache key for the kernel function itself.
@@ -416,17 +459,14 @@ class HPLRuntime:
         """
         code = getattr(func, "__code__", None)
         if code is not None and getattr(func, "__self__", None) is None:
-            cells = []
-            for cell in getattr(func, "__closure__", None) or ():
-                try:
-                    sig = self._cell_signature(cell.cell_contents)
-                except ValueError:          # empty cell
-                    sig = None
-                if sig is None:
-                    break
-                cells.append(sig)
-            else:
-                return (code, tuple(cells))
+            try:
+                sig = self._cell_signature(tuple(
+                    cell.cell_contents
+                    for cell in getattr(func, "__closure__", None) or ()))
+            except ValueError:              # an empty cell
+                sig = None
+            if sig is not None:
+                return (code, sig)
         try:
             return weakref.ref(func, self._purge_func)
         except TypeError:
@@ -466,8 +506,11 @@ class HPLRuntime:
     def signature_of(self, func, args) -> tuple:
         return (self._func_key(func), self.arg_signature(args))
 
-    def get_captured(self, func, args) -> CapturedKernel:
-        key = self.signature_of(func, args)
+    def get_captured(self, func, args, key=None) -> CapturedKernel:
+        """The captured kernel for this invocation; ``key`` is its
+        :meth:`signature_of`, when the caller already has it."""
+        if key is None:
+            key = self.signature_of(func, args)
         hit = self._captured.get(key)
         if hit is not None:
             return hit
@@ -561,13 +604,13 @@ class HPLRuntime:
         backends mid-session (``hpl.configure(engine=)``) recompiles
         instead of reusing another backend's cached executable.
         """
-        key = self.signature_of(func, args) + (device,
-                                               device.ocl.engine_name)
+        signature = self.signature_of(func, args)
+        key = signature + (device, device.ocl.engine_name)
         hit = self._compiled.get(key)
         if hit is not None:
             self.stats.cache_hits += 1
             return hit, True
-        captured = self.get_captured(func, args)
+        captured = self.get_captured(func, args, signature)
         if captured.info.uses_double and not device.supports_fp64:
             raise BuildProgramFailure(
                 f"kernel {captured.kernel_name!r} uses double precision, "

@@ -1,10 +1,14 @@
 """Preprocessor tests."""
 
+import importlib
+import importlib.util
+from pathlib import Path
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.clc.preprocessor import preprocess
+from repro.clc.preprocessor import Preprocessor, preprocess
 from repro.errors import PreprocessorError
 
 
@@ -156,3 +160,93 @@ def test_no_directives_roundtrip(text):
     if "#" in text:
         return
     assert preprocess(text) == text
+
+
+# -- macro-free pass-through ----------------------------------------------------
+
+FP64_SOURCE = """#pragma OPENCL EXTENSION cl_khr_fp64 : enable
+__kernel void twice(__global double* y) {
+    y[get_global_id(0)] = y[get_global_id(0)] * 2.0; // in place
+}
+"""
+
+
+class _FullExpansion(Preprocessor):
+    """The preprocessor without its pass-through: every line is
+    tokenized and expanded, defined macros or not."""
+
+    def _expand_line(self, line, lineno):
+        return self._expand(line, lineno, frozenset())
+
+
+def _benchsuite_sources() -> dict:
+    """The hand-written OpenCL C of the benchsuite (some define
+    macros, so their later lines take the expanding path)."""
+    out = {}
+    for bench in ("ep", "floyd", "reduction", "spmv", "transpose"):
+        kernels = importlib.import_module(f"repro.benchsuite.{bench}.kernels")
+        out[bench] = getattr(kernels, f"{bench.upper()}_OPENCL_SOURCE")
+        table1 = importlib.import_module(
+            f"repro.benchsuite.table1.{bench}_opencl")
+        out[f"table1/{bench}"] = table1.KERNEL_SOURCE
+    return out
+
+
+def _kernelgen_sources(count: int) -> dict:
+    """HPL codegen output for the perf benchmark's generated kernels."""
+    import repro.hpl as hpl
+    from repro.hpl import get_runtime, reset_runtime
+
+    path = (Path(__file__).resolve().parents[2] / "benchmarks" / "perf"
+            / "kernelgen.py")
+    spec = importlib.util.spec_from_file_location("kernelgen", path)
+    kernelgen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(kernelgen)
+    out = {}
+    reset_runtime()
+    for index in range(count):
+        fa, fb, ia = kernelgen.inputs(0, index, n=4)
+        args = (hpl.Array(hpl.float_, 4), hpl.Array(hpl.int_, 4),
+                hpl.Array(hpl.float_, 4, data=fa),
+                hpl.Array(hpl.float_, 4, data=fb),
+                hpl.Array(hpl.int_, 4, data=ia))
+        kernel = kernelgen.build(kernelgen.generate(0, index))
+        out[f"kernelgen/{index}"] = \
+            get_runtime().get_captured(kernel, args).source
+    reset_runtime()
+    return out
+
+
+@pytest.fixture(scope="module")
+def generated():
+    """Sources of generated kernels: none defines a macro."""
+    from tests.clc.corpus import fuzz_sources, paper_sources
+
+    return {**paper_sources(), **fuzz_sources(20), **_kernelgen_sources(20)}
+
+
+class TestMacroFreePassThrough:
+    def test_output_equals_the_full_expansion(self, generated):
+        corpus = {**_benchsuite_sources(), **generated, "fp64": FP64_SOURCE}
+        for name, source in corpus.items():
+            assert Preprocessor().process(source) == \
+                _FullExpansion().process(source), name
+
+    def test_macro_free_sources_skip_expansion(self, generated,
+                                               monkeypatch):
+        calls = []
+        real = Preprocessor._expand
+        monkeypatch.setattr(Preprocessor, "_expand",
+                            lambda self, *a: calls.append(a) or real(self, *a))
+        for name, source in generated.items():
+            assert preprocess(source) == source, name
+        assert preprocess(FP64_SOURCE) == "\n" + FP64_SOURCE.split("\n", 1)[1]
+        assert calls == []
+
+    def test_expansion_resumes_after_a_define(self):
+        text = "A B\n#define A 1\nA B\n#undef A\nA B"
+        assert preprocess(text) == "A B\n\n1 B\n\nA B"
+        assert preprocess(text) == _FullExpansion().process(text)
+
+    def test_dash_d_option_still_expands(self):
+        assert preprocess("x = N;", "-DN=4") == "x = 4;"

@@ -300,6 +300,20 @@ class TestRuntimeIntegration:
         assert stats.disk_cache_misses >= 1
         assert stats.disk_cache_bytes > 0
 
+    def test_key_of_a_cached_hpl_kernel_is_pinned(self, disk_cache,
+                                                  fresh_runtime):
+        """Entries written by earlier versions keep hitting: the key of
+        an HPL kernel's entry is a pinned hash of its preprocessed
+        source, options, device caps, opt and engine signatures.  A
+        deliberate change of one of those updates this value."""
+        def saxpy(y, x, a):
+            y[idx] = a * x[idx] + y[idx]
+
+        hpl.eval(saxpy)(_farray(8), _farray(8), Float(2.0))
+        assert sorted(p.name for p in disk_cache.path.glob("*.irbin")) \
+            == ["462268655ccdda6f25af482cb8c54fe2"
+                "1534ef9d99bff18bd995b1584666787c.irbin"]
+
     def test_disabled_cache_still_compiles(self, tmp_path, fresh_runtime):
         from repro.hpl import diskcache
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import repro.hpl as hpl
-from repro.hpl import Array, Float, float_, get_runtime, idx
+from repro.hpl import Array, Float, float_, get_runtime, idx, int_
 
 
 @pytest.fixture(autouse=True)
@@ -151,3 +151,49 @@ class TestWeakrefPurge:
         assert hit.from_cache
         assert rt.stats.kernels_built == 1
         assert rt.cache_entries == 2
+
+
+def _iarray(values):
+    a = Array(int_, len(values))
+    a.data[:] = values
+    return a
+
+
+class TestClosureValueCollisions:
+    """Closure values that compare equal but trace to different kernels
+    must not share a cache entry: a shared entry serves the kernel of
+    whichever value was evaluated first."""
+
+    def test_frozenset_of_int_then_of_float(self):
+        def make(divisors):
+            def k(y, x):
+                for v in divisors:
+                    y[idx] = x[idx] / v
+
+            return k
+
+        results = []
+        for divisors in (frozenset({3}), frozenset({3.0})):
+            y = _farray(4, 0.0)
+            hpl.eval(make(divisors))(y, _iarray([7, 8, 9, 10]))
+            results.append(y.read().copy())
+        np.testing.assert_array_equal(results[0], [2, 2, 3, 3])
+        np.testing.assert_allclose(results[1],
+                                   np.float32([7, 8, 9, 10]) / 3)
+        assert get_runtime().stats.kernels_captured == 2
+
+    def test_positive_then_negative_zero(self):
+        def make(c):
+            def k(y, x):
+                y[idx] = x[idx] / c
+
+            return k
+
+        results = []
+        for c in (0.0, -0.0):
+            y = _farray(4, 0.0)
+            hpl.eval(make(c))(y, _farray(4))
+            results.append(y.read().copy())
+        assert np.all(results[0] == np.inf)
+        assert np.all(results[1] == -np.inf)
+        assert get_runtime().stats.kernels_captured == 2
