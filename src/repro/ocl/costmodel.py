@@ -212,3 +212,31 @@ def count_index_transactions(indices, warp_ids, segment_bytes: int,
         segments = (indices.astype(np.int64, copy=False)
                     * itemsize) // segment_bytes
     return _count_segment_transactions(segments, warp_ids, warp_width)
+
+
+def count_contiguous_transactions(n: int, segment_bytes: int,
+                                  itemsize: int, warp_width: int):
+    """:func:`count_index_transactions` of ``arange(n)`` with lanes
+    warp-major (``warp_ids == arange(n) // max(1, warp_width)``): a
+    full launch whose every lane ``i`` touches element ``i``.
+
+    When the segment holds whole items and the warp and the items per
+    segment divide one another — every device in the database — the
+    count is closed-form: a warp that starts on a segment boundary
+    covers ``ceil(lanes / per)`` segments, and a warp that fits inside
+    one segment costs one.  Other sizes count the lanes.
+    """
+    if n <= 0:
+        return 0
+    w = max(1, warp_width)
+    per, odd = divmod(segment_bytes, itemsize)
+    if per and not odd:
+        if w % per == 0:        # warps start on segment boundaries
+            warps, rest = divmod(n, w)
+            return warps * (w // per) + -(-rest // per)
+        if per % w == 0:        # no warp straddles a segment boundary
+            return -(-n // w)
+    import numpy as np
+    lanes = np.arange(n, dtype=np.int64)
+    return count_index_transactions(lanes, lanes // w, segment_bytes,
+                                    itemsize, warp_width)

@@ -184,6 +184,42 @@ def _as_tuple(size) -> tuple[int, ...]:
 _LANE_IDS_CACHE: dict = {}
 
 
+class _LaneIds1D(dict):
+    """The lane-id arrays of a 1-D NDRange, each built on its first
+    read: a launch that only reads ``get_global_id(0)`` builds no
+    ``lidy``/``gidz``/... arrays.  The values equal
+    :meth:`NDRange._all_lane_ids`: in one dimension the global id is
+    the lane, the group is ``lane // local``, and every y/z id is 0.
+
+    Multi-dimensional launches keep the eager build: making it lazy
+    there changed the process's allocation history enough to cost a
+    warm 2-D transpose thousands of page faults per launch (numbers in
+    docs/engines.md).
+    """
+
+    __slots__ = ("_n", "_local")
+
+    def __init__(self, n: int, local: int) -> None:
+        super().__init__()
+        self._n = n
+        self._local = local
+
+    def __missing__(self, key: str) -> np.ndarray:
+        n = self._n
+        if key in ("lane", "idx"):
+            value = np.arange(n, dtype=np.int64)
+        elif key == "lidx":
+            value = np.arange(n, dtype=np.int64) % self._local
+        elif key in ("gidx", "group_flat"):
+            value = np.arange(n, dtype=np.int64) // self._local
+        elif key in ("lidy", "lidz", "gidy", "gidz", "idy", "idz"):
+            value = np.zeros(n, dtype=np.int64)
+        else:
+            raise KeyError(key)
+        self[key] = value
+        return value
+
+
 class NDRange:
     """Geometry of one kernel launch: global/local domains up to 3-D.
 
@@ -260,14 +296,28 @@ class NDRange:
 
         Memoized across launches of the same NDRange shape; the arrays
         are shared and must be treated as read-only, which every engine
-        already does (registers are never mutated in place).
+        already does (registers are never mutated in place).  A 1-D
+        launch builds each array on its first read (see
+        :class:`_LaneIds1D`); a multi-dimensional one builds all eleven
+        up front.
         """
         key = (self.global_size, self.local_size)
         hit = _LANE_IDS_CACHE.get(key)
         if hit is not None:
             return hit
         n = self.total_items
-        lane = np.arange(n, dtype=np.int64)
+        if self.dim == 1:
+            ids = _LaneIds1D(n, self.local_size[0])
+        else:
+            ids = self._all_lane_ids()
+        if n <= (1 << 20):          # don't pin huge launches in memory
+            if len(_LANE_IDS_CACHE) >= 64:
+                _LANE_IDS_CACHE.clear()
+            _LANE_IDS_CACHE[key] = ids
+        return ids
+
+    def _all_lane_ids(self) -> dict[str, np.ndarray]:
+        lane = np.arange(self.total_items, dtype=np.int64)
         ipg = self.items_per_group
         group = lane // ipg
         within = lane % ipg
@@ -291,12 +341,7 @@ class NDRange:
             "group_flat": group,
             "lane": lane,
         }
-        ids = {k: v.astype(np.int64) for k, v in ids.items()}
-        if n <= (1 << 20):          # don't pin huge launches in memory
-            if len(_LANE_IDS_CACHE) >= 64:
-                _LANE_IDS_CACHE.clear()
-            _LANE_IDS_CACHE[key] = ids
-        return ids
+        return {k: v.astype(np.int64) for k, v in ids.items()}
 
     def item_ids(self, flat: int) -> dict[str, int]:
         """Scalar ids of one flattened work-item (serial engine)."""

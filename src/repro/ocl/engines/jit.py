@@ -18,7 +18,11 @@ counters and per-line profiler attribution are bit-identical on both
 sides of the tier boundary.  Per-line profiling works through the same
 ``LaunchCollector`` calls, emitted as literal ``(line, cost)`` replay
 statements from the instruction→line sidecar the lowerer already stamps
-on every instruction.
+on every instruction.  One shortcut has no interpreter counterpart: a
+global access indexed by ``get_global_id(0)`` in a full 1-D launch is a
+slice, and its transactions come from the closed form
+:func:`~repro.ocl.costmodel.count_contiguous_transactions` — the same
+numbers the gather and the measured count give.
 
 Launch counts and compiled functions live on the program's bytecode
 object, so they die with the program (``reset_runtime()`` drops both).
@@ -46,7 +50,8 @@ from ...clc.lower import (L_A, L_AUX, L_B, L_C, L_DST,
                           OP_WIQ, SPACE_GLOBAL, SPACE_LOCAL,
                           linked_program)
 from ...errors import KernelLaunchError
-from ..costmodel import count_index_transactions, count_transactions
+from ..costmodel import (count_contiguous_transactions,
+                         count_index_transactions, count_transactions)
 from .base import (ATOMIC_UFUNCS, GLOBAL_ID_KEYS, GROUP_ID_KEYS,
                    LOCAL_ID_KEYS, MAX_LOOP_ITERATIONS, Mem,
                    register_engine)
@@ -69,6 +74,7 @@ _EXEC_ENV = {
     "c_shr": c_shr,
     "count_transactions": count_transactions,
     "count_index_transactions": count_index_transactions,
+    "count_contiguous_transactions": count_contiguous_transactions,
     "Mem": Mem,
     "BFrame": _BFrame,
     "KernelLaunchError": KernelLaunchError,
@@ -187,6 +193,26 @@ class _ModuleEmitter:
         return "\n".join(lines) + "\n"
 
 
+def _gid0_registers(code) -> frozenset:
+    """Registers of one linked function that always hold
+    ``get_global_id(0)``: every instruction writing one is a work-item
+    query of the global id in dimension 0.  A global access indexed by
+    such a register gets the contiguous fast path.  The lowerer hoists
+    work-item queries into the function's prologue, and a query writes
+    every lane, so the register holds the id wherever it is read."""
+    gid0: set[int] = set()
+    other: set[int] = set()
+    for ins in code:
+        d = ins[L_DST]
+        if d < 0:
+            continue
+        if ins[0] == OP_WIQ and ins[L_AUX][:2] == (0, 0):
+            gid0.add(d)
+        else:
+            other.add(d)
+    return frozenset(gid0 - other)
+
+
 class _FnEmitter:
     """Emits ``def f_<name>(E, F, mask, full)`` for one bytecode
     function, mirroring ``VectorEngine._bx_span`` exactly."""
@@ -197,15 +223,17 @@ class _FnEmitter:
         self.kbc = kbc
         self.spans: list[list[str]] = []
         self.n_spans = 0
+        self.gid0 = _gid0_registers(code)
 
     def emit(self) -> list[str]:
         top = self.span_fn(0, len(self.code))
         lines = [f"def f_{self.kbc.name}(E, F, mask, full):"]
         for pre in ("R = F.regs", "M = F.mems", "counters = E.counters",
-                    "col = E._col", "n = E.n", "_gf = E.group_flat",
-                    "_ln = E.lane", "_wp = E.warp_ids",
+                    "col = E._col", "n = E.n",
                     "_seg = E.spec.segment_bytes",
-                    "_ww = E.spec.warp_size"):
+                    "_ww = E.spec.warp_size",
+                    # lane == get_global_id(0) in a 1-D launch only
+                    "_d1 = E.nd.dim == 1"):
             lines.append("    " + pre)
         for span in self.spans:
             lines.extend("    " + s for s in span)
@@ -370,7 +398,7 @@ class _FnEmitter:
                     "if full:",
                     "    _ag = E.nd.total_groups",
                     "else:",
-                    "    _ag = int(np.unique(_gf[mask]).size)",
+                    "    _ag = int(np.unique(E.group_flat[mask]).size)",
                     "counters.barriers += _ag",
                     "if col is not None:",
                     f"    col.barrier({line}, _ag)",
@@ -433,13 +461,12 @@ class _FnEmitter:
 
     # -- memory / structured ops ----------------------------------------------
 
-    def _emit_index(self, out: list[str], slot: int, b: int,
-                    line: int) -> None:
-        """Shared ST/ATOMIC (and non-global LD) prologue: broadcast the
-        index register, bounds-check, clamp (``np.clip`` equivalent,
-        via the cheaper minimum/maximum ufuncs)."""
+    def _emit_index(self, out: list[str], b: int, line: int) -> None:
+        """Shared ST/ATOMIC (and non-global LD) prologue, with the
+        memory in ``_m``: broadcast the index register, bounds-check,
+        clamp (``np.clip`` equivalent, via the cheaper minimum/maximum
+        ufuncs)."""
         out.extend([
-            f"_m = M[{slot}]",
             f"_i = E._broadcast(R[{b}])",
             # when every lane (active or not) is in bounds, the exact
             # check cannot raise and the clamp is the identity
@@ -450,17 +477,34 @@ class _FnEmitter:
             "    _s = _nmin(_nmax(_i, 0), _m.size - 1)",
         ])
 
+    def _emit_global(self, out: list[str], slot: int, b: int,
+                     fast: list[str], general: list[str]) -> None:
+        """Emit a global access: ``general`` always works; when the
+        index register ``b`` is ``get_global_id(0)`` (see
+        :func:`_gid0_registers`), ``fast`` runs instead whenever lane
+        ``i`` touches element ``i``, i.e. a full 1-D launch that fits
+        the buffer.  Both leave the transaction count in ``_t``."""
+        out.extend([f"_m = M[{slot}]", "_z = _m.array.dtype.itemsize"])
+        if b not in self.gid0:
+            out.extend(general)
+            return
+        out.append("if full and _d1 and n <= _m.size:")
+        out.extend("    " + s for s in fast)
+        out.append("    _t = count_contiguous_transactions(n, _seg, _z, _ww)")
+        out.append("else:")
+        out.extend("    " + s for s in general)
+
     def _emit_ld(self, out: list[str], ins) -> None:
         slot, space = ins[L_AUX]
         d, b, line = ins[L_DST], ins[L_B], ins[L_LINE]
         if space == SPACE_GLOBAL:
             # ``take`` fuses the upper-bound check into the gather (it
             # raises IndexError past the end, and the min() guard rules
-            # out the negative wrap-around), so the fast path runs one
-            # reduction + one gather instead of two reductions + a
-            # fancy index
-            out.extend([
-                f"_m = M[{slot}]",
+            # out the negative wrap-around), so the general path runs
+            # one reduction + one gather instead of two reductions + a
+            # fancy index.  The contiguous path copies its slice: a
+            # view would see later stores to the same buffer.
+            self._emit_global(out, slot, b, ["_r = _m.array[:n].copy()"], [
                 f"_i = E._broadcast(R[{b}])",
                 "_r = None",
                 "if 0 <= _i.min():",
@@ -473,10 +517,12 @@ class _FnEmitter:
                 f"    E._check_bounds(_i, _m, mask, {line})",
                 "    _s = _nmin(_nmax(_i, 0), _m.size - 1)",
                 "    _r = _m.array[_s]",
-                "_z = _m.array.dtype.itemsize",
+                "_wp = E.warp_ids",
                 "_t = count_index_transactions(_s if full else _s[mask],"
                 " _wp if full else _wp[mask], _seg, _z,"
                 " _ww if full else 0)",
+            ])
+            out.extend([
                 "counters.global_loads += n_act",
                 "counters.global_load_bytes += n_act * _z",
                 "counters.global_load_transactions += _t",
@@ -485,58 +531,72 @@ class _FnEmitter:
                 f"R[{d}] = _r",
             ])
             return
-        self._emit_index(out, slot, b, line)
+        out.append(f"_m = M[{slot}]")
+        self._emit_index(out, b, line)
         if space == SPACE_LOCAL:
             out.extend([
                 "counters.local_accesses += n_act",
                 "if col is not None:",
                 f"    col.local({line}, n_act, n)",
-                f"R[{d}] = _m.array[_gf, _s]",
+                f"R[{d}] = _m.array[E.group_flat, _s]",
             ])
         else:
             out.extend([
                 "counters.alu_ops += n_act",
                 "if col is not None:",
                 f"    col.op({line}, n_act, 1.0, False, n)",
-                f"R[{d}] = _m.array[_ln, _s]",
+                f"R[{d}] = _m.array[E.lane, _s]",
             ])
 
     def _emit_st(self, out: list[str], ins) -> None:
         slot, space = ins[L_AUX]
         b, c, line = ins[L_B], ins[L_C], ins[L_LINE]
-        self._emit_index(out, slot, b, line)
-        out.extend([
+        value = [
             f"_v = E._broadcast(R[{c}])",
             "if _v.dtype is not _m.array.dtype:",
             "    _v = to_dtype(_v, _m.array.dtype)",
-            "_sm = _s if full else _s[mask]",
-            "_vm = _v if full else _v[mask]",
-        ])
+        ]
         if space == SPACE_GLOBAL:
-            out.extend([
-                "_m.array[_sm] = _vm",
-                "_z = _m.array.dtype.itemsize",
+            general: list[str] = []
+            self._emit_index(general, b, line)
+            general.extend(value)
+            general.extend([
+                "_sm = _s if full else _s[mask]",
+                "_m.array[_sm] = _v if full else _v[mask]",
+                "_wp = E.warp_ids",
                 "_t = count_index_transactions(_sm,"
                 " _wp if full else _wp[mask], _seg, _z,"
                 " _ww if full else 0)",
+            ])
+            self._emit_global(out, slot, b, value + ["_m.array[:n] = _v"],
+                              general)
+            out.extend([
                 "counters.global_stores += n_act",
                 "counters.global_store_bytes += n_act * _z",
                 "counters.global_store_transactions += _t",
                 "if col is not None:",
                 f"    col.mem({line}, n_act, n_act * _z, _t, True, n)",
             ])
-        elif space == SPACE_LOCAL:
+            return
+        out.append(f"_m = M[{slot}]")
+        self._emit_index(out, b, line)
+        out.extend(value)
+        out.extend([
+            "_sm = _s if full else _s[mask]",
+            "_vm = _v if full else _v[mask]",
+        ])
+        if space == SPACE_LOCAL:
             out.extend([
-                "_g = _gf if full else _gf[mask]",
-                "_m.array[_g, _sm] = _vm",
+                "_g = E.group_flat",
+                "_m.array[_g if full else _g[mask], _sm] = _vm",
                 "counters.local_accesses += n_act",
                 "if col is not None:",
                 f"    col.local({line}, n_act, n)",
             ])
         else:
             out.extend([
-                "_l = _ln if full else _ln[mask]",
-                "_m.array[_l, _sm] = _vm",
+                "_l = E.lane",
+                "_m.array[_l if full else _l[mask], _sm] = _vm",
                 "counters.alu_ops += n_act",
                 "if col is not None:",
                 f"    col.op({line}, n_act, 1.0, False, n)",
@@ -546,7 +606,8 @@ class _FnEmitter:
         opstr, slot, space = ins[L_AUX]
         b, c, line = ins[L_B], ins[L_C], ins[L_LINE]
         at = self.mod.atomic_ref(opstr)
-        self._emit_index(out, slot, b, line)
+        out.append(f"_m = M[{slot}]")
+        self._emit_index(out, b, line)
         out.append("_sm = _s if full else _s[mask]")
         if c >= 0:
             out.extend([
@@ -559,7 +620,8 @@ class _FnEmitter:
             out.append("_vm = np.ones(n_act, dtype=_m.array.dtype)")
         if space == SPACE_LOCAL:
             out.extend([
-                "_g = _gf if full else _gf[mask]",
+                "_g = E.group_flat",
+                "_g = _g if full else _g[mask]",
                 "counters.local_accesses += 2 * n_act",
                 "if col is not None:",
                 f"    col.local({line}, 2 * n_act, n)",
@@ -572,6 +634,7 @@ class _FnEmitter:
                 "counters.global_stores += n_act",
                 "counters.global_load_bytes += n_act * _z",
                 "counters.global_store_bytes += n_act * _z",
+                "_wp = E.warp_ids",
                 "_t = count_index_transactions(_sm,"
                 " _wp if full else _wp[mask], _seg, _z,"
                 " _ww if full else 0)",

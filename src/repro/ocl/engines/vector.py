@@ -77,6 +77,28 @@ class VectorEngine:
         self.spec = spec
         #: per-launch profiler collector; None whenever profiling is off
         self._col = None
+        self._warp_key = f"_warp{spec.warp_size}"
+
+    # -- lane ids of the current launch, read on demand -----------------------
+
+    @property
+    def group_flat(self) -> np.ndarray:
+        return self.ids["group_flat"]
+
+    @property
+    def lane(self) -> np.ndarray:
+        return self.ids["lane"]
+
+    @property
+    def warp_ids(self) -> np.ndarray:
+        """Each lane's warp, memoized next to the lane ids it comes
+        from (the dict is shared across launches of this shape)."""
+        ids = self.ids
+        warp = ids.get(self._warp_key)
+        if warp is None:
+            warp = ids["lane"] // max(1, self.spec.warp_size)
+            ids[self._warp_key] = warp
+        return warp
 
     # -- public ------------------------------------------------------------------
 
@@ -99,18 +121,11 @@ class VectorEngine:
             self._nd_cache[nd_key] = nd
         self.nd = nd
         self.n = nd.total_items
-        ids = nd.lane_ids()
-        self.ids = ids
-        self.group_flat = ids["group_flat"]
-        self.lane = ids["lane"]
-        # derived per-warp ids, memoized next to the lane ids they come
-        # from (the dict is shared across launches of this shape)
-        wkey = f"_warp{self.spec.warp_size}"
-        warp = ids.get(wkey)
-        if warp is None:
-            warp = self.lane // max(1, self.spec.warp_size)
-            ids[wkey] = warp
-        self.warp_ids = warp
+        self.ids = nd.lane_ids()
+        if nd.dim > 1:
+            # multi-dimensional launches build every id up front (see
+            # base._LaneIds1D); a 1-D one builds the warps on first read
+            self.warp_ids
 
         self.counters = CostCounters(work_items=self.n,
                                      work_groups=nd.total_groups)

@@ -6,7 +6,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import repro.ocl as cl
-from repro.ocl.costmodel import (CostCounters, count_transactions,
+from repro.ocl.costmodel import (CostCounters,
+                                 count_contiguous_transactions,
+                                 count_index_transactions, count_transactions,
                                  kernel_time, transfer_time)
 
 
@@ -52,6 +54,33 @@ class TestCoalescingCounter:
         t_prefix = count_transactions(addr[:-1], warps[:-1], 128) \
             if len(addr) > 1 else 0
         assert t_all >= t_prefix
+
+
+class TestContiguousCount:
+    """The closed form the jit's contiguous path charges equals the
+    measured count over ``arange(n)``."""
+
+    @staticmethod
+    def _measured(n, segment, itemsize, warp):
+        lanes = np.arange(n, dtype=np.int64)
+        return count_index_transactions(lanes, lanes // warp, segment,
+                                        itemsize, warp)
+
+    @given(st.integers(1, 8 * 32), st.sampled_from([1, 2, 4, 8]),
+           st.sampled_from([32, 64, 128]), st.sampled_from([1, 32]))
+    def test_closed_form_equals_the_measured_count(self, n, itemsize,
+                                                   segment, warp):
+        """Up to eight warps, ``n < warp`` and a partial last warp
+        included; ``warp == 1`` with 64 B segments is the Xeon host."""
+        got = count_contiguous_transactions(n, segment, itemsize, warp)
+        assert type(got) is int
+        assert got == self._measured(n, segment, itemsize, warp)
+
+    def test_empty_and_warpless(self):
+        assert count_contiguous_transactions(0, 128, 4, 32) == 0
+        lanes = np.arange(40, dtype=np.int64)
+        assert count_contiguous_transactions(40, 128, 4, 0) == \
+            count_index_transactions(lanes, lanes, 128, 4, 0)
 
 
 class TestKernelTime:

@@ -213,6 +213,39 @@ class TestAtomics:
         assert m[0] == vals.max()
 
 
+class TestAliasedBuffers:
+    def test_load_keeps_its_value_across_a_store_to_the_same_buffer(
+            self, any_engine_device):
+        """One buffer bound to a read and a written parameter: the
+        value loaded before the store is the old element, on every
+        launch (the jit compiles from a program's second launch; a
+        load that returned a view of the buffer would see 5.0)."""
+        src = """__kernel void f(__global float* a,
+                                 __global const float* b,
+                                 __global float* out) {
+            float v = b[get_global_id(0)];
+            a[get_global_id(0)] = 5.0f;
+            out[get_global_id(0)] = v;
+        }"""
+        ctx = cl.Context([any_engine_device])
+        queue = cl.CommandQueue(ctx, any_engine_device)
+        kernel = cl.Program(ctx, src).build().create_kernel("f")
+        old = np.arange(32, dtype=np.float32)
+        shared = cl.Buffer(ctx, cl.mem_flags.READ_WRITE, size=old.nbytes)
+        dest = cl.Buffer(ctx, cl.mem_flags.READ_WRITE, size=old.nbytes)
+        kernel.set_args(shared, shared, dest)
+        for _ in range(3):
+            queue.enqueue_write_buffer(shared, old)
+            queue.enqueue_nd_range_kernel(kernel, (32,))
+            out = np.zeros_like(old)
+            written = np.zeros_like(old)
+            queue.enqueue_read_buffer(dest, out)
+            queue.enqueue_read_buffer(shared, written)
+            queue.finish()
+            assert np.array_equal(out, old)
+            assert np.all(written == 5.0)
+
+
 class TestErrors:
     def test_out_of_bounds_trapped(self, any_engine_device, cl_run):
         src = """__kernel void f(__global int* a) {

@@ -8,8 +8,10 @@ import pytest
 
 import repro.ocl as cl
 from repro import prof, trace
+from repro.clc.lower import L_DST, OP_MOV, OP_WIQ, linked_program
 from repro.errors import KernelLaunchError
 from repro.ocl import TESLA_C2050
+from repro.ocl.engines import base as engines_base
 from repro.ocl.engines import jit as jit_mod
 from tests.conftest import run_cl_kernel
 
@@ -216,3 +218,104 @@ class TestCodegenEngagement:
         assert [s.attrs["tier"] for s in runs] == \
             ["interp", "compiled", "compiled"]
         assert compile_span.parent_id == runs[1].span_id
+
+
+class TestContiguousPath:
+    """Global accesses indexed by ``get_global_id(0)``: the compiled
+    tier's slice path runs only where lane ``i`` touches element ``i``
+    (a full 1-D launch that fits the buffer) and matches the
+    interpreter everywhere else."""
+
+    COPY = """__kernel void f(__global float* out,
+                              __global const float* x) {
+        out[get_global_id(0)] = x[get_global_id(0)] * 2.0f;
+    }"""
+
+    @pytest.mark.parametrize("short", ["load", "store"])
+    def test_one_item_past_the_buffer_raises_the_same_error(self, short):
+        """The guard ``n <= size`` fails and the general path reports
+        the first bad lane, as the interpreter does."""
+        messages = []
+        for engine in ("jit-interp", "jit-compiled"):
+            out = np.zeros(16 if short == "store" else 17, np.float32)
+            x = np.ones(16 if short == "load" else 17, np.float32)
+            with pytest.raises(KernelLaunchError) as exc:
+                run_cl_kernel(cl.Device(TESLA_C2050, engine), self.COPY,
+                              "f", [out, x], (17,))
+            messages.append(str(exc.value))
+        assert messages[0] == messages[1]
+        assert "work-item 16 accessed" in messages[0]
+
+    def test_2d_launch_matches_the_interpreter(self):
+        """In a 2-D launch lane != get_global_id(0), so the slice path
+        must not run even though every lane is active and in bounds."""
+        src = """__kernel void f(__global int* out,
+                                 __global const int* x) {
+            out[get_global_id(0)] = x[get_global_id(0)] * 10
+                                    + get_global_id(1);
+        }"""
+        results = []
+        for engine in ("jit-interp", "jit-compiled"):
+            out = np.zeros(32, np.int32)
+            x = np.arange(32, dtype=np.int32)
+            event = run_cl_kernel(cl.Device(TESLA_C2050, engine), src, "f",
+                                  [out, x], (8, 4), (4, 2))
+            results.append((out, vars(event.counters)))
+        assert results[0][0].tobytes() == results[1][0].tobytes()
+        assert results[0][1] == results[1][1]
+        assert not results[1][0][8:].any()   # get_global_id(0) < 8
+
+    def test_masked_lanes_take_the_general_path(self):
+        """Under a divergent branch only the active lanes load, store
+        and count: 40 of 128 lanes touch two warps' segments, not
+        four, and the other 88 elements keep their values."""
+        src = """__kernel void f(__global float* out,
+                                 __global const float* x) {
+            if (get_global_id(0) < 40) {
+                out[get_global_id(0)] = x[get_global_id(0)] + 1.0f;
+            }
+        }"""
+        results = []
+        for engine in ("jit-interp", "jit-compiled"):
+            out = np.full(128, -1.0, np.float32)
+            x = np.arange(128, dtype=np.float32)
+            event = run_cl_kernel(cl.Device(TESLA_C2050, engine), src, "f",
+                                  [out, x], (128,), (64,))
+            results.append((out, vars(event.counters)))
+        assert results[0][0].tobytes() == results[1][0].tobytes()
+        assert results[0][1] == results[1][1]
+        assert np.all(results[1][0][40:] == -1.0)
+        assert results[1][1]["global_store_transactions"] == 2
+
+    def test_only_registers_always_holding_the_id_qualify(self):
+        """The def scan: the query's own register qualifies, a variable
+        copied from it does not (its definition is a move), and neither
+        does a query register some other instruction also writes."""
+        src = """__kernel void f(__global float* out) {
+            int i = get_global_id(0);
+            out[i] = 1.0f;
+            out[get_global_id(0)] = 2.0f;
+        }"""
+        ctx = cl.Context([cl.Device(TESLA_C2050, "jit")])
+        program = cl.Program(ctx, src).build()
+        code, _kbc = linked_program(program.ir.bytecode)["f"]
+        (wiq,) = [ins for ins in code if ins[0] == OP_WIQ]
+        assert jit_mod._gid0_registers(code) == {wiq[L_DST]}
+        clobber = (OP_MOV,) + wiq[1:]
+        assert jit_mod._gid0_registers(code + [clobber]) == set()
+
+    @pytest.mark.parametrize("engine", ["jit-interp", "jit-compiled"])
+    def test_1d_launch_builds_only_the_ids_it_reads(self, engine,
+                                                    monkeypatch):
+        memo: dict = {}
+        monkeypatch.setattr(engines_base, "_LANE_IDS_CACHE", memo)
+        out = np.zeros(64, np.float32)
+        x = np.arange(64, dtype=np.float32)
+        run_cl_kernel(cl.Device(TESLA_C2050, engine), self.COPY, "f",
+                      [out, x], (64,), (16,))
+        assert np.array_equal(out, x * 2)
+        ids = memo[((64,), (16,))]
+        assert not {"lidy", "lidz", "gidy", "gidz"} & set(ids)
+        if engine == "jit-compiled":
+            # the slice path reads neither lanes nor warps
+            assert set(ids) == {"idx"}
