@@ -194,6 +194,20 @@ class TestDeadline:
         _out, full, _c = _run(None, "dynamic")
         assert len(exc.result) < len(full)          # partial, not full
 
+    def test_device_ready_past_the_deadline_launches_nothing(self):
+        # the Quadro's queue clock is a second ahead, so its planned
+        # block cannot start inside the budget: the run aborts before
+        # launching any chunk
+        hpl.reset_runtime()
+        c = Cluster(hpl.get_devices())
+        args, _ = _problem(c)
+        c.devices[1].queue.clock += 1.0
+        with pytest.raises(DeadlineExceeded) as info:
+            cluster_eval(saxpy_part, c, *args, schedule="uniform",
+                         deadline=1e-3)
+        assert info.value.failures.deadline_missed
+        assert len(info.value.result) == 0
+
     @pytest.mark.parametrize("schedule", ["uniform", "dynamic"])
     def test_generous_deadline_never_fires(self, schedule):
         out, result, _c = _run(None, schedule, deadline=1e3)
@@ -353,6 +367,20 @@ class TestProbationReadmission:
         assert registry.counter("cluster.probes").value > probes0
         assert registry.counter(
             "cluster.readmitted").value > readmit0
+        assert any(d.label == "SimCL Quadro FX 380#1"
+                   for d in c.devices)
+        assert np.array_equal(out, _expected())
+
+    def test_static_run_probes_at_the_head_of_a_round(self):
+        # the planned round completes two blocks, so the next round
+        # opens with a probe: the Quadro has healed and is readmitted
+        registry = trace.get_registry()
+        probes0 = registry.counter("cluster.probes").value
+        out, result, c = _run(
+            "device=Quadro kind=transient code=lost nth=1 count=1",
+            "uniform", probation=True)
+        assert registry.counter("cluster.probes").value == probes0 + 1
+        assert result.failures.readmitted == ["SimCL Quadro FX 380#1"]
         assert any(d.label == "SimCL Quadro FX 380#1"
                    for d in c.devices)
         assert np.array_equal(out, _expected())

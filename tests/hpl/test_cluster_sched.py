@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 import repro.hpl as hpl
-from repro.errors import HPLError
+from repro import ocl
+from repro.errors import HPLError, ProfilingDisabledError
 from repro.hpl import Float, Int, endfor_, float_, for_, idx, int_
 from repro.hpl.cluster import (Cluster, DistributedArray, DynamicScheduler,
                                Scheduler, UniformScheduler,
@@ -110,6 +111,20 @@ class TestSchedulerEquivalence:
     def test_base_scheduler_is_abstract(self):
         with pytest.raises(NotImplementedError):
             Scheduler().plan(10, Cluster(hpl.get_devices()))
+
+
+class TestProfilingDisabled:
+    @pytest.mark.parametrize("schedule", [None, "uniform", "weighted",
+                                          "dynamic"])
+    def test_every_schedule_raises(self, schedule):
+        # every completion reads its kernel's duration, so a queue
+        # without profiling fails the same way under every schedule
+        c = Cluster(hpl.get_devices())
+        for d in c.devices:
+            d.queue = ocl.CommandQueue(d.context, d.ocl, profiling=False)
+        args, _dy = _ep_problem(c, np.random.default_rng(0), 1000)
+        with pytest.raises(ProfilingDisabledError):
+            cluster_eval(ep_part, c, *args, schedule=schedule)
 
 
 class TestDeviceIdentityTimelines:
