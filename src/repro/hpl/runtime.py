@@ -47,10 +47,10 @@ def _stat_property(key: str, cast):
     metric = "hpl." + key
 
     def fget(self):
-        return cast(self.registry.counter(metric).value)
+        return cast(self._counters[key].value)
 
     def fset(self, value):
-        self.registry.counter(metric).set(cast(value))
+        self._counters[key].set(cast(value))
 
     return property(fget, fset, doc=f"backed by metric {metric!r}")
 
@@ -86,8 +86,9 @@ class RuntimeStats:
     def __init__(self, registry: MetricsRegistry | None = None, **init):
         self.registry = registry if registry is not None \
             else MetricsRegistry()
-        for name in self.FIELDS:            # materialize at zero
-            self.registry.counter("hpl." + name)
+        # looked up once: a registry reset zeroes its counters in place
+        self._counters = {name: self.registry.counter("hpl." + name)
+                          for name in self.FIELDS}
         for name, value in init.items():
             if name not in self.FIELDS:
                 raise TypeError(f"unknown RuntimeStats field {name!r}")
