@@ -26,8 +26,6 @@ import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import numpy as np
-
 from ..ocl import CostCounters, DeviceSpec, kernel_time
 
 
@@ -114,13 +112,6 @@ def serial_time_from_counters(counters: CostCounters, work_factor: float,
     c.barriers = 0
     c.global_store_bytes = int(c.global_store_bytes * store_line_penalty)
     return kernel_time(c, spec).total
-
-
-def verify_close(actual, expected, rtol: float = 1e-4,
-                 atol: float = 1e-6) -> bool:
-    """Tolerant elementwise comparison used by the runner's self-checks."""
-    return bool(np.allclose(np.asarray(actual), np.asarray(expected),
-                            rtol=rtol, atol=atol))
 
 
 # -- fresh processes ----------------------------------------------------------

@@ -18,7 +18,7 @@ from ...ocl.engines.carith import (c_div, c_imod, c_shl, c_shr, to_dtype,
 from .. import ir as I
 from ..builtins import BUILTINS
 from ..types import INT
-from .manager import is_pure, map_expr, walk_stmts
+from .manager import is_pure, map_expr, walk_exprs, walk_stmts
 
 _COMPARISONS = ("==", "!=", "<", ">", "<=", ">=")
 
@@ -231,3 +231,19 @@ class FoldPass:
         except Exception:  # pragma: no cover - defensive
             return expr
         return _const(expr.type, result, expr.line)
+
+
+#: the single-node rule on its own (children already folded); sema
+#: folds the implicit conversion of a constant with it
+fold_node = FoldPass()._fold_node
+
+
+def constant_value(expr):
+    """The value of the constant expression ``expr`` under the rules
+    above, or None when it reads a variable or memory or does not
+    reduce to a Const.  Sema evaluates array sizes, ``barrier`` flags
+    and work-item dimensions with this.  Rewrites ``expr`` in place."""
+    if any(isinstance(e, (I.Var, I.Load)) for e in walk_exprs(expr)):
+        return None
+    folded = map_expr(expr, fold_node)
+    return folded.value if isinstance(folded, I.Const) else None

@@ -21,7 +21,7 @@ from ..errors import SemanticError
 from . import ast_nodes as A
 from . import ir as I
 from .builtins import ATOMIC_FUNCTIONS, BUILTINS, WORKITEM_FUNCTIONS
-from .types import (BOOL, CONSTANT, DOUBLE, FLOAT, GLOBAL, INT, LOCAL,
+from .types import (CONSTANT, DOUBLE, FLOAT, GLOBAL, INT, LOCAL,
                     PRIVATE, SCALAR_TYPES, SIZE_T, UINT, VOID, ArrayType,
                     CLType, PointerType, ScalarType, can_convert, promote,
                     usual_arithmetic_conversion)
@@ -543,13 +543,15 @@ class Sema:
                             "subset", node)
         raise self._err(f"unsupported expression {type(node).__name__}", node)
 
-    @staticmethod
-    def _int_literal_type(node: A.IntLiteral) -> ScalarType:
+    def _int_literal_type(self, node: A.IntLiteral) -> ScalarType:
         from .types import LONG, ULONG
         s = node.suffix
         unsigned = "u" in s
         long_ = "l" in s
         value = node.value
+        if value > 2**64 - 1:
+            raise self._err("integer literal is too large to be "
+                            "represented in any integer type", node)
         if long_ or value > 2**31 - 1 or value < -(2**31):
             return ULONG if unsigned else (
                 ULONG if value > 2**63 - 1 else LONG)
@@ -742,57 +744,29 @@ class Sema:
             return expr
         if not can_convert(expr.type, target):
             raise self._err(f"cannot convert {expr.type} to {target}", node)
+        out = I.Convert(operand=expr, type=target, line=expr.line)
         if isinstance(expr, I.Const) and isinstance(target, ScalarType):
-            value = expr.value
-            if target.is_float:
-                value = float(value)
-            else:
-                value = int(value)
-            return I.Const(value=value, type=target, line=expr.line)
-        return I.Convert(operand=expr, type=target, line=expr.line)
+            from .passes.fold import fold_node      # lazy, as in _fold
+            return fold_node(out)
+        return out
 
     def _const_int(self, node, scope: _Scope) -> int:
-        expr = self._lower_expr(node, scope)
-        value = self._fold(expr)
+        value = self._fold(self._lower_expr(node, scope))
         if value is None:
             raise self._err("expected an integer constant expression", node)
         return int(value)
 
-    def _fold(self, expr: I.Expr):
-        """Evaluate a constant expression tree, or return None."""
+    @staticmethod
+    def _fold(expr: I.Expr):
+        """The value of a constant expression under the fold pass's C
+        rules, or None.  A bare Const (nearly always the ``0`` of
+        ``get_global_id(0)``) returns its value directly."""
         if isinstance(expr, I.Const):
             return expr.value
-        if isinstance(expr, I.Convert):
-            v = self._fold(expr.operand)
-            if v is None:
-                return None
-            return float(v) if expr.type.is_float else int(v)
-        if isinstance(expr, I.Unary):
-            v = self._fold(expr.operand)
-            if v is None:
-                return None
-            return {"-": lambda x: -x, "~": lambda x: ~int(x),
-                    "!": lambda x: int(not x)}[expr.op](v)
-        if isinstance(expr, I.Binary):
-            a, b = self._fold(expr.lhs), self._fold(expr.rhs)
-            if a is None or b is None:
-                return None
-            try:
-                return {
-                    "+": lambda: a + b, "-": lambda: a - b,
-                    "*": lambda: a * b,
-                    "/": lambda: (a / b if expr.type.is_float
-                                  else int(a / b)),
-                    "%": lambda: int(a - b * int(a / b)),
-                    "<<": lambda: int(a) << int(b),
-                    ">>": lambda: int(a) >> int(b),
-                    "&": lambda: int(a) & int(b),
-                    "|": lambda: int(a) | int(b),
-                    "^": lambda: int(a) ^ int(b),
-                }[expr.op]()
-            except (KeyError, ZeroDivisionError):
-                return None
-        return None
+        # lazy: the fold pass reaches into repro.ocl.engines for C
+        # arithmetic, and repro.ocl imports this module
+        from .passes.fold import constant_value
+        return constant_value(expr)
 
     # -- access classification --------------------------------------------------------------------
 

@@ -193,12 +193,3 @@ def can_convert(src: CLType, dst: CLType) -> bool:
     if isinstance(src, PointerType) and isinstance(dst, PointerType):
         return src == dst
     return False
-
-
-def common_pointer_element(t: CLType) -> CLType:
-    """Element type of a pointer or in-kernel array, for indexing."""
-    if isinstance(t, PointerType):
-        return t.pointee
-    if isinstance(t, ArrayType):
-        return t.element
-    raise TypeError(f"{t} is not indexable")

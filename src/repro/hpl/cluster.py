@@ -141,14 +141,15 @@ class Cluster:
 class Partition:
     """One contiguous block of the index space, owned by one device.
 
-    ``rank`` is the owning device's position in the cluster; dynamic
-    schedules cut chunks before knowing their owner, so their plans
-    carry ``rank=None`` until :func:`cluster_eval` assigns them.
+    ``rank`` is the owning device's position in the cluster.  Only
+    schedulers that cut up front make partitions: a dynamic plan is
+    empty, and its chunks are cut on demand for whichever device drains
+    first.
     """
 
     lo: int
     hi: int
-    rank: int | None = None
+    rank: int
 
     @property
     def size(self) -> int:
@@ -368,25 +369,23 @@ class DynamicScheduler(Scheduler):
 
     ``chunk_size`` switches to fixed-size self-scheduling (every chunk
     the same size regardless of device); ``min_chunk`` floors the
-    guided sizes (default ``n / (16 x devices)``).
+    guided sizes (default ``n / (16 x devices)``).  Weights come from
+    :meth:`Scheduler.weights_for`: measured when every device has
+    history for the kernel, else spec-derived.
     """
 
     name = "dynamic"
+    #: the HGuided damping of each chunk's share of the remaining work
+    factor = 2
 
-    def __init__(self, chunk_size: int | None = None, factor: int = 2,
-                 min_chunk: int | None = None, weights=None,
-                 calibrate: bool = True) -> None:
+    def __init__(self, chunk_size: int | None = None,
+                 min_chunk: int | None = None) -> None:
         if chunk_size is not None and chunk_size < 1:
             raise HPLError(f"chunk_size must be >= 1, got {chunk_size}")
-        if factor < 1:
-            raise HPLError(f"factor must be >= 1, got {factor}")
         if min_chunk is not None and min_chunk < 1:
             raise HPLError(f"min_chunk must be >= 1, got {min_chunk}")
         self.chunk_size = chunk_size
-        self.factor = factor
         self.min_chunk = min_chunk
-        self.weights = weights
-        self.calibrate = calibrate
 
     def min_chunk_for(self, n: int, n_devices: int) -> int:
         if self.min_chunk is not None:

@@ -66,12 +66,7 @@ double_ = HPLType("double", T.DOUBLE)
 ALL_TYPES = (int_, uint_, long_, ulong_, short_, ushort_, char_, uchar_,
              float_, double_)
 
-_BY_NAME = {t.name: t for t in ALL_TYPES}
 _BY_NP = {t.np_dtype: t for t in ALL_TYPES}
-
-
-def type_by_name(name: str) -> HPLType:
-    return _BY_NAME[name]
 
 
 def from_numpy_dtype(dtype) -> HPLType:

@@ -339,25 +339,11 @@ class Return(Stmt):
 # helpers used across the capture machinery
 # ---------------------------------------------------------------------------
 
-def require_typed(expr: Expr, context: str) -> D.HPLType:
-    """The dtype of ``expr``, defaulting untyped literals sensibly."""
-    if expr.dtype is not None:
-        return expr.dtype
-    if isinstance(expr, Const):
-        return D.double_ if isinstance(expr.value, float) else D.int_
-    raise KernelCaptureError(f"could not infer a type in {context}")
-
-
 def resolve_untyped(expr: Expr, target: D.HPLType) -> Expr:
     """Give an untyped literal constant a concrete type."""
     if isinstance(expr, Const) and expr.dtype is None:
         return Const(expr.value, target)
     return expr
-
-
-def const_fold_float(value: float) -> str:
-    """Literal spelling helpers live in codegen; kept for API symmetry."""
-    return repr(float(value))
 
 
 def eval_host(expr) -> object:

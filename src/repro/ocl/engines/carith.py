@@ -55,18 +55,26 @@ def c_imod(a, b):
         return c_imod_raw(a, b)
 
 
+def _shift_amount(a, b):
+    """``b`` modulo the bit width of ``a``.  NumPy has no ``uint64``
+    shift by a signed amount, so a ``ulong`` operand gets an unsigned
+    one."""
+    dtype = np.result_type(a)
+    bits = dtype.itemsize * 8
+    if not hasattr(b, "astype"):
+        return int(b) % bits
+    amount = b.astype(np.int64) % bits
+    return amount.astype(dtype) if dtype == np.uint64 else amount
+
+
 def c_shl(a, b):
     """OpenCL ``<<``: shift amount taken modulo the bit width of ``a``."""
-    bits = np.dtype(np.result_type(a)).itemsize * 8
-    return a << (b.astype(np.int64) % bits if hasattr(b, "astype")
-                 else int(b) % bits)
+    return a << _shift_amount(a, b)
 
 
 def c_shr(a, b):
     """OpenCL ``>>`` (arithmetic for signed, logical for unsigned)."""
-    bits = np.dtype(np.result_type(a)).itemsize * 8
-    return a >> (b.astype(np.int64) % bits if hasattr(b, "astype")
-                 else int(b) % bits)
+    return a >> _shift_amount(a, b)
 
 
 def c_div(a, b, is_float: bool):

@@ -13,6 +13,8 @@ into the same series.
 
 from __future__ import annotations
 
+import math
+import random
 import threading
 
 
@@ -69,53 +71,71 @@ class Gauge:
         return f"<Gauge {self.name}={self._value}>"
 
 
-class Histogram:
-    """Stores observations and answers count/sum/min/max/percentiles.
+#: observations a histogram keeps exactly; past this, its percentiles
+#: come from a uniform sample of this many (count/sum/min/max stay exact)
+HISTOGRAM_SAMPLES = 4096
 
-    Observations are kept exactly (these runs record thousands of
-    samples, not millions), so percentiles are exact order statistics
-    with linear interpolation between ranks.
+
+class Histogram:
+    """Answers count/sum/min/max/mean exactly and percentiles from the
+    stored samples.
+
+    The first :data:`HISTOGRAM_SAMPLES` observations are kept exactly,
+    so percentiles are exact order statistics (linear interpolation
+    between ranks) until then.  Later observations go through reservoir
+    sampling (Algorithm R) with a generator seeded by the histogram's
+    name, so memory stays flat over a long run and the same observations
+    always keep the same samples.
     """
 
-    __slots__ = ("name", "_values", "_lock")
+    __slots__ = ("name", "_values", "_count", "_sum", "_min", "_max",
+                 "_rng", "_lock")
 
     def __init__(self, name: str) -> None:
         self.name = name
-        self._values: list[float] = []
         self._lock = threading.Lock()
+        self.reset()
 
     def observe(self, value: float) -> None:
+        value = float(value)
         with self._lock:
-            self._values.append(float(value))
+            self._count += 1
+            self._sum += value
+            if value < self._min:
+                self._min = value
+            if value > self._max:
+                self._max = value
+            if len(self._values) < HISTOGRAM_SAMPLES:
+                self._values.append(value)
+                return
+            slot = int(self._rng.random() * self._count)
+            if slot < HISTOGRAM_SAMPLES:
+                self._values[slot] = value
 
     @property
     def count(self) -> int:
-        return len(self._values)
+        return self._count
 
     @property
     def sum(self) -> float:
-        with self._lock:
-            return sum(self._values)
+        return self._sum
 
     @property
     def min(self) -> float:
-        with self._lock:
-            return min(self._values) if self._values else 0.0
+        return self._min if self._count else 0.0
 
     @property
     def max(self) -> float:
-        with self._lock:
-            return max(self._values) if self._values else 0.0
+        return self._max if self._count else 0.0
 
     @property
     def mean(self) -> float:
         with self._lock:
-            if not self._values:
-                return 0.0
-            return sum(self._values) / len(self._values)
+            return self._sum / self._count if self._count else 0.0
 
     def percentile(self, p: float) -> float:
-        """Exact percentile ``p`` in [0, 100] with linear interpolation."""
+        """Percentile ``p`` in [0, 100] of the stored samples, with
+        linear interpolation."""
         if not 0.0 <= p <= 100.0:
             raise ValueError(f"percentile must be in [0, 100], got {p}")
         with self._lock:
@@ -144,7 +164,12 @@ class Histogram:
 
     def reset(self) -> None:
         with self._lock:
-            self._values.clear()
+            self._values = []
+            self._count = 0
+            self._sum = 0               # int 0 when empty, like sum([])
+            self._min = math.inf
+            self._max = -math.inf
+            self._rng = random.Random(self.name)
 
     def __repr__(self) -> str:
         return f"<Histogram {self.name} n={self.count}>"

@@ -7,8 +7,11 @@ truncated, braces and parentheses unbalanced — and compiled with
 well-formed or malformed ``-D`` options.  Every run must either compile
 and optimize, or raise a ``CompileError`` whose line and column point
 into the source; never an ``IndexError``, ``KeyError``,
-``RecursionError`` or any other stray exception.  Malformed options are
-not in the source, so their ``PreprocessorError`` has no position.
+``RecursionError`` or any other stray exception.  A mutant that
+compiles must also link, so a build that succeeds never fails at
+launch (an ``int`` constant stored to a ``char``, say).  Malformed
+options are not in the source, so their ``PreprocessorError`` has no
+position.
 
 Every token the lexer returns must also be spelled exactly as the
 source text at its line and column.
@@ -24,6 +27,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.clc import compile_source, tokenize
+from repro.clc.lower import linked_program
 from repro.clc.passes import optimize_program
 from repro.clc.tokens import EOF, KEYWORDS, PUNCTUATORS
 from repro.errors import CompileError, LexError, PreprocessorError
@@ -37,7 +41,8 @@ SOURCES = [case["source"] for name, case in sorted(_TABLE.items())
 VOCABULARY = sorted(PUNCTUATORS) + sorted(KEYWORDS) + [
     "x", "gid", "get_global_id", "barrier", "0", "1", "0x1F", "2.5f",
     "1e3", "7u", "{", "}", "(", ")", "[", "]", ";", "#define X", "@",
-    "/*", "*/", "//", "\n", "0x", "\\"]
+    "/*", "*/", "//", "\n", "0x", "\\", "300", "-129",
+    "18446744073709551616"]
 
 #: build options that are not valid -D definitions
 BAD_OPTIONS = ["-D", "-D=1", "-D1X", "-DA-B=2", "-D FOO=1 -D", "-D -O2",
@@ -121,6 +126,7 @@ def _check_compile(source: str, opts: str, level: int) -> None:
     try:
         program = compile_source(source, opts)
         optimize_program(program, level)
+        linked_program(program.bytecode)
     except CompileError as exc:
         assert isinstance(exc.line, int) and isinstance(exc.col, int)
         if opts in BAD_OPTIONS and isinstance(exc, PreprocessorError) \

@@ -95,6 +95,23 @@ class TestKernelSemantics:
         cl_run(any_engine_device, src, "f", [o, np.uint32(0)], (1,))
         assert o[0] == np.uint32(4294967295)
 
+    def test_ulong_shifts(self, any_engine_device, cl_run):
+        # NumPy has no uint64 shift by a signed amount; the engines must
+        # still shift a ulong by an int like C does
+        src = """__kernel void f(__global ulong* o, __global ulong* p,
+                                 __global const int* s) {
+            int i = get_global_id(0);
+            ulong x = o[i];
+            o[i] = x << s[i];
+            p[i] = x >> s[i];
+        }"""
+        o = np.array([1, 2**63, 3], np.uint64)
+        p = np.zeros(3, np.uint64)
+        s = np.array([63, 1, 65], np.int32)
+        cl_run(any_engine_device, src, "f", [o, p, s], (3,))
+        assert o.tolist() == [2**63, 0, 6]
+        assert p.tolist() == [0, 2**62, 1]
+
     def test_float_to_int_conversion_in_kernel(self, any_engine_device,
                                                cl_run):
         src = """__kernel void f(__global int* o,

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import sys
 import threading
 
 import pytest
 
 from repro.trace import Counter, Gauge, Histogram, MetricsRegistry
 from repro.trace import get_registry
+from repro.trace.metrics import HISTOGRAM_SAMPLES
 
 
 class TestCounter:
@@ -83,6 +85,46 @@ class TestHistogram:
         h = Histogram("h")
         h.observe(3.0)
         assert h.p50 == h.p99 == 3.0
+
+    def test_long_runs_keep_a_bounded_sample_and_exact_totals(self):
+        values = [float((i * 7919) % 100_003) for i in range(100_000)]
+        h = Histogram("h")
+        for v in values:
+            h.observe(v)
+        assert len(h._values) == HISTOGRAM_SAMPLES
+        assert h.count == 100_000
+        assert h.sum == sum(values)
+        assert h.min == min(values) and h.max == max(values)
+        assert h.mean == sum(values) / 100_000
+        # a uniform sample: the median lands near the true one
+        assert h.p50 == pytest.approx(sorted(values)[50_000], rel=0.05)
+        again = Histogram("h")
+        for v in values:
+            again.observe(v)
+        assert again._values == h._values           # deterministic
+
+    def test_concurrent_observations_keep_exact_totals(self):
+        h = Histogram("h")
+        per_thread = HISTOGRAM_SAMPLES
+
+        def worker():
+            for v in range(per_thread):
+                h.observe(v)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker) for _ in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert h.count == 4 * per_thread
+        assert h.sum == 4 * sum(range(per_thread))
+        assert len(h._values) == HISTOGRAM_SAMPLES
 
 
 class TestRegistry:
