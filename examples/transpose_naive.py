@@ -13,7 +13,7 @@ performance difference the naive version leaves on the table.
 
 import numpy as np
 
-from repro.benchsuite.transpose.driver import BLOCK, transpose_hpl_kernel
+from repro.benchsuite.table1.transpose_hpl import BLOCK, transpose_hpl_kernel
 from repro.hpl import Array, Int, eval, float_, idx, idy
 
 

@@ -7,7 +7,6 @@ Class sizes W/A/B/C are 2^25..2^32 pairs.
 
 from .driver import (CLASS_DEFAULT_SHIFT, ep_problem, run_hpl, run_opencl,
                      serial_seconds, verify)
-from .kernels import EP_OPENCL_SOURCE
 
 __all__ = ["ep_problem", "run_opencl", "run_hpl", "serial_seconds",
-           "verify", "EP_OPENCL_SOURCE", "CLASS_DEFAULT_SHIFT"]
+           "verify", "CLASS_DEFAULT_SHIFT"]

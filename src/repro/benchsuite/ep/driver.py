@@ -12,7 +12,7 @@ from ...hpl import eval as hpl_eval
 from ...ocl import XEON_SERIAL, kernel_time
 from ..common import BenchRun, Problem, extrapolated_seconds
 from ..datasets import EP_A, EP_CLASSES, EP_SEED, ep_reference
-from .kernels import EP_OPENCL_SOURCE
+from ..table1.ep_opencl import KERNEL_SOURCE
 
 #: default scale-down (log2) per class so functional runs stay tractable
 CLASS_DEFAULT_SHIFT = {"S": 6, "W": 7, "A": 10, "B": 12, "C": 14}
@@ -73,7 +73,7 @@ def run_opencl(problem: Problem, device_name: str = "Tesla") -> BenchRun:
 
     # 3. compile the kernel, keeping the build log on failure
     t0 = time.perf_counter()
-    program = ocl.Program(context, EP_OPENCL_SOURCE)
+    program = ocl.Program(context, KERNEL_SOURCE)
     try:
         program.build()
     except Exception as exc:   # show the build log, like real host code
@@ -140,7 +140,9 @@ def _hpl_lcg_next(x, a):
 
 
 def ep_hpl_kernel(sx_out, sy_out, q_out, nk, seed, a):
-    """NAS EP written with HPL — compare with kernels.py for Table I."""
+    """NAS EP written with HPL.  Table I's ``table1/ep_hpl.py`` spells
+    the same kernel shorter but generates other OpenCL C, so running it
+    would change EP's figure counters; the figures keep this one."""
     gid = idx
     offset = Long(); offset.assign(cast(gid, long_) * nk * 2)
     # seed jump: x = seed * a^offset  (square-and-multiply in the group)

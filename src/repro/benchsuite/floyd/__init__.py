@@ -6,7 +6,6 @@ cell.  The paper runs 1024 nodes on the Tesla and 512 on the Quadro.
 
 from .driver import (PAPER_NODES, PAPER_NODES_QUADRO, floyd_problem,
                      run_hpl, run_opencl, serial_seconds, verify)
-from .kernels import FLOYD_OPENCL_SOURCE
 
 __all__ = ["floyd_problem", "run_opencl", "run_hpl", "serial_seconds",
-           "verify", "FLOYD_OPENCL_SOURCE"]
+           "verify"]

@@ -13,12 +13,13 @@ import time
 import numpy as np
 
 from ... import ocl
-from ...hpl import Array, Int, endif_, idx, idy, if_, int_
+from ...hpl import Array, int_
 from ...hpl import eval as hpl_eval
 from ..common import BenchRun, Problem, extrapolated_seconds, \
     serial_time_from_counters
 from ..datasets import floyd_warshall_reference, random_graph_distances
-from .kernels import FLOYD_OPENCL_SOURCE
+from ..table1.floyd_hpl import floyd_hpl_kernel
+from ..table1.floyd_opencl import KERNEL_SOURCE
 
 PAPER_NODES = 1024
 PAPER_NODES_QUADRO = 512
@@ -58,7 +59,7 @@ def run_opencl(problem: Problem, device_name: str = "Tesla") -> BenchRun:
     queue = ocl.CommandQueue(context, device, profiling=True)
 
     t0 = time.perf_counter()
-    program = ocl.Program(context, FLOYD_OPENCL_SOURCE)
+    program = ocl.Program(context, KERNEL_SOURCE)
     try:
         program.build()
     except Exception as exc:
@@ -105,18 +106,6 @@ def run_opencl(problem: Problem, device_name: str = "Tesla") -> BenchRun:
 
 
 # -- HPL version ------------------------------------------------------------------------
-
-def floyd_hpl_kernel(pathDistance, numNodes, k):
-    """One Floyd-Warshall pass written with HPL."""
-    oldW = Int()
-    oldW.assign(pathDistance[idy * numNodes + idx])
-    tempW = Int()
-    tempW.assign(pathDistance[idy * numNodes + k]
-                 + pathDistance[k * numNodes + idx])
-    if_(tempW < oldW)
-    pathDistance[idy * numNodes + idx] = tempW
-    endif_()
-
 
 def run_hpl(problem: Problem, device_name: str = "Tesla") -> BenchRun:
     from ...hpl import Int as HInt

@@ -8,7 +8,6 @@ NULL pointer) in the OpenCL version.
 
 from .driver import (GROUP_SIZE, PAPER_N, reduction_problem, run_hpl,
                      run_opencl, serial_seconds, verify)
-from .kernels import REDUCTION_OPENCL_SOURCE
 
 __all__ = ["reduction_problem", "run_opencl", "run_hpl", "serial_seconds",
-           "verify", "REDUCTION_OPENCL_SOURCE", "GROUP_SIZE"]
+           "verify", "GROUP_SIZE"]

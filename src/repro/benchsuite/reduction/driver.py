@@ -11,17 +11,15 @@ import time
 import numpy as np
 
 from ... import ocl
-from ...hpl import (LOCAL, Array, Float, Int, Local, barrier, endif_,
-                    endwhile_, float_, for_, endfor_, gidx, if_, idx,
-                    int_, lidx, lszx, szx, while_)
+from ...hpl import Array, float_
 from ...hpl import eval as hpl_eval
 from ..common import BenchRun, Problem, extrapolated_seconds, \
     serial_time_from_counters
 from ..datasets import random_vector
-from .kernels import REDUCTION_OPENCL_SOURCE
+from ..table1.reduction_hpl import (GROUP_SIZE, NUM_GROUPS,
+                                    reduction_hpl_kernel)
+from ..table1.reduction_opencl import KERNEL_SOURCE
 
-GROUP_SIZE = 256
-NUM_GROUPS = 64
 PAPER_N = 16 * 1024 * 1024      # "the addition of 16M single-precision
                                 #  floating point values"
 
@@ -56,7 +54,7 @@ def run_opencl(problem: Problem, device_name: str = "Tesla") -> BenchRun:
     queue = ocl.CommandQueue(context, device, profiling=True)
 
     t0 = time.perf_counter()
-    program = ocl.Program(context, REDUCTION_OPENCL_SOURCE)
+    program = ocl.Program(context, KERNEL_SOURCE)
     try:
         program.build()
     except Exception as exc:
@@ -94,32 +92,6 @@ def run_opencl(problem: Problem, device_name: str = "Tesla") -> BenchRun:
 
 
 # -- HPL version -----------------------------------------------------------------------------
-
-def reduction_hpl_kernel(g_idata, g_odata, n):
-    """Grid-stride sum + local-memory tree, written with HPL."""
-    sdata = Array(float_, GROUP_SIZE, mem=Local)
-    i = Int()
-    i.assign(idx)
-    total = Float(0)
-    while_(i < n)
-    total += g_idata[i]
-    i += szx
-    endwhile_()
-    sdata[lidx] = total
-    barrier(LOCAL)
-    s = Int()
-    s.assign(lszx / 2)
-    while_(s > 0)
-    if_(lidx < s)
-    sdata[lidx] += sdata[lidx + s]
-    endif_()
-    barrier(LOCAL)
-    s.assign(s / 2)
-    endwhile_()
-    if_(lidx == 0)
-    g_odata[gidx] = sdata[0]
-    endif_()
-
 
 def run_hpl(problem: Problem, device_name: str = "Tesla") -> BenchRun:
     from ...hpl import Int as HInt

@@ -8,7 +8,6 @@ paper's Figure 5(b).  Paper sizes: 16K x 16K at 1% nonzeros (Tesla),
 
 from .driver import (M_THREADS, PAPER_SIZE, PAPER_SIZE_QUADRO, run_hpl,
                      run_opencl, serial_seconds, spmv_problem, verify)
-from .kernels import SPMV_OPENCL_SOURCE
 
 __all__ = ["spmv_problem", "run_opencl", "run_hpl", "serial_seconds",
-           "verify", "SPMV_OPENCL_SOURCE", "M_THREADS"]
+           "verify", "M_THREADS"]

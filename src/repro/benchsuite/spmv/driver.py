@@ -13,15 +13,14 @@ import time
 import numpy as np
 
 from ... import ocl
-from ...hpl import (LOCAL, Array, Float, Int, Local, barrier, endfor_,
-                    endif_, float_, for_, gidx, if_, int_, lidx)
+from ...hpl import Array, float_, int_
 from ...hpl import eval as hpl_eval
 from ..common import BenchRun, Problem, extrapolated_seconds, \
     serial_time_from_counters
 from ..datasets import csr_matvec_reference, random_csr, random_vector
-from .kernels import SPMV_OPENCL_SOURCE
+from ..table1.spmv_hpl import M as M_THREADS, spmv_hpl_kernel
+from ..table1.spmv_opencl import KERNEL_SOURCE
 
-M_THREADS = 8
 PAPER_SIZE = 16 * 1024        # 16K x 16K @ 1% nonzeros (Tesla)
 PAPER_SIZE_QUADRO = 8 * 1024  # 8K x 8K (Quadro)
 DENSITY = 0.01
@@ -67,7 +66,7 @@ def run_opencl(problem: Problem, device_name: str = "Tesla") -> BenchRun:
     queue = ocl.CommandQueue(context, device, profiling=True)
 
     t0 = time.perf_counter()
-    program = ocl.Program(context, SPMV_OPENCL_SOURCE)
+    program = ocl.Program(context, KERNEL_SOURCE)
     try:
         program.build()
     except Exception as exc:
@@ -108,29 +107,6 @@ def run_opencl(problem: Problem, device_name: str = "Tesla") -> BenchRun:
 
 
 # -- HPL version ---------------------------------------------------------------------------
-
-def spmv_hpl_kernel(A, vec, cols, rowptr, out):
-    """The paper's Figure 5(b) kernel, verbatim modulo Python syntax."""
-    j = Int()
-    mySum = Float(0)
-    for_(j, rowptr[gidx] + lidx, rowptr[gidx + 1], M_THREADS)
-    mySum += A[j] * vec[cols[j]]
-    endfor_()
-    sdata = Array(float_, M_THREADS, mem=Local)
-    sdata[lidx] = mySum
-    barrier(LOCAL)
-    if_(lidx < 4)
-    sdata[lidx] += sdata[lidx + 4]
-    endif_()
-    barrier(LOCAL)
-    if_(lidx < 2)
-    sdata[lidx] += sdata[lidx + 2]
-    endif_()
-    barrier(LOCAL)
-    if_(lidx == 0)
-    out[gidx] = sdata[0] + sdata[1]
-    endif_()
-
 
 def run_hpl(problem: Problem, device_name: str = "Tesla") -> BenchRun:
     from ...hpl import get_device

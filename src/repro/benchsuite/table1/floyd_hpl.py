@@ -6,7 +6,7 @@ import numpy as np
 from repro.hpl import Array, Int, endif_, eval, idx, idy, if_, int_
 
 
-def floyd_pass(pathDistance, numNodes, k):
+def floyd_hpl_kernel(pathDistance, numNodes, k):
     oldW = Int(); oldW.assign(pathDistance[idy * numNodes + idx])
     tempW = Int(); tempW.assign(pathDistance[idy * numNodes + k]
                                 + pathDistance[k * numNodes + idx])
@@ -33,7 +33,7 @@ def main(n=64):
     graph = generate_graph(n)
     dist = Array(int_, n * n, data=graph.reshape(-1).copy())
     for k in range(n):
-        eval(floyd_pass).global_(n, n)(dist, Int(n), Int(k))
+        eval(floyd_hpl_kernel).global_(n, n)(dist, Int(n), Int(k))
     out = dist.read().reshape(n, n)
     if not np.array_equal(out, reference(graph)):
         print("VERIFICATION FAILED", file=sys.stderr)

@@ -11,7 +11,7 @@ GROUP_SIZE = 256
 NUM_GROUPS = 64
 
 
-def reduce_kernel(g_idata, g_odata, n):
+def reduction_hpl_kernel(g_idata, g_odata, n):
     sdata = Array(float_, GROUP_SIZE, mem=Local)
     i = Int(); i.assign(idx)
     total = Float(0)
@@ -41,9 +41,9 @@ def main(n=1 << 18):
     g_idata = Array(float_, n, data=data)
     partials = Array(float_, NUM_GROUPS)
     result = Array(float_, 1)
-    eval(reduce_kernel).global_(GROUP_SIZE * NUM_GROUPS) \
+    eval(reduction_hpl_kernel).global_(GROUP_SIZE * NUM_GROUPS) \
         .local_(GROUP_SIZE)(g_idata, partials, Int(n))
-    eval(reduce_kernel).global_(GROUP_SIZE).local_(GROUP_SIZE)(
+    eval(reduction_hpl_kernel).global_(GROUP_SIZE).local_(GROUP_SIZE)(
         partials, result, Int(NUM_GROUPS))
 
     expected = float(data.astype(np.float64).sum())

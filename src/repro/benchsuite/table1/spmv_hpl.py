@@ -9,7 +9,7 @@ from repro.hpl import (LOCAL, Array, Float, Int, Local, barrier, endfor_,
 M = 8
 
 
-def spmv(A, vec, cols, rowptr, out):
+def spmv_hpl_kernel(A, vec, cols, rowptr, out):
     j = Int()
     mySum = Float(0)
     for_(j, rowptr[gidx] + lidx, rowptr[gidx + 1], M)
@@ -52,7 +52,7 @@ def main(n=512):
     cols_a = Array(int_, len(cols), data=cols)
     rowptr_a = Array(int_, n + 1, data=rowptr)
     out = Array(float_, n)
-    eval(spmv).global_(n * M).local_(M)(A, vec, cols_a, rowptr_a, out)
+    eval(spmv_hpl_kernel).global_(n * M).local_(M)(A, vec, cols_a, rowptr_a, out)
 
     expected = np.zeros(n, dtype=np.float64)
     for r in range(n):

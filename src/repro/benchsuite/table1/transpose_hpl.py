@@ -9,7 +9,7 @@ from repro.hpl import (LOCAL, Array, Int, Local, barrier, eval, float_,
 BLOCK = 16
 
 
-def transpose(output, input_, width, height):
+def transpose_hpl_kernel(output, input_, width, height):
     tile = Array(float_, BLOCK * BLOCK, mem=Local)
     tile[lidy * BLOCK + lidx] = input_[idy * width + idx]
     barrier(LOCAL)
@@ -23,7 +23,7 @@ def main(n=256):
     host = rng.random((n, n)).astype(np.float32)
     src = Array(float_, n * n, data=host.reshape(-1).copy())
     dst = Array(float_, n * n)
-    eval(transpose).global_(n, n).local_(BLOCK, BLOCK)(
+    eval(transpose_hpl_kernel).global_(n, n).local_(BLOCK, BLOCK)(
         dst, src, Int(n), Int(n))
     if not np.array_equal(dst.read().reshape(n, n), host.T):
         print("VERIFICATION FAILED", file=sys.stderr)

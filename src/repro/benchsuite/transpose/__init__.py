@@ -10,7 +10,6 @@ from 3.47% to 0.41% (§V-B).
 from .driver import (BLOCK, PAPER_SIZE, PAPER_SIZE_QUADRO, run_hpl,
                      run_opencl, serial_seconds, transpose_problem,
                      verify)
-from .kernels import TRANSPOSE_OPENCL_SOURCE
 
 __all__ = ["transpose_problem", "run_opencl", "run_hpl", "serial_seconds",
-           "verify", "TRANSPOSE_OPENCL_SOURCE", "BLOCK"]
+           "verify", "BLOCK"]

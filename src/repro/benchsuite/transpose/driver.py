@@ -7,15 +7,14 @@ import time
 import numpy as np
 
 from ... import ocl
-from ...hpl import Array, Int, barrier, float_, gidx, gidy, int_, lidx, \
-    lidy, idx, idy, LOCAL, Local
+from ...hpl import Array, float_
 from ...hpl import eval as hpl_eval
 from ..common import BenchRun, Problem, extrapolated_seconds, \
     serial_time_from_counters
 from ..datasets import random_matrix
-from .kernels import TRANSPOSE_OPENCL_SOURCE
+from ..table1.transpose_hpl import BLOCK, transpose_hpl_kernel
+from ..table1.transpose_opencl import KERNEL_SOURCE
 
-BLOCK = 16
 PAPER_SIZE = 16 * 1024          # 16K x 16K on the Tesla
 PAPER_SIZE_QUADRO = 5 * 1024    # 5K x 5K on the Quadro
 
@@ -55,7 +54,7 @@ def run_opencl(problem: Problem, device_name: str = "Tesla") -> BenchRun:
     queue = ocl.CommandQueue(context, device, profiling=True)
 
     t0 = time.perf_counter()
-    program = ocl.Program(context, TRANSPOSE_OPENCL_SOURCE)
+    program = ocl.Program(context, KERNEL_SOURCE)
     try:
         program.build()
     except Exception as exc:
@@ -91,16 +90,6 @@ def run_opencl(problem: Problem, device_name: str = "Tesla") -> BenchRun:
 
 
 # -- HPL version -------------------------------------------------------------------------
-
-def transpose_hpl_kernel(output, input_, width, height):
-    """Blocked transpose written with HPL (compare with kernels.py)."""
-    tile = Array(float_, BLOCK * BLOCK, mem=Local)
-    tile[lidy * BLOCK + lidx] = input_[idy * width + idx]
-    barrier(LOCAL)
-    ox = Int(); ox.assign(gidy * BLOCK + lidx)
-    oy = Int(); oy.assign(gidx * BLOCK + lidy)
-    output[oy * height + ox] = tile[lidx * BLOCK + lidy]
-
 
 def run_hpl(problem: Problem, device_name: str = "Tesla") -> BenchRun:
     from ...hpl import Int as HInt

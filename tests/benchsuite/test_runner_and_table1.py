@@ -1,10 +1,12 @@
 """Experiment runner smoke tests and Table I standalone programs."""
 
+import importlib
 import runpy
 import sys
 
 import pytest
 
+from repro import ocl
 from repro.benchsuite import ep, runner
 from repro.benchsuite.table1 import TABLE1_PAIRS, source_path
 from repro.hpl import reset_runtime
@@ -49,6 +51,45 @@ class TestTable1:
                             if "kernel time" not in ln]
             outputs.append(result_lines)
         assert outputs[0] == outputs[1]
+
+
+class TestFiguresRunTable1Code:
+    """Table I counts the programs the figures run: each driver builds
+    the Table I OpenCL C and evaluates the Table I HPL kernel."""
+
+    #: (benchmark, variant) pairs whose figure kernel is not the Table I
+    #: one; EP's HPL kernel generates different (equivalent) OpenCL C
+    FORKS = {("EP", "hpl")}
+
+    @staticmethod
+    def _table1_module(name, variant):
+        filename = TABLE1_PAIRS[name][variant == "hpl"]
+        return importlib.import_module(
+            "repro.benchsuite.table1." + filename[:-len(".py")])
+
+    @pytest.mark.parametrize("name", sorted(TABLE1_PAIRS))
+    def test_run_opencl_builds_the_table1_source(self, name, monkeypatch):
+        built = []
+        program = ocl.Program
+        monkeypatch.setattr(ocl, "Program", lambda context, source:
+                            built.append(source) or program(context, source))
+        module = runner._BENCH_MODULES[name]
+        module.run_opencl(runner._problems_opt_tiny()[name])
+        source = self._table1_module(name, "opencl").KERNEL_SOURCE
+        assert [s is source for s in built] == [True]
+
+    @pytest.mark.parametrize("name", sorted(TABLE1_PAIRS))
+    def test_run_hpl_evaluates_the_table1_kernel(self, name, monkeypatch):
+        module = runner._BENCH_MODULES[name]
+        driver = importlib.import_module(module.__name__ + ".driver")
+        evaluated = []
+        real_eval = driver.hpl_eval
+        monkeypatch.setattr(driver, "hpl_eval", lambda func:
+                            evaluated.append(func) or real_eval(func))
+        module.run_hpl(runner._problems_opt_tiny()[name])
+        table1 = self._table1_module(name, "hpl")
+        shared = {getattr(table1, f.__name__, None) is f for f in evaluated}
+        assert shared == {(name, "hpl") not in self.FORKS}
 
 
 class TestWarmCache:

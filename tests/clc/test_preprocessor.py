@@ -184,8 +184,6 @@ def _benchsuite_sources() -> dict:
     macros, so their later lines take the expanding path)."""
     out = {}
     for bench in ("ep", "floyd", "reduction", "spmv", "transpose"):
-        kernels = importlib.import_module(f"repro.benchsuite.{bench}.kernels")
-        out[bench] = getattr(kernels, f"{bench.upper()}_OPENCL_SOURCE")
         table1 = importlib.import_module(
             f"repro.benchsuite.table1.{bench}_opencl")
         out[f"table1/{bench}"] = table1.KERNEL_SOURCE

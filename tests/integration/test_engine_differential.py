@@ -10,9 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.ocl as cl
-from repro.benchsuite.reduction.kernels import REDUCTION_OPENCL_SOURCE
-from repro.benchsuite.spmv.kernels import SPMV_OPENCL_SOURCE
-from repro.benchsuite.transpose.kernels import TRANSPOSE_OPENCL_SOURCE
+from repro.benchsuite.table1 import (ep_opencl, reduction_opencl,
+                                     spmv_opencl, transpose_opencl)
 from tests.conftest import run_cl_kernel
 
 ENGINES = ("serial", "jit-interp", "jit-compiled")
@@ -43,14 +42,15 @@ class TestBenchmarkKernelsAgree:
         values, cols, rowptr = random_csr(n, per_row=6)
         x = rng.random(n).astype(np.float32)
         out = np.zeros(n, np.float32)
-        run_everywhere(SPMV_OPENCL_SOURCE, "spmv",
+        run_everywhere(spmv_opencl.KERNEL_SOURCE, "spmv",
                        [values, x, cols, rowptr, out], (n * 8,), (8,))
 
     def test_transpose_kernel(self, rng):
         n = 32
         src = rng.random((n, n)).astype(np.float32)
         out = np.zeros_like(src)
-        outs = run_everywhere(TRANSPOSE_OPENCL_SOURCE, "matrixTranspose",
+        outs = run_everywhere(transpose_opencl.KERNEL_SOURCE,
+                              "matrixTranspose",
                               [out, src, np.int32(n), np.int32(n)],
                               (n, n), (16, 16))
         assert np.array_equal(outs[0], src.T)
@@ -59,16 +59,15 @@ class TestBenchmarkKernelsAgree:
         n = 4096
         data = rng.random(n).astype(np.float32)
         out = np.zeros(8, np.float32)
-        run_everywhere(REDUCTION_OPENCL_SOURCE, "reduce",
+        run_everywhere(reduction_opencl.KERNEL_SOURCE, "reduce",
                        [data, out, ("local", 64 * 4), np.int32(n)],
                        (8 * 64,), (64,))
 
     def test_ep_kernel_small(self):
-        from repro.benchsuite.ep.kernels import EP_OPENCL_SOURCE
         sx = np.zeros(8, np.float64)
         sy = np.zeros(8, np.float64)
         q = np.zeros(80, np.int32)
-        run_everywhere(EP_OPENCL_SOURCE, "ep",
+        run_everywhere(ep_opencl.KERNEL_SOURCE, "ep",
                        [sx, sy, q, np.int64(64), 271828183.0, 1220703125.0],
                        (8,), (4,))
 
