@@ -697,20 +697,11 @@ def run_cluster_lb(n: int = 1 << 14, iters: int = 64) -> dict:
     """
     import numpy as np
 
-    from ..hpl import (Cluster, DistributedArray, Float, Int,
+    from ..hpl import (Cluster, DistributedArray, Float,
                        WeightedScheduler, calibration, cluster_eval,
-                       endfor_, float_, for_, get_devices, idx,
-                       timeline_of)
-    from ..hpl import sqrt as hpl_sqrt
+                       float_, get_devices, timeline_of)
 
-    def lb_heavy(y, x, a, offset, count):
-        acc = Float(0.0)
-        j = Int()
-        for_(j, 0, iters)
-        acc.assign(acc + hpl_sqrt(x[idx] * x[idx] + a * acc + 1.0))
-        endfor_()
-        y[idx] = acc
-
+    lb_heavy = _make_res_kernel(iters, "lb_heavy")
     rng = np.random.default_rng(42)
     xs = rng.random(n).astype(np.float32)
 
@@ -801,20 +792,11 @@ def run_cluster_faults(n: int = 1 << 14, iters: int = 48) -> dict:
     """
     import numpy as np
 
-    from ..hpl import (Cluster, DistributedArray, Float, Int,
-                       cluster_eval, endfor_, float_, for_, get_devices,
-                       idx, timeline_of)
+    from ..hpl import (Cluster, DistributedArray, Float, cluster_eval,
+                       float_, get_devices, timeline_of)
     from ..hpl import configure as hpl_configure
-    from ..hpl import sqrt as hpl_sqrt
 
-    def ft_heavy(y, x, a, offset, count):
-        acc = Float(0.0)
-        j = Int()
-        for_(j, 0, iters)
-        acc.assign(acc + hpl_sqrt(x[idx] * x[idx] + a * acc + 1.0))
-        endfor_()
-        y[idx] = acc
-
+    ft_heavy = _make_res_kernel(iters, "ft_heavy")
     rng = np.random.default_rng(42)
     xs = rng.random(n).astype(np.float32)
 
@@ -887,15 +869,18 @@ def gate_cluster_faults(row: dict) -> list[str]:
     })
 
 
-def _make_res_kernel(iters: int):
-    """The compute-bound partitioned kernel shared by the resilience
-    legs and the kill-and-resume subprocesses (the kernel *name* is
-    part of the checkpoint run id, so both sides must build it the
-    same way)."""
+def _make_res_kernel(iters: int, name: str = "res_heavy"):
+    """The compute-bound partitioned kernel of the cluster targets: an
+    ``iters``-step dependent ``sqrt`` chain per element.
+
+    Each target names its own copy.  The name keys the calibration
+    history and is part of the checkpoint run id, so the resilience
+    legs and the kill-and-resume subprocesses must build it the same
+    way."""
     from ..hpl import Float, Int, endfor_, for_, idx
     from ..hpl import sqrt as hpl_sqrt
 
-    def res_heavy(y, x, a, offset, count):
+    def kernel(y, x, a, offset, count):
         acc = Float(0.0)
         j = Int()
         for_(j, 0, iters)
@@ -903,7 +888,8 @@ def _make_res_kernel(iters: int):
         endfor_()
         y[idx] = acc
 
-    return res_heavy
+    kernel.__name__ = name
+    return kernel
 
 
 def _resilience_data(n: int):
