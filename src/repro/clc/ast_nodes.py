@@ -22,6 +22,9 @@ class Node:
 class IntLiteral(Node):
     value: int = 0
     suffix: str = ""
+    #: 10, or 16 for ``0x`` and 8 for a leading ``0``: C types an
+    #: unsuffixed decimal literal by another list than the others
+    radix: int = 10
 
 
 @dataclass

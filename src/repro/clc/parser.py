@@ -465,8 +465,10 @@ class Parser:
         tok = self.cur
         if tok.kind == INT_LIT:
             self._advance()
+            radix = 16 if tok.value[1:2] in ("x", "X") \
+                else 8 if tok.value[0] == "0" else 10
             return A.IntLiteral(value=int(tok.parsed), suffix=tok.suffix,
-                                line=tok.line, col=tok.col)
+                                radix=radix, line=tok.line, col=tok.col)
         if tok.kind == FLOAT_LIT:
             self._advance()
             return A.FloatLiteral(value=float(tok.parsed), suffix=tok.suffix,

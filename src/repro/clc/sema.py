@@ -21,10 +21,18 @@ from ..errors import SemanticError
 from . import ast_nodes as A
 from . import ir as I
 from .builtins import ATOMIC_FUNCTIONS, BUILTINS, WORKITEM_FUNCTIONS
-from .types import (CONSTANT, DOUBLE, FLOAT, GLOBAL, INT, LOCAL,
-                    PRIVATE, SCALAR_TYPES, SIZE_T, UINT, VOID, ArrayType,
-                    CLType, PointerType, ScalarType, can_convert, promote,
-                    usual_arithmetic_conversion)
+from .types import (CONSTANT, DOUBLE, FLOAT, GLOBAL, INT, LOCAL, LONG,
+                    PRIVATE, SCALAR_TYPES, SIZE_T, UINT, ULONG, VOID,
+                    ArrayType, CLType, PointerType, ScalarType, can_convert,
+                    promote, usual_arithmetic_conversion)
+
+# The types an integer literal may take, in order, each with the bound
+# its (non-negative) value must stay under.
+_ULONG_ONLY = ((ULONG, 2**64),)
+_UNSIGNED_LITERAL = ((UINT, 2**32),) + _ULONG_ONLY
+_LONG_LITERAL = ((LONG, 2**63),) + _ULONG_ONLY
+_DECIMAL_LITERAL = ((INT, 2**31),) + _LONG_LITERAL
+_HEX_OCTAL_LITERAL = ((INT, 2**31),) + _UNSIGNED_LITERAL[:1] + _LONG_LITERAL
 
 #: Names usable in kernels without declaration.
 PREDEFINED_CONSTANTS: dict[str, tuple[object, ScalarType]] = {
@@ -544,18 +552,23 @@ class Sema:
         raise self._err(f"unsupported expression {type(node).__name__}", node)
 
     def _int_literal_type(self, node: A.IntLiteral) -> ScalarType:
-        from .types import LONG, ULONG
+        """The first type of the literal's C99 6.4.4.1 list that holds
+        its value, with 32-bit int and 64-bit long.  An unsuffixed
+        decimal or ``l`` literal too wide for long is ulong, as in gcc."""
         s = node.suffix
-        unsigned = "u" in s
-        long_ = "l" in s
-        value = node.value
-        if value > 2**64 - 1:
-            raise self._err("integer literal is too large to be "
-                            "represented in any integer type", node)
-        if long_ or value > 2**31 - 1 or value < -(2**31):
-            return ULONG if unsigned else (
-                ULONG if value > 2**63 - 1 else LONG)
-        return UINT if unsigned else INT
+        if "u" in s:
+            candidates = _ULONG_ONLY if "l" in s else _UNSIGNED_LITERAL
+        elif "l" in s:
+            candidates = _LONG_LITERAL
+        elif node.radix == 10:
+            candidates = _DECIMAL_LITERAL
+        else:
+            candidates = _HEX_OCTAL_LITERAL
+        for t, limit in candidates:
+            if node.value < limit:
+                return t
+        raise self._err("integer literal is too large to be "
+                        "represented in any integer type", node)
 
     def _lower_identifier(self, node: A.Identifier, scope: _Scope) -> I.Expr:
         sym = scope.lookup(node.name)

@@ -110,7 +110,7 @@ def _leaf(draw) -> str:
     suffix = draw(st.sampled_from(["", "u", "l", "ul"]))
     if value > 2**63 - 1 and "u" not in suffix:
         suffix += "u"               # no signed type holds it
-    text = f"{value}{suffix}"
+    text = f"{hex(value) if draw(st.booleans()) else value}{suffix}"
     if draw(st.booleans()):
         text = f"(({draw(st.sampled_from(INT_TYPES))}){text})"
     return text
@@ -136,19 +136,53 @@ def _zero_divisor(expr) -> bool:
                for e in walk_exprs(expr))
 
 
-@settings(max_examples=200, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow,
-                                 HealthCheck.filter_too_much])
-@given(text=_EXPRESSIONS)
-def test_sema_folds_constants_like_the_serial_engine(text):
-    # a condition keeps the expression's own type (no conversion)
-    expr = compile_source(
+def _condition(text):
+    """``text`` lowered as a condition, which keeps the expression's
+    own type (no conversion)."""
+    return compile_source(
         f"__kernel void k(__global int* o) {{ if ({text}) o[0] = 1; }}"
     ).kernels["k"].body[0].cond
-    assume(not _zero_divisor(expr))
+
+
+def _check_against_serial(text, expr):
     folded = Sema._fold(expr)
     assert folded is not None, text
     out = np.zeros(1, expr.type.np_dtype)
     _run("serial", f"__kernel void k(__global {expr.type.name}* o) "
                    f"{{ o[0] = {text}; }}", out, "-O0")
     assert int(out[0]) == folded, text
+    return folded
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow,
+                                 HealthCheck.filter_too_much])
+@given(text=_EXPRESSIONS)
+def test_sema_folds_constants_like_the_serial_engine(text):
+    expr = _condition(text)
+    assume(not _zero_divisor(expr))
+    _check_against_serial(text, expr)
+
+
+# C99 6.4.4.1, 32-bit int and 64-bit long: an unsuffixed hex or octal
+# literal tries int, uint, long, ulong; a decimal one int, long; a ``u``
+# suffix uint, ulong.
+@pytest.mark.parametrize("text,type_name,value", [
+    ("0xFFFFFFFF + 1", "uint", 0),
+    ("-1 < 0xFFFFFFFF", "int", 0),
+    ("-1 < 4294967295", "int", 1),
+    ("2147483648u", "uint", 2**31),
+    ("4294967296u", "ulong", 2**32),
+    ("0x7FFFFFFF", "int", 2**31 - 1),
+    ("0x80000000", "uint", 2**31),
+    ("2147483648", "long", 2**31),
+    ("0x100000000", "long", 2**32),
+    ("0x8000000000000000", "ulong", 2**63),
+    ("0x80000000l", "long", 2**31),
+    ("00", "int", 0),
+    ("(uint)3 * 2654435761u", "uint", 3 * 2654435761 % 2**32),
+])
+def test_integer_literal_types_follow_c99(text, type_name, value):
+    expr = _condition(text)
+    assert expr.type.name == type_name
+    assert _check_against_serial(text, expr) == value
