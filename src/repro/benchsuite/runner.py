@@ -12,7 +12,7 @@ import gc
 import inspect
 import math
 
-from ..hpl import get_runtime, reset_runtime
+from ..hpl import reset_runtime
 from ..productivity import count_sloc, count_sloc_python
 from . import ep, floyd, reduction, spmv, transpose
 from .common import run_child
@@ -1107,17 +1107,18 @@ def _cli_targets() -> dict:
     }
 
 
-def _middle_end_meta() -> dict:
-    """Effective opt level, default execution engine, and this
-    process's per-pass run counts and accumulated pass time — attached
-    to every ``--json`` result so benchmark numbers are attributable
-    to a backend and pipeline configuration."""
+def _middle_end_meta(counters: dict | None = None) -> dict:
+    """Effective opt level, default execution engine, and the per-pass
+    run counts and pass time in ``counters`` (by default this process's
+    totals) — attached to every ``--json`` result so benchmark numbers
+    are attributable to a backend and pipeline configuration."""
     from .. import trace
     from ..clc.passes import default_opt_level
     from ..hpl.cluster import last_failure_summary
     from ..ocl.engines.base import default_engine
 
-    counters = trace.get_registry().snapshot()["counters"]
+    if counters is None:
+        counters = trace.get_registry().snapshot()["counters"]
     prefix, tprefix = "clc.pass_", "clc.pass_seconds_"
     summary = last_failure_summary()
     return {
@@ -1132,15 +1133,20 @@ def _middle_end_meta() -> dict:
     }
 
 
-def _target_record(name: str, span) -> dict:
-    """The run record's entry for one finished (or failed) target."""
+def _target_record(name: str, span, before: dict) -> dict:
+    """The run record's entry for one finished (or failed) target.
+
+    Its counters are what the target added to the process registry's
+    ``before`` counters, so no target reports another's work."""
     from .. import prof, trace
     from ..prof.core import merge_profiles
 
+    metrics = trace.get_registry().snapshot()
+    metrics["counters"] = {k: v - before.get(k, 0)
+                           for k, v in metrics["counters"].items()}
     return {"name": name, "span": span.span_id,
-            "meta": _middle_end_meta(),
-            "runtime": get_runtime().stats.registry.snapshot(),
-            "metrics": trace.get_registry().snapshot(),
+            "meta": _middle_end_meta(metrics["counters"]),
+            "metrics": metrics,
             "profiles": merge_profiles(prof.get_profiler().drain())}
 
 
@@ -1155,12 +1161,14 @@ def _run_targets(ns, targets: dict, recorded: list | None) -> int:
     gate_failed = False
     for name in ns.targets:
         run, fmt, gate = targets[name]
+        if recorded is not None:
+            before = trace.get_registry().snapshot()["counters"]
         with trace.span(f"target:{name}", category="benchsuite") as span:
             try:
                 result = run(ns.ep_class) if name == "ep" else run()
             finally:
                 if recorded is not None:
-                    recorded.append(_target_record(name, span))
+                    recorded.append(_target_record(name, span, before))
         if ns.json:
             print(json.dumps({name: result,
                               "_meta": _middle_end_meta()},

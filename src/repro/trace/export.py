@@ -14,7 +14,10 @@ Report
 :func:`report` renders a :class:`~repro.trace.record.Record` as text:
 the span table with inclusive and self (exclusive) time, then per
 target the runtime metrics, the recovery events and, when the profiler
-ran, the hot kernel lines and the roofline table.
+ran, the hot kernel lines and the roofline table.  A target's numbers
+come from the spans under its ``target:<name>`` span and from the
+counters it added, so each section covers that target alone, across
+every ``reset_runtime()`` inside it.
 """
 
 from __future__ import annotations
@@ -155,43 +158,75 @@ def span_table(spans: list[Span]) -> str:
     return "\n".join(out)
 
 
-def _metrics(target: dict) -> list[str]:
-    """Headline numbers of a target's runtime and process registries."""
-    run = target["runtime"]["counters"]
+def _under(spans: list[Span], root_id) -> list[Span]:
+    """The spans below the span ``root_id``, at any depth; a sim span
+    is below the wall span that was open when its command was
+    enqueued."""
+    parent = {s.span_id: s.parent_id for s in spans}
+    known = {root_id: True}
+
+    def below(span_id) -> bool:
+        path = []
+        while span_id is not None and span_id not in known:
+            path.append(span_id)
+            span_id = parent.get(span_id)
+        verdict = known.get(span_id, False)
+        known.update(dict.fromkeys(path, verdict))
+        return verdict
+
+    return [s for s in spans if below(s.parent_id)]
+
+
+def _metrics(target: dict, spans: list[Span]) -> list[str]:
+    """Headline numbers of one target, from its own ``spans``: the HPL
+    runtime's evals, captures, builds and launches, and the simulated
+    transfers of every queue."""
     proc, meta = target["metrics"]["counters"], target["meta"]
-    hits = run.get("hpl.cache_hits", 0)
-    built = run.get("hpl.kernels_built", 0)
+    hpl = defaultdict(list)
+    traffic = {"h2d": [0, 0, 0.0], "d2h": [0, 0, 0.0]}
+    for span in spans:
+        if span.clock == "wall" and span.category == "hpl":
+            hpl[span.name].append(span)
+        elif span.clock == "sim" and span.name in ("write_buffer",
+                                                   "read_buffer"):
+            way = traffic["h2d" if span.name == "write_buffer" else "d2h"]
+            way[0] += 1
+            way[1] += span.attrs.get("bytes", 0)
+            way[2] += span.duration_us * 1e-6
+    hits = sum(s.attrs.get("cache") == "hit" for s in hpl["eval"])
+    built = len(hpl["build"])
     rate = hits / (hits + built) if hits + built else 0.0
+    launches = sum("error" not in s.attrs for s in hpl["launch"])
 
-    def traffic(way):
-        return (f"{f'{way} traffic':<36}{run.get(f'hpl.{way}_bytes', 0):>12}"
-                f" bytes in {run.get(f'hpl.{way}_transfers', 0)} "
-                f"transfer(s), {run.get(f'hpl.{way}_seconds', 0):.6f}s "
-                "simulated")
+    def seconds(name, attr):
+        return sum(s.attrs.get(attr, 0.0) for s in hpl[name])
 
-    return [f"HPL runtime metrics (engine {meta.get('engine')}, "
+    def line(way):
+        count, nbytes, secs = traffic[way]
+        return (f"{f'{way} traffic (every queue)':<36}{nbytes:>12}"
+                f" bytes in {count} transfer(s), {secs:.6f}s simulated")
+
+    return [f"runtime metrics (engine {meta.get('engine')}, "
             f"-O{meta.get('opt_level')})",
-            f"{'kernel cache hit rate':<36}{100.0 * rate:>10.1f}%"
+            f"{'HPL kernel cache hit rate':<36}{100.0 * rate:>10.1f}%"
             f"   ({hits} hits / {built} builds)",
-            f"{'capture + codegen time':<36}"
-            f"{run.get('hpl.codegen_seconds', 0):>11.6f}s",
-            f"{'OpenCL build time':<36}"
-            f"{run.get('hpl.build_seconds', 0):>11.6f}s",
-            traffic("h2d"), traffic("d2h"),
-            f"{'kernel launches':<36}{run.get('hpl.launches', 0):>12}",
-            f"{'disk cache (process)':<36}"
+            f"{'HPL capture + codegen time':<36}"
+            f"{seconds('capture', 'codegen_seconds'):>11.6f}s",
+            f"{'HPL OpenCL build time':<36}"
+            f"{seconds('build', 'build_seconds'):>11.6f}s",
+            f"{'HPL kernel launches':<36}{launches:>12}",
+            line("h2d"), line("d2h"),
+            f"{'disk cache':<36}"
             f"{proc.get('hpl.disk_cache_hits', 0):>12} hit(s), "
             f"{proc.get('hpl.disk_cache_misses', 0)} miss(es), "
             f"{proc.get('hpl.disk_cache_bytes', 0)} bytes written"]
 
 
-def _recovery(target: dict, spans: list[Span], window) -> list[str]:
-    """The target's ``recover`` spans by action and the non-zero
-    ``cluster.*`` counters (process totals)."""
-    actions = Counter(
-        str(s.attrs.get("action")) for s in spans
-        if window is not None and s.name == "recover" and s.clock == "wall"
-        and window.start_us <= s.start_us <= window.end_us)
+def _recovery(target: dict, spans: list[Span]) -> list[str]:
+    """The target's ``recover`` spans by action and the ``cluster.*``
+    counters it moved."""
+    actions = Counter(str(s.attrs.get("action")) for s in spans
+                      if s.name == "recover" and s.clock == "wall")
     out = ["recovery: " + (", ".join(f"{action} x{n}" for action, n
                                      in sorted(actions.items()))
                            or "none")]
@@ -208,12 +243,11 @@ def report(record) -> str:
            "error: " + (f"{error['type']}: {error['message']}"
                         if error else "none"),
            "", span_table(record.spans)]
-    spans_by_id = {s.span_id: s for s in record.spans}
     for target in record.targets:
+        own = _under(record.spans, target["span"])
         out += ["", f"== target {target['name']} " + "=" * 50]
-        out += _metrics(target)
-        out += _recovery(target, record.spans,
-                         spans_by_id.get(target["span"]))
+        out += _metrics(target, own)
+        out += _recovery(target, own)
         if target["profiles"]:
             out += ["", hotlines(target["profiles"]), "",
                     roofline(target["profiles"])]

@@ -12,8 +12,10 @@ whose ``type`` says what it holds:
 ``target``
     One per benchsuite target: its ``name``, the id of its
     ``target:<name>`` ``span``, the ``meta`` that ``--json`` prints,
-    and snapshots of the runtime's (``runtime``) and the process-global
-    (``metrics``) metrics registries.
+    and a snapshot of the process-global metrics registry
+    (``metrics``) whose counters, and the pass counts in ``meta``, are
+    what this target added.  The report derives the HPL runtime
+    numbers from the spans under the target's span.
 ``profile``
     One merged :meth:`KernelProfile.to_dict` per kernel, belonging to
     the ``target`` line before it.
@@ -33,7 +35,7 @@ from .core import Span
 from .export import _json_safe
 
 #: bump when a line's shape changes; other versions are rejected
-RECORD_VERSION = 1
+RECORD_VERSION = 2
 
 #: numbers beyond this are not measurements (and would overflow the
 #: renderers' arithmetic); the bound also rejects NaN and infinities
@@ -128,7 +130,7 @@ _FIELDS = {
              "device": _or_none(_is(str)), "ts_us": _num, "dur_us": _num,
              "attrs": _is(dict)},
     "target": {"name": _STR, "span": _or_none(_num), "meta": _is(dict),
-               "runtime": _snapshot, "metrics": _snapshot},
+               "metrics": _snapshot},
     "profile": {"kernel": _STR, "engine": _STR, "device": _STR,
                 "source": _STR, "is_cpu": _is(bool), "counters": _num_map,
                 **dict.fromkeys(

@@ -14,9 +14,10 @@ from repro.hpl import reset_runtime
 
 @pytest.fixture(scope="session")
 def recorded_run(tmp_path_factory):
-    """``benchsuite ep cluster-faults --record``: ``(record path,
-    stdout)``.  Run once, in a scratch directory, because cluster-faults
-    writes its ``BENCH_*.json`` artifact into the working directory."""
+    """``benchsuite ep cluster-faults cluster-lb --record``: ``(record
+    path, stdout)``.  Run once, in a scratch directory, because the
+    cluster targets write their ``BENCH_*.json`` artifacts into the
+    working directory."""
     workdir = tmp_path_factory.mktemp("recorded_run")
     path = str(workdir / "run.jsonl")
     cwd, out = os.getcwd(), io.StringIO()
@@ -24,7 +25,8 @@ def recorded_run(tmp_path_factory):
     try:
         reset_runtime()
         with contextlib.redirect_stdout(out):
-            assert bench_main(["ep", "cluster-faults", "--record", path]) == 0
+            assert bench_main(["ep", "cluster-faults", "cluster-lb",
+                               "--record", path]) == 0
     finally:
         os.chdir(cwd)
         reset_runtime()

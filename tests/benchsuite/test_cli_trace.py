@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import re
+from pathlib import Path
 
 import pytest
 
@@ -38,6 +39,10 @@ def _section(text: str, target: str) -> str:
     return text.split(f"== target {target} ")[1].split("== target ")[0]
 
 
+def _launches(section: str) -> int:
+    return int(re.search(r"HPL kernel launches +(\d+)", section).group(1))
+
+
 @pytest.fixture()
 def clean_state():
     """Reset the runtime; keep the caller's tracer and profiler."""
@@ -55,8 +60,8 @@ class TestBenchsuiteTraceFlag:
         path, _stdout = recorded_run
         record = trace.read_record(path)
         assert record.error is None
-        assert [t["name"] for t in record.targets] == ["ep",
-                                                       "cluster-faults"]
+        assert [t["name"] for t in record.targets] == [
+            "ep", "cluster-faults", "cluster-lb"]
         cats = {s.category for s in record.spans}
         assert {"benchsuite", "hpl", "clc", "simcl", "cluster"} <= cats
         assert any(s.clock == "sim" for s in record.spans)
@@ -71,7 +76,7 @@ class TestBenchsuiteTraceFlag:
         own = sum(_us(line.split()[5]) for line in text.splitlines()
                   if line.startswith("wall  wall "))
         assert abs(own - roots) <= 0.01 * roots
-        assert re.search(r"wall self total \S+ = 2 root span\(s\)", text)
+        assert re.search(r"wall self total \S+ = 3 root span\(s\)", text)
 
     def test_ep_with_chrome_trace_is_valid_catapult(self, recorded_run,
                                                     tmp_path):
@@ -88,13 +93,13 @@ class TestBenchsuiteTraceFlag:
 
     def test_verbose_prints_metrics_summary(self, recorded_run, capsys):
         text = _report(capsys, recorded_run[0])
-        for target in ("ep", "cluster-faults"):
+        for target in ("ep", "cluster-faults", "cluster-lb"):
             section = _section(text, target)
-            assert "HPL runtime metrics" in section
-            assert "kernel cache hit rate" in section
+            assert "runtime metrics" in section
+            assert "HPL kernel cache hit rate" in section
             assert "h2d traffic" in section and "d2h traffic" in section
-        (ep, _faults) = trace.read_record(recorded_run[0]).targets
-        assert ep["runtime"]["counters"]["hpl.launches"] >= 1
+        ep = trace.read_record(recorded_run[0]).targets[0]
+        assert _launches(_section(text, "ep")) >= 1
         assert ep["meta"]["engine"] and "pass_runs" in ep["meta"]
 
     def test_recovery_section_shows_retries_and_quarantine(
@@ -108,6 +113,29 @@ class TestBenchsuiteTraceFlag:
         assert counts.get("quarantine", 0) >= 1
         assert re.search(r"cluster\.retries +[1-9]", section)
         assert "recovery: none" in _section(text, "ep")
+
+    def test_each_section_covers_its_own_target(self, recorded_run,
+                                                capsys):
+        """cluster-lb shows none of cluster-faults' recovery, and
+        cluster-faults counts the launches of all four legs, each of
+        which starts from a fresh runtime."""
+        text = _report(capsys, recorded_run[0])
+        lb = _section(text, "cluster-lb")
+        assert "recovery: none" in lb
+        assert "cluster.retries" not in lb
+        assert "cluster.device_lost" not in lb
+        rows = {name: json.loads((Path(recorded_run[0]).parent
+                                  / f"BENCH_cluster_{name}.json")
+                                 .read_text())["legs"].values()
+                for name in ("faults", "lb")}
+        assert _launches(lb) == sum(leg["launches"] for leg in rows["lb"])
+        # a failed launch was issued but returned no chunk result
+        done = sum(leg["launches"] for leg in rows["faults"])
+        failed = sum(leg["transient_failures"] + len(leg["devices_lost"])
+                     for leg in rows["faults"])
+        assert failed >= 1
+        assert done <= _launches(_section(text, "cluster-faults")) \
+            <= done + failed
 
     def test_trace_flag_does_not_leak_enabled_tracer(self, clean_state,
                                                      tmp_path):

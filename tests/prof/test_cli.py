@@ -50,8 +50,7 @@ def record(fresh_runtime, profiler, tmp_path):
         empty = MetricsRegistry().snapshot()
         path = str(tmp_path / f"{name}.jsonl")
         write_record(path, [name], None, [], [
-            {"name": name, "span": None, "meta": {}, "runtime": empty,
-             "metrics": empty,
+            {"name": name, "span": None, "meta": {}, "metrics": empty,
              "profiles": merge_profiles(profiler.drain())}])
         return path
     return make

@@ -6,6 +6,7 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import re
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 import repro.hpl as hpl
 from repro import prof, trace
 from repro.errors import RecordError
-from repro.hpl import Array, float_, get_runtime, idx, reset_runtime
+from repro.hpl import Array, float_, idx, reset_runtime
 from repro.prof.core import merge_profiles
 from repro.trace.__main__ import main as trace_cli
 
@@ -40,7 +41,6 @@ def good_lines(tmp_path_factory) -> list[str]:
             with trace.span("recover", category="cluster", action="retry"):
                 pass
         profiles = merge_profiles(prof.get_profiler().drain())
-        snapshot = get_runtime().stats.registry.snapshot()
     finally:
         trace.set_tracer(saved[0])
         prof.set_profiler(saved[1])
@@ -49,7 +49,7 @@ def good_lines(tmp_path_factory) -> list[str]:
     trace.write_record(str(path), ["tiny"], None, tracer.spans(), [
         {"name": "tiny", "span": target.span_id,
          "meta": {"engine": "jit", "opt_level": 2},
-         "runtime": snapshot, "metrics": trace.get_registry().snapshot(),
+         "metrics": trace.get_registry().snapshot(),
          "profiles": profiles}])
     return path.read_text().splitlines()
 
@@ -83,7 +83,8 @@ class TestRoundTrip:
         rc, out, _err = _cli("report", _write(tmp_path, good_lines))
         assert rc == 0
         assert "== target tiny" in out
-        assert "kernel cache hit rate" in out
+        assert "HPL kernel cache hit rate" in out
+        assert re.search(r"HPL kernel launches +1\n", out)
         assert "recovery: retry x1" in out
         assert "kernel affine" in out and "%  L" in out
         assert "roofline @" in out
@@ -115,9 +116,10 @@ BAD = {
     "JSON number": lambda lines: _replace(lines, 1, "3"),
     "unknown type": lambda lines: _set_field(lines, 1, "type", "nope"),
     "unhashable type": lambda lines: _set_field(lines, 1, "type", [1]),
-    "version 2": lambda lines: _set_field(lines, 0, "version", 2),
+    "version 1": lambda lines: _set_field(lines, 0, "version", 1),
+    "version 3": lambda lines: _set_field(lines, 0, "version", 3),
     "run lacks argv": lambda lines: _replace(
-        lines, 0, '{"type": "run", "version": 1, "error": null}'),
+        lines, 0, '{"type": "run", "version": 2, "error": null}'),
     "no run line": lambda lines: lines[1:],
     "two run lines": lambda lines: lines[:1] + lines,
     "string duration": lambda lines: _set_field(lines, 1, "dur_us", "x"),
