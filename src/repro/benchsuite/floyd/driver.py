@@ -13,7 +13,7 @@ import time
 import numpy as np
 
 from ... import ocl
-from ...hpl import Array, int_
+from ...hpl import Array, Int, int_
 from ...hpl import eval as hpl_eval
 from ..common import BenchRun, Problem, extrapolated_seconds, \
     serial_time_from_counters
@@ -108,7 +108,6 @@ def run_opencl(problem: Problem, device_name: str = "Tesla") -> BenchRun:
 # -- HPL version ------------------------------------------------------------------------
 
 def run_hpl(problem: Problem, device_name: str = "Tesla") -> BenchRun:
-    from ...hpl import Int as HInt
     from ...hpl import get_device
 
     n = problem.params["n_run"]
@@ -126,7 +125,7 @@ def run_hpl(problem: Problem, device_name: str = "Tesla") -> BenchRun:
         ev = hpl_eval(floyd_hpl_kernel).global_(n, n)
         if local:
             ev = ev.local_(*local)
-        result = ev.device(device)(dist, HInt(n), HInt(k))
+        result = ev.device(device)(dist, Int(n), Int(k))
         sim_kernel += result.kernel_seconds
         transfer += result.transfer_seconds
         overhead += result.codegen_seconds

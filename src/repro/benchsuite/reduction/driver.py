@@ -11,7 +11,7 @@ import time
 import numpy as np
 
 from ... import ocl
-from ...hpl import Array, float_
+from ...hpl import Array, Int, float_
 from ...hpl import eval as hpl_eval
 from ..common import BenchRun, Problem, extrapolated_seconds, \
     serial_time_from_counters
@@ -94,7 +94,6 @@ def run_opencl(problem: Problem, device_name: str = "Tesla") -> BenchRun:
 # -- HPL version -----------------------------------------------------------------------------
 
 def run_hpl(problem: Problem, device_name: str = "Tesla") -> BenchRun:
-    from ...hpl import Int as HInt
     from ...hpl import get_device
 
     n = problem.params["n_run"]
@@ -104,7 +103,7 @@ def run_hpl(problem: Problem, device_name: str = "Tesla") -> BenchRun:
     g_odata = Array(float_, NUM_GROUPS)
     result = hpl_eval(reduction_hpl_kernel) \
         .global_(GROUP_SIZE * NUM_GROUPS).local_(GROUP_SIZE) \
-        .device(device)(g_idata, g_odata, HInt(n))
+        .device(device)(g_idata, g_odata, Int(n))
 
     total = float(g_odata.read().astype(np.float64).sum())
     readback = (g_odata.host_event.duration

@@ -7,7 +7,7 @@ import time
 import numpy as np
 
 from ... import ocl
-from ...hpl import Array, float_
+from ...hpl import Array, Int, float_
 from ...hpl import eval as hpl_eval
 from ..common import BenchRun, Problem, extrapolated_seconds, \
     serial_time_from_counters
@@ -92,7 +92,6 @@ def run_opencl(problem: Problem, device_name: str = "Tesla") -> BenchRun:
 # -- HPL version -------------------------------------------------------------------------
 
 def run_hpl(problem: Problem, device_name: str = "Tesla") -> BenchRun:
-    from ...hpl import Int as HInt
     from ...hpl import get_device
 
     n = problem.params["n_run"]
@@ -103,7 +102,7 @@ def run_hpl(problem: Problem, device_name: str = "Tesla") -> BenchRun:
                 .reshape(-1))
     dst = Array(float_, n * n)
     result = hpl_eval(transpose_hpl_kernel).global_(n, n) \
-        .local_(BLOCK, BLOCK).device(device)(dst, src, HInt(n), HInt(n))
+        .local_(BLOCK, BLOCK).device(device)(dst, src, Int(n), Int(n))
 
     out = dst.read().reshape(n, n).copy()
     readback = dst.host_event.duration if dst.host_event else 0.0

@@ -162,12 +162,15 @@ def _under(spans: list[Span], root_id) -> list[Span]:
     """The spans below the span ``root_id``, at any depth; a sim span
     is below the wall span that was open when its command was
     enqueued."""
+    if root_id is None:
+        return []
     parent = {s.span_id: s.parent_id for s in spans}
     known = {root_id: True}
 
     def below(span_id) -> bool:
         path = []
         while span_id is not None and span_id not in known:
+            known[span_id] = False      # ends a parent cycle, if any
             path.append(span_id)
             span_id = parent.get(span_id)
         verdict = known.get(span_id, False)
@@ -175,6 +178,13 @@ def _under(spans: list[Span], root_id) -> list[Span]:
         return verdict
 
     return [s for s in spans if below(s.parent_id)]
+
+
+def _number_attr(span: Span, key: str):
+    """A numeric span attribute, 0 if absent or not a number (a record
+    is outside input)."""
+    value = span.attrs.get(key, 0)
+    return value if isinstance(value, (int, float)) else 0
 
 
 def _metrics(target: dict, spans: list[Span]) -> list[str]:
@@ -191,7 +201,7 @@ def _metrics(target: dict, spans: list[Span]) -> list[str]:
                                                    "read_buffer"):
             way = traffic["h2d" if span.name == "write_buffer" else "d2h"]
             way[0] += 1
-            way[1] += span.attrs.get("bytes", 0)
+            way[1] += _number_attr(span, "bytes")
             way[2] += span.duration_us * 1e-6
     hits = sum(s.attrs.get("cache") == "hit" for s in hpl["eval"])
     built = len(hpl["build"])
@@ -199,7 +209,7 @@ def _metrics(target: dict, spans: list[Span]) -> list[str]:
     launches = sum("error" not in s.attrs for s in hpl["launch"])
 
     def seconds(name, attr):
-        return sum(s.attrs.get(attr, 0.0) for s in hpl[name])
+        return sum(_number_attr(s, attr) for s in hpl[name])
 
     def line(way):
         count, nbytes, secs = traffic[way]

@@ -98,6 +98,35 @@ class TestRoundTrip:
         assert rc == 0 and "error: KeyError: 'k'" in out
 
 
+def test_report_takes_a_target_s_spans_from_its_own_subtree(tmp_path):
+    """Only spans under the target's span count, a parent cycle ends
+    the walk, and a non-numeric attribute counts as zero."""
+    def span(span_id, parent, name, clock="wall", **attrs):
+        s = trace.Span(name=name, category="hpl" if clock == "wall"
+                       else "simcl", span_id=span_id, parent_id=parent,
+                       thread_id=1, thread_name="main", start_us=0.0,
+                       clock=clock, device=None if clock == "wall"
+                       else "dev", attrs=attrs)
+        s.end_us = 2.0
+        return s
+
+    spans = [span(1, None, "target:t"), span(2, 1, "launch"),
+             span(3, 2, "write_buffer", "sim", bytes=64),
+             span(4, 1, "write_buffer", "sim", bytes="x"),
+             span(5, None, "launch"), span(6, 7, "launch"),
+             span(7, 6, "launch")]
+    path = str(tmp_path / "run.jsonl")
+    empty = trace.MetricsRegistry().snapshot()
+    trace.write_record(path, ["t"], None, spans, [
+        {"name": "t", "span": 1, "meta": {}, "metrics": empty,
+         "profiles": []}])
+    rc, out, _err = _cli("report", path)
+    assert rc == 0
+    assert re.search(r"HPL kernel launches +1\n", out)
+    assert re.search(r"h2d traffic \(every queue\) +64 bytes in "
+                     r"2 transfer\(s\)", out)
+
+
 def _replace(lines, index, text):
     return lines[:index] + [text] + lines[index + 1:]
 
