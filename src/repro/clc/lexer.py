@@ -6,8 +6,8 @@ directly on comment-bearing text in tests.
 
 One compiled master pattern cuts the whole source into consecutive
 pieces, each the longest of: a run of whitespace and comments, an
-identifier or keyword, a hex or decimal literal with its suffix, or a
-punctuator.  The pieces that cannot start a token — a bare ``0x``, an
+identifier or keyword, a hex, octal or decimal literal with its suffix,
+or a punctuator.  The pieces that cannot start a token — a bare ``0x``, an
 unterminated ``/*`` and any other single character — are matched too,
 so the pieces always cover the source and each of those becomes its
 :class:`LexError`.  Only whitespace and comments span lines, so line
@@ -65,8 +65,8 @@ def tokenize(source: str, filename: str = "<kernel>") -> list[Token]:
     """Tokenize ``source`` into a token list ending in an EOF token.
 
     Raises :class:`LexError` (with the line and column of the offending
-    text) on a malformed hex literal, an unterminated block comment or
-    a character no token starts with.
+    text) on a malformed hex literal, an 8 or 9 in an octal literal, an
+    unterminated block comment or a character no token starts with.
     """
     tokens: list[Token] = []
     append = tokens.append
@@ -117,10 +117,19 @@ def _number(text: str, line: int, col: int, filename: str) -> Token:
         value: object = int(digits, 16)
         is_float = False
     else:
-        # a decimal literal's digits hold no suffix letter
+        # a decimal or octal literal's digits hold no suffix letter
         digits = text.rstrip("uUlLfF")
         is_float = not digits.isdigit()         # has `.` or an exponent
-        value = float(digits) if is_float else int(digits, 10)
+        if is_float or "f" in text[len(digits):].lower():
+            value = float(digits)
+        elif digits[0] == "0":                  # C: a leading 0 is octal
+            for i, digit in enumerate(digits):
+                if digit in "89":
+                    raise LexError(f"invalid digit {digit!r} in octal "
+                                   "literal", line, col + i, filename)
+            value = int(digits, 8)
+        else:
+            value = int(digits, 10)
     suffix = text[len(digits):].lower()
     if "f" in suffix:
         is_float = True

@@ -106,6 +106,20 @@ class TestNumericLiterals:
         with pytest.raises(LexError):
             tokenize("0x")
 
+    def test_leading_zero_is_octal(self):
+        assert [t.parsed for t in tokenize("0 00 07 0123 0123u")[:-1]] \
+            == [0, 0, 7, 83, 83]
+
+    def test_leading_zero_float_is_decimal(self):
+        assert [t.parsed for t in tokenize("09.5 010e1 0.5")[:-1]] \
+            == [9.5, 100.0, 0.5]
+
+    @pytest.mark.parametrize("source,col", [("09", 2), ("x = 0129;", 8)])
+    def test_octal_digit_8_or_9_raises_at_the_digit(self, source, col):
+        with pytest.raises(LexError, match="octal") as info:
+            tokenize(source)
+        assert (info.value.line, info.value.col) == (1, col)
+
 
 class TestCommentsAndPositions:
     def test_line_comment_skipped(self):
