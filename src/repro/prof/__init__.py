@@ -76,12 +76,7 @@ def is_enabled() -> bool:
 
 
 def reset() -> None:
-    """Drop collected profiles; keeps the enabled/disabled state.
-
-    (:func:`repro.hpl.runtime.reset_runtime` calls this, and the
-    benchsuite resets the runtime mid-run while ``--record`` is on —
-    clearing must not silently turn profiling off.)
-    """
+    """Drop collected profiles; keeps the enabled/disabled state."""
     _default_profiler.clear()
 
 

@@ -137,6 +137,36 @@ class TestBenchsuiteTraceFlag:
         assert done <= _launches(_section(text, "cluster-faults")) \
             <= done + failed
 
+    def test_cluster_faults_profiles_cover_every_leg(self, recorded_run,
+                                                     capsys):
+        """Each leg starts from a fresh runtime, and a runtime reset
+        keeps the profiles collected so far: every launch that ran its
+        kernel is profiled, not only the last leg's."""
+        record = trace.read_record(recorded_run[0])
+        target = next(t for t in record.targets
+                      if t["name"] == "cluster-faults")
+        profiled = sum(p.launches for p in target["profiles"])
+        legs = json.loads((Path(recorded_run[0]).parent
+                           / "BENCH_cluster_faults.json").read_text())["legs"]
+        done = sum(leg["launches"] for leg in legs.values())
+        section = _section(_report(capsys, recorded_run[0]),
+                           "cluster-faults")
+        assert done <= profiled <= _launches(section)
+
+    def test_fig7_section_profiles_all_five_apps(self, clean_state,
+                                                 tmp_path, monkeypatch):
+        """fig7 resets the runtime before each app's HPL variant; the
+        record still holds both variants of all five apps."""
+        monkeypatch.setattr(runner, "_problems_tesla",
+                            runner._problems_opt_tiny)
+        path = str(tmp_path / "fig7.jsonl")
+        assert bench_main(["fig7", "--record", path]) == 0
+        (target,) = trace.read_record(path).targets
+        assert {p.kernel for p in target["profiles"]} == {
+            "ep", "ep_hpl_kernel", "floydWarshallPass", "floyd_hpl_kernel",
+            "matrixTranspose", "transpose_hpl_kernel", "spmv",
+            "spmv_hpl_kernel", "reduce", "reduction_hpl_kernel"}
+
     def test_trace_flag_does_not_leak_enabled_tracer(self, clean_state,
                                                      tmp_path):
         assert bench_main(["table1", "--record",
