@@ -180,6 +180,41 @@ def _as_tuple(size) -> tuple[int, ...]:
     return tuple(int(s) for s in size)
 
 
+def _size_key(size):
+    """Hashable form of an NDRange size argument (int, sequence or None):
+    an int and its 1-tuple share a key."""
+    if size is None:
+        return None
+    if isinstance(size, int):
+        return (size,)
+    return tuple(size)
+
+
+#: launch shape + device limits -> validated NDRange; see launch_ndrange()
+_NDRANGE_CACHE: dict = {}
+
+
+def launch_ndrange(global_size, local_size, spec) -> "NDRange":
+    """The validated :class:`NDRange` of one launch on a device ``spec``.
+
+    Memoized across launches and engine instances (a device builds a
+    new engine for every launch).  Only a valid geometry is stored, so
+    an invalid one raises on every launch.  The memo holds at most 64
+    shapes; NDRanges are never mutated after construction.
+    """
+    key = (_size_key(global_size), _size_key(local_size),
+           spec.max_work_group_size, tuple(spec.max_work_item_sizes))
+    nd = _NDRANGE_CACHE.get(key)
+    if nd is None:
+        nd = NDRange(global_size, local_size,
+                     max_work_group_size=spec.max_work_group_size,
+                     max_work_item_sizes=spec.max_work_item_sizes)
+        if len(_NDRANGE_CACHE) >= 64:
+            _NDRANGE_CACHE.clear()
+        _NDRANGE_CACHE[key] = nd
+    return nd
+
+
 #: (global_size, local_size) -> read-only lane-id arrays; see lane_ids()
 _LANE_IDS_CACHE: dict = {}
 

@@ -33,7 +33,7 @@ from ...clc.types import SCALAR_TYPES
 from ...errors import InvalidKernelArgs, KernelLaunchError, OutOfResources
 from ..costmodel import CostCounters
 from .base import (ATOMIC_UFUNCS, MAX_LOOP_ITERATIONS, BufferBinding,
-                   LocalBinding, NDRange, check_args, linked_entry,
+                   LocalBinding, check_args, launch_ndrange, linked_entry,
                    register_engine, wiq_value)
 from .carith import binary_value, compare_value, to_dtype
 
@@ -86,9 +86,7 @@ class SerialEngine:
         if kernel is None or not kernel.is_kernel:
             raise InvalidKernelArgs(f"no kernel named {kernel_name!r}")
         check_args(kernel, args, self.spec)
-        nd = NDRange(global_size, local_size,
-                     max_work_group_size=self.spec.max_work_group_size,
-                     max_work_item_sizes=self.spec.max_work_item_sizes)
+        nd = launch_ndrange(global_size, local_size, self.spec)
         self.nd = nd
         self.counters = CostCounters(work_items=nd.total_items,
                                      work_groups=nd.total_groups)

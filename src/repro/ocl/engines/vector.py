@@ -38,18 +38,11 @@ from ...clc.types import SCALAR_TYPES
 from ...errors import InvalidKernelArgs, KernelLaunchError, OutOfResources
 from ..costmodel import CostCounters, count_index_transactions
 from .base import (ATOMIC_UFUNCS, MAX_LOOP_ITERATIONS, BufferBinding,
-                   Mem as _Mem, NDRange, check_args, linked_entry,
+                   Mem as _Mem, check_args, launch_ndrange, linked_entry,
                    wiq_value)
 from .carith import binary_value, compare_value, to_dtype, truth
 
 _MAX_LOOP_ITERATIONS = MAX_LOOP_ITERATIONS
-
-
-def _as_key(size):
-    """Hashable form of an NDRange size argument (int, sequence or None)."""
-    if size is None or isinstance(size, int):
-        return size
-    return tuple(size)
 
 
 class _BFrame:
@@ -109,16 +102,7 @@ class VectorEngine:
             raise InvalidKernelArgs(f"no kernel named {kernel_name!r}")
         check_args(kernel, args, self.spec)
 
-        nd_key = (_as_key(global_size), _as_key(local_size))
-        nd = self._nd_cache.get(nd_key) if hasattr(self, "_nd_cache") \
-            else None
-        if nd is None:
-            nd = NDRange(global_size, local_size,
-                         max_work_group_size=self.spec.max_work_group_size,
-                         max_work_item_sizes=self.spec.max_work_item_sizes)
-            if not hasattr(self, "_nd_cache"):
-                self._nd_cache = {}
-            self._nd_cache[nd_key] = nd
+        nd = launch_ndrange(global_size, local_size, self.spec)
         self.nd = nd
         self.n = nd.total_items
         self.ids = nd.lane_ids()

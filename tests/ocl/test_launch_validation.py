@@ -1,13 +1,17 @@
 """Launch-validation regressions: default local sizes, per-device build
 state, and ``__constant`` argument checking."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import repro.ocl as cl
 from repro.clc import compile_source
 from repro.ocl import QUADRO_FX380, TESLA_C2050
-from repro.ocl.engines.base import BufferBinding, NDRange, check_args
+from repro.ocl.engines import base
+from repro.ocl.engines.base import (BufferBinding, NDRange, check_args,
+                                    launch_ndrange)
 from repro.errors import (BuildProgramFailure, InvalidDevice,
                           InvalidKernelArgs, InvalidProgramExecutable,
                           InvalidValue, InvalidWorkGroupSize,
@@ -52,14 +56,37 @@ class TestDefaultLocalSize:
     def test_device_capped_launch_runs(self, cl_run):
         # end-to-end: a device whose per-dim cap is below 256 can run a
         # default-local launch (this raised InvalidWorkGroupSize before)
-        from dataclasses import replace
-
         spec = replace(TESLA_C2050, max_work_item_sizes=(64, 64, 64))
         device = cl.Device(spec, "jit")
         dst = np.zeros(256, dtype=np.float32)
         src = np.arange(256, dtype=np.float32)
         cl_run(device, COPY_SRC, "copy", [dst, src], (256,))
         np.testing.assert_array_equal(dst, src)
+
+
+class TestLaunchNDRangeMemo:
+    """Engines get each launch's NDRange from one bounded memo, shared
+    across engine instances (a device builds one per launch)."""
+
+    def test_repeated_shape_reuses_one_ndrange(self):
+        nd = launch_ndrange(256, None, TESLA_C2050)
+        assert launch_ndrange((256,), None, TESLA_C2050) is nd
+
+    def test_device_limits_are_part_of_the_key(self):
+        capped = replace(TESLA_C2050, max_work_item_sizes=(64, 64, 64))
+        assert launch_ndrange((256,), None, TESLA_C2050).local_size \
+            == (256,)
+        assert launch_ndrange((256,), None, capped).local_size == (64,)
+
+    def test_invalid_shape_raises_on_every_launch(self):
+        for _ in range(3):
+            with pytest.raises(InvalidWorkGroupSize):
+                launch_ndrange((256,), (96,), TESLA_C2050)
+
+    def test_memo_is_bounded(self):
+        for size in range(1, 200):
+            launch_ndrange((size,), None, TESLA_C2050)
+        assert len(base._NDRANGE_CACHE) <= 64
 
 
 # -- per-device build state ---------------------------------------------------
