@@ -32,6 +32,10 @@ class Device:
         self.spec = spec
         self._engine = engine
         self.index = index
+        #: unique identity: the name suffixed with the roster index;
+        #: directly-constructed devices (no roster) keep the bare name
+        self.label = spec.name if index is None \
+            else f"{spec.name}#{index}"
 
     @property
     def engine_name(self) -> str:
@@ -49,16 +53,6 @@ class Device:
     @property
     def name(self) -> str:
         return self.spec.name
-
-    @property
-    def label(self) -> str:
-        """Unique identity: the name suffixed with the roster index.
-
-        Directly-constructed devices (no roster) keep the bare name.
-        """
-        if self.index is None:
-            return self.spec.name
-        return f"{self.spec.name}#{self.index}"
 
     @property
     def vendor(self) -> str:
