@@ -135,16 +135,25 @@ def compare_value(op: int, lhs, rhs):
 
 
 def to_dtype(value, np_dtype):
-    """Convert a value/array to ``np_dtype`` with C truncation semantics."""
+    """Convert a value/array to ``np_dtype`` with C truncation semantics.
+
+    A float converted to an integer type truncates toward zero, and a
+    NaN or infinity becomes 0.  This is a handful of ufunc calls on
+    the whole array: trunc, zero the non-finite lanes (only if there
+    are any), cast to ``int64``, narrow.
+    """
     arr = np.asarray(value)
-    if np.issubdtype(np_dtype, np.integer) and np.issubdtype(
-            arr.dtype, np.floating):
+    if arr.dtype.kind == "f" and np.dtype(np_dtype).kind in "iu":
         with np.errstate(invalid="ignore", over="ignore"):
-            arr = np.nan_to_num(np.trunc(arr),
-                                nan=0.0, posinf=0.0, neginf=0.0)
+            t = np.trunc(arr)
+            finite = np.isfinite(t)
+            if t.ndim:
+                if np.count_nonzero(finite) != t.size:
+                    t[~finite] = 0.0
+            elif not finite:
+                t = t.dtype.type(0.0)
             # cast via int64 first so out-of-range values wrap instead of
             # raising on platforms where float->small-int is checked
-            return arr.astype(np.int64, copy=False).astype(np_dtype,
-                                                           copy=False)
+            return t.astype(np.int64).astype(np_dtype, copy=False)
     with np.errstate(over="ignore", invalid="ignore"):
         return arr.astype(np_dtype, copy=False)
