@@ -108,8 +108,13 @@ class Device:
         from .api import device_type
         return bool(self.spec.type & device_type.GPU)
 
-    def make_engine(self, program):
-        return get_engine_class(self.engine_name)(program, self.spec)
+    def make_engine(self, program, engine_name: str | None = None):
+        """A new engine for one launch of ``program``: the backend
+        ``engine_name``, which a caller that already resolved
+        :attr:`engine_name` passes in, else the resolved one."""
+        if engine_name is None:
+            engine_name = self.engine_name
+        return get_engine_class(engine_name)(program, self.spec)
 
     def __repr__(self) -> str:
         return f"<Device {self.name!r} ({self.engine_name} engine)>"

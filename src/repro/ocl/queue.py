@@ -368,10 +368,12 @@ class CommandQueue:
         program_ir = kernel.program.ir
 
         def payload():
+            # resolved once per launch: it may read $HPL_ENGINE
+            engine_name = self.device.engine_name
             with trace.span("enqueue_kernel", category="simcl",
                             kernel=name, device=self.device.name,
-                            engine=self.device.engine_name) as sp:
-                engine = self.device.make_engine(program_ir)
+                            engine=engine_name) as sp:
+                engine = self.device.make_engine(program_ir, engine_name)
                 counters = engine.run(name, args, global_size, local_size)
                 breakdown = kernel_time(counters, self.device.spec)
                 sp.set_attr("sim_seconds", breakdown.total)

@@ -13,6 +13,7 @@ import pytest
 
 import repro.hpl as hpl
 import repro.ocl as cl
+from repro import trace
 from repro.ocl import TESLA_C2050
 from repro.ocl.engines.base import (_REGISTRY, available_engines,
                                     default_engine, get_engine_class,
@@ -133,3 +134,53 @@ class TestSelectionPrecedence:
         assert device.engine_name == "serial"
         set_default_engine(None)
         assert device.engine_name == "jit"
+
+    def test_env_change_between_launches_is_honoured(self, monkeypatch):
+        """A launch resolves the engine name once, at the time it runs:
+        one kernel object launched under two ``$HPL_ENGINE`` values
+        runs on each backend in turn, and each launch's span and
+        engine agree."""
+        device = cl.Device(TESLA_C2050)
+        ctx = cl.Context([device])
+        queue = cl.CommandQueue(ctx, device)
+        kernel = cl.Program(ctx, "__kernel void k(__global int* y) "
+                                 "{ y[get_global_id(0)] += 1; }").build() \
+            .create_kernel("k")
+        y = np.zeros(8, np.int32)
+        buf = cl.Buffer(ctx, cl.mem_flags.READ_WRITE, size=y.nbytes)
+        queue.enqueue_write_buffer(buf, y)
+        kernel.set_arg(0, buf)
+        tracer = trace.enable(fresh=True)
+        try:
+            for engine in ("serial", "jit", "serial"):
+                monkeypatch.setenv("HPL_ENGINE", engine)
+                queue.enqueue_nd_range_kernel(kernel, (8,))
+            queue.finish()
+        finally:
+            trace.disable()
+        spans = tracer.spans()
+        for name in ("enqueue_kernel", "engine_run"):
+            assert [sp.attrs["engine"] for sp in spans
+                    if sp.name == name] == ["serial", "jit", "serial"]
+        queue.enqueue_read_buffer(buf, y)
+        assert (y == 3).all()
+
+    def test_one_launch_resolves_the_default_once(self, monkeypatch):
+        from repro.ocl import device as device_mod
+        calls = []
+
+        def counting():
+            calls.append(1)
+            return default_engine()
+
+        device = cl.Device(TESLA_C2050)
+        ctx = cl.Context([device])
+        queue = cl.CommandQueue(ctx, device)
+        kernel = cl.Program(ctx, "__kernel void k(__global int* y) "
+                                 "{ y[get_global_id(0)] = 1; }").build() \
+            .create_kernel("k")
+        kernel.set_arg(0, cl.Buffer(ctx, cl.mem_flags.READ_WRITE, size=32))
+        monkeypatch.setattr(device_mod, "default_engine", counting)
+        queue.enqueue_nd_range_kernel(kernel, (8,))
+        queue.finish()
+        assert len(calls) == 1
