@@ -22,6 +22,7 @@ The model is a standard throughput/roofline hybrid:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .devicedb import DeviceSpec
@@ -214,29 +215,147 @@ def count_index_transactions(indices, warp_ids, segment_bytes: int,
     return _count_segment_transactions(segments, warp_ids, warp_width)
 
 
-def count_contiguous_transactions(n: int, segment_bytes: int,
-                                  itemsize: int, warp_width: int):
-    """:func:`count_index_transactions` of ``arange(n)`` with lanes
-    warp-major (``warp_ids == arange(n) // max(1, warp_width)``): a
-    full launch whose every lane ``i`` touches element ``i``.
+#: (offset residue, dims, segment, item size, warp) -> transactions;
+#: see count_affine_transactions()
+_AFFINE_COUNTS: dict = {}
 
-    When the segment holds whole items and the warp and the items per
-    segment divide one another — every device in the database — the
-    count is closed-form: a warp that starts on a segment boundary
-    covers ``ceil(lanes / per)`` segments, and a warp that fits inside
-    one segment costs one.  Other sizes count the lanes.
-    """
-    if n <= 0:
-        return 0
-    w = max(1, warp_width)
-    per, odd = divmod(segment_bytes, itemsize)
-    if per and not odd:
-        if w % per == 0:        # warps start on segment boundaries
-            warps, rest = divmod(n, w)
-            return warps * (w // per) + -(-rest // per)
-        if per % w == 0:        # no warp straddles a segment boundary
-            return -(-n // w)
+
+def _lattice(offset: int, dims):
+    """The element index of every lane of an affine access, lanes in
+    row-major order over ``dims`` (``((extent, stride), ...)``,
+    outermost first)."""
     import numpy as np
-    lanes = np.arange(n, dtype=np.int64)
-    return count_index_transactions(lanes, lanes // w, segment_bytes,
-                                    itemsize, warp_width)
+
+    idx = np.array([offset], dtype=np.int64)
+    for extent, stride in dims:
+        idx = (idx[:, None]
+               + stride * np.arange(extent, dtype=np.int64)).ravel()
+    return idx
+
+
+def _progression_segments(first: int, step: int, lanes: int,
+                          seg: int) -> int:
+    """Distinct segments ``lanes`` addresses ``first + step * i`` touch,
+    in units of ``seg`` per segment: a step under a segment skips no
+    segment between the lowest and highest address, and a longer one
+    never repeats one."""
+    if step == 0 or lanes == 1:
+        return 1
+    if abs(step) >= seg:
+        return lanes
+    low = first + min(0, step * (lanes - 1))
+    return (low % seg + abs(step) * (lanes - 1)) // seg + 1
+
+
+def _warp_segments(first: int, dims, unit: int, seg: int) -> int:
+    """Distinct segments one warp touches: its lanes are the lattice
+    ``dims`` from the address ``first``, in units of ``seg`` per
+    segment and ``unit`` per element."""
+    if len(dims) > 1:
+        import numpy as np
+        return int(np.unique(
+            (first + _lattice(0, dims) * unit) // seg).size)
+    if not dims:
+        return 1
+    return _progression_segments(first, dims[0][1] * unit, dims[0][0], seg)
+
+
+def count_affine_transactions(offset: int, dims, segment_bytes: int,
+                              itemsize: int, warp_width: int) -> int:
+    """:func:`count_index_transactions` of a full launch whose lanes
+    access an affine index: lane ``l`` with row-major coordinates
+    ``c`` over ``dims`` (``((extent, stride), ...)``, outermost first)
+    touches element ``offset + sum(stride_k * c_k)``, and its warp is
+    ``l // max(1, warp_width)``.
+
+    The count is exact and closed-form whenever every warp but a last,
+    partial one covers the same box of coordinates: the innermost
+    whole dimensions and an aligned run of the next one.  A segment
+    index is ``floor(bytes / segment_bytes)``, so a warp's count
+    depends only on its first byte offset modulo the segment.  The
+    count is one warp's pattern counted at each residue of the warp
+    starts: a single residue when every outer stride is a whole number
+    of segments, otherwise a histogram of the starts.  Warps that
+    straddle an outer coordinate count over the materialised index.
+    Memoized on everything the count depends on.
+    """
+    g = math.gcd(itemsize, segment_bytes)
+    unit, seg = itemsize // g, segment_bytes // g
+    if len(dims) == 1:
+        # a 1-D launch's index, or a 2-D one's that steps as one: the
+        # warps are runs of one progression, each closed-form
+        extent, stride = dims[0]
+        w = max(1, warp_width)
+        step = stride * unit
+        full, rest = divmod(extent, w)
+        if not full:
+            return extent and _progression_segments(offset * unit, step,
+                                                    extent, seg)
+        if w == 1 or step * w % seg == 0:
+            count = full * _progression_segments(offset * unit, step, w,
+                                                  seg)
+            if rest:
+                count += _progression_segments(
+                    (offset + stride * w * full) * unit, step, rest, seg)
+            return count
+    key = (offset * unit % seg, dims, segment_bytes, itemsize, warp_width)
+    count = _AFFINE_COUNTS.get(key)
+    if count is None:
+        if len(_AFFINE_COUNTS) >= 256:
+            _AFFINE_COUNTS.clear()
+        count = _AFFINE_COUNTS[key] = _affine_count(
+            offset, [d for d in dims if d[0] != 1], unit, seg,
+            segment_bytes, itemsize, warp_width)
+    return count
+
+
+def _affine_count(offset: int, dims: list, unit: int, seg: int,
+                  segment_bytes: int, itemsize: int,
+                  warp_width: int) -> int:
+    """The uncached :func:`count_affine_transactions`; ``dims`` holds
+    no extent of 1, and addresses are in units of ``seg`` per segment
+    and ``unit`` per element."""
+    import numpy as np
+
+    w = max(1, warp_width)
+    start = offset * unit
+    n = 1
+    for extent, _stride in dims:
+        n *= extent
+    if n == 0:
+        return 0
+    # the warp box: whole inner dimensions, then q of dimension k
+    inner, k = 1, len(dims) - 1
+    while k >= 0 and w % (inner * dims[k][0]) == 0:
+        inner *= dims[k][0]
+        k -= 1
+    if k < 0:                       # one warp holds every lane
+        return _warp_segments(start, dims, unit, seg)
+    q = w // inner
+    extent, stride = dims[k]
+    full, rest = divmod(extent, q)
+    if rest and k:                  # warps straddle an outer coordinate
+        lanes = np.arange(n, dtype=np.int64)
+        return int(count_index_transactions(
+            _lattice(offset, dims), lanes // w, segment_bytes, itemsize,
+            warp_width))
+    count = 0
+    if full:
+        box = [(q, stride)] + dims[k + 1:]
+        outer = [(e, s * unit) for e, s in dims[:k] + [(full, stride * q)]
+                 if e > 1]
+        if q * inner == 1 or not [s for _e, s in outer if s % seg]:
+            # one residue, or one lane per warp (a single segment)
+            count = (n - rest * inner) // w * _warp_segments(
+                start, box, unit, seg)
+        else:
+            res = np.bincount(_lattice(start, outer) % seg, minlength=seg)
+            rs = np.flatnonzero(res)
+            segs = (rs[:, None] + np.sort(
+                _lattice(0, box) * unit)[None, :]) // seg
+            per = 1 + np.count_nonzero(segs[:, 1:] != segs[:, :-1], axis=1)
+            count = int((res[rs] * per).sum())
+    if rest:                        # the last, partial warp
+        count += _warp_segments(start + stride * q * full * unit,
+                                [(rest, stride)] + dims[1:], unit, seg)
+    return count

@@ -19,10 +19,12 @@ sides of the tier boundary.  Per-line profiling works through the same
 ``LaunchCollector`` calls, emitted as literal ``(line, cost)`` replay
 statements from the instruction→line sidecar the lowerer already stamps
 on every instruction.  One shortcut has no interpreter counterpart: a
-global access indexed by ``get_global_id(0)`` in a full 1-D launch is a
-slice, and its transactions come from the closed form
-:func:`~repro.ocl.costmodel.count_contiguous_transactions` — the same
-numbers the gather and the measured count give.
+full-mask global access whose index is affine in the lane coordinates
+(``x[i + u]``, ``y * n + x``, a grid-stride loop's ``i``) moves its data
+through a strided view, and its transactions come from the closed form
+:func:`~repro.ocl.costmodel.count_affine_transactions` — the same
+numbers the gather and the measured count give (see
+:class:`_AffineScan`).
 
 Launch counts and compiled functions live on the program's bytecode
 object, so they die with the program (``reset_runtime()`` drops both).
@@ -50,7 +52,8 @@ from ...clc.lower import (L_A, L_AUX, L_B, L_C, L_DST,
                           OP_WIQ, SPACE_GLOBAL, SPACE_LOCAL,
                           linked_program)
 from ...errors import KernelLaunchError
-from ..costmodel import (count_contiguous_transactions,
+from ...clc.types import SCALAR_TYPES
+from ..costmodel import (count_affine_transactions,
                          count_index_transactions, count_transactions)
 from .base import (ATOMIC_UFUNCS, GLOBAL_ID_KEYS, GROUP_ID_KEYS,
                    LOCAL_ID_KEYS, MAX_LOOP_ITERATIONS, Mem,
@@ -74,7 +77,6 @@ _EXEC_ENV = {
     "c_shr": c_shr,
     "count_transactions": count_transactions,
     "count_index_transactions": count_index_transactions,
-    "count_contiguous_transactions": count_contiguous_transactions,
     "Mem": Mem,
     "BFrame": _BFrame,
     "KernelLaunchError": KernelLaunchError,
@@ -193,24 +195,387 @@ class _ModuleEmitter:
         return "\n".join(lines) + "\n"
 
 
-def _gid0_registers(code) -> frozenset:
-    """Registers of one linked function that always hold
-    ``get_global_id(0)``: every instruction writing one is a work-item
-    query of the global id in dimension 0.  A global access indexed by
-    such a register gets the contiguous fast path.  The lowerer hoists
-    work-item queries into the function's prologue, and a query writes
-    every lane, so the register holds the id wherever it is read."""
-    gid0: set[int] = set()
-    other: set[int] = set()
-    for ins in code:
-        d = ins[L_DST]
-        if d < 0:
-            continue
-        if ins[0] == OP_WIQ and ins[L_AUX][:2] == (0, 0):
-            gid0.add(d)
+# -- affine global accesses ---------------------------------------------------------
+#
+# An index register is *affine* when its value at every lane is an
+# affine function of the lane's coordinates (group y, group x, local y,
+# local x).  A full-mask global access through such a register needs
+# no gather: five lanes give its offset and strides, a range check in
+# Python ints proves every lane in bounds, the data moves through a
+# strided view, and the transactions have a closed form.
+
+#: operations that keep a value affine: ``mul`` needs a uniform factor
+_AFFINE_OPS = frozenset({OP_ADD, OP_SUB, OP_MUL, OP_NEG, OP_MOV, OP_CAST,
+                         OP_CASTF})
+
+#: pure operations whose result is uniform when their operands are
+_PURE_OPS = frozenset(range(OP_ADD, OP_LOR + 1)) | {
+    OP_NEG, OP_BNOT, OP_LNOT, OP_CAST, OP_CASTF, OP_SELECT}
+
+
+def _operands(ins) -> tuple:
+    return tuple(r for r in (ins[L_A], ins[L_B], ins[L_C]) if r >= 0)
+
+
+def _is_int(dtype) -> bool:
+    return dtype is not None and dtype.kind in "iu"
+
+
+class _AffineScan:
+    """Def scan of one linked function for the affine access path.
+
+    * ``uniform``: registers identical across the launch — constants,
+      size queries, kernel scalar parameters, variables the uniformity
+      analysis marks launch-uniform, and pure arithmetic of these.
+    * ``affine``: registers whose every definition is a global, local
+      or group id query, or an ``add``, ``sub``, ``neg``, ``mov`` or
+      integer cast of affine or uniform registers, or a ``mul`` of one
+      by a uniform register.  Only ring operations and truncating
+      casts, so each value is congruent, modulo ``2**bits`` of the
+      narrowest type on its way, to an exact affine function of the
+      lane coordinates.
+    * ``static``: affine registers defined without a ``mov``.  A
+      definition computes every lane, so their values are affine
+      wherever they are read.  The rest (``flagged``) are variables or
+      depend on one: a ``mov`` under a partial mask blends lanes, so
+      each carries a runtime flag in the generated code.
+
+    :meth:`access` says whether a global access through a register
+    may take the affine path, and how.
+    """
+
+    def __init__(self, code, kbc) -> None:
+        defs: dict[int, list] = {}
+        for ins in code:
+            if ins[L_DST] >= 0:
+                defs.setdefault(ins[L_DST], []).append(ins)
+        params = {p[3]: SCALAR_TYPES[p[2]].np_dtype
+                  for p in kbc.params if p[0] == "scalar"}
+        dtype = dict(params)
+        for reg, ins_list in defs.items():
+            kinds = {ins[L_NP] for ins in ins_list}
+            if reg in params:
+                kinds.add(params[reg])
+            dtype[reg] = kinds.pop() if len(kinds) == 1 else None
+        self.dtype = dtype
+
+        uniform = ({r for r in params if r not in defs} if kbc.is_kernel
+                   else set())
+        grew = True
+        while grew:
+            grew = False
+            for reg, ins_list in defs.items():
+                if reg in uniform or (reg in params and not kbc.is_kernel):
+                    continue
+                if all(self._uniform_def(ins, uniform) for ins in ins_list):
+                    uniform.add(reg)
+                    grew = True
+
+        affine = {r for r, ins_list in defs.items()
+                  if r not in uniform and r not in params
+                  and _is_int(dtype[r])
+                  and all(self._affine_kind(ins) for ins in ins_list)}
+        shrunk = True
+        while shrunk:
+            shrunk = False
+            for reg in list(affine):
+                if not all(self._affine_operands(ins, affine, uniform)
+                           for ins in defs[reg]):
+                    affine.discard(reg)
+                    shrunk = True
+
+        static = {r for r in affine if all(ins[0] == OP_WIQ
+                                           for ins in defs[r])}
+        grew = True
+        while grew:
+            grew = False
+            for reg in affine - static:
+                if all(ins[0] != OP_MOV and all(
+                        x in static or x in uniform for x in _operands(ins))
+                       for ins in defs[reg]):
+                    static.add(reg)
+                    grew = True
+
+        # the narrowest width on the way to each affine value
+        bits = {r: dtype[r].itemsize * 8 for r in affine}
+        narrowed = True
+        while narrowed:
+            narrowed = False
+            for reg in affine:
+                low = min([bits[reg]] + [
+                    bits[x] for ins in defs[reg] for x in _operands(ins)
+                    if x in affine])
+                if low < bits[reg]:
+                    bits[reg] = low
+                    narrowed = True
+
+        self.uniform = frozenset(uniform)
+        self.static = frozenset(static)
+        self.flagged = frozenset(affine - static)
+        self.bits = bits
+        #: id-query registers whose affine form the launch shape fixes
+        self.ids = {r: _ID_KEYS[defs[r][0][L_AUX][:2]] for r in static
+                    if len(defs[r]) == 1 and defs[r][0][0] == OP_WIQ}
+
+    @staticmethod
+    def _uniform_def(ins, uniform) -> bool:
+        op = ins[0]
+        if op == OP_CONST:
+            return True
+        if op == OP_WIQ:
+            return ins[L_AUX][0] >= 3
+        if op == OP_MOV:
+            return ins[L_UNI] == 2
+        return op in _PURE_OPS and all(r in uniform for r in _operands(ins))
+
+    @staticmethod
+    def _affine_kind(ins) -> bool:
+        if not _is_int(ins[L_NP]):
+            return False
+        if ins[0] == OP_WIQ:
+            return ins[L_AUX][0] <= 2
+        return ins[0] in _AFFINE_OPS
+
+    def _affine_operands(self, ins, affine, uniform) -> bool:
+        if ins[0] == OP_WIQ:
+            return True
+        regs = _operands(ins)
+        if not all((r in affine or r in uniform) and _is_int(self.dtype[r])
+                   for r in regs):
+            return False
+        if len(regs) == 2:
+            # a uint64 operand beside a signed one promotes to float64
+            if np.result_type(*(self.dtype[r] for r in regs)).kind \
+                    not in "iu":
+                return False
+            if ins[0] == OP_MUL and not (regs[0] in uniform
+                                         or regs[1] in uniform):
+                return False
+        return True
+
+    def access(self, reg):
+        """``(guard, limit, key)`` for a global access indexed by
+        ``reg``, or None when it always takes the gather path.
+
+        ``guard`` is the generated condition for the affine path.
+        ``limit`` bounds the buffer size: an affine range inside
+        ``[0, size)`` with ``size <= limit`` fits the index type, and
+        a value congruent to it modulo ``2**bits`` is then equal to it
+        at every lane, so no lane wrapped.  ``key`` names the lane-id
+        array a pure id query reads, whose form the launch shape
+        fixes.
+        """
+        dtype = self.dtype.get(reg)
+        if not _is_int(dtype):
+            return None
+        if reg in self.uniform:
+            # every lane reads the register's own value: no wrap to rule out
+            return "full", 1 << 64, None
+        bits = dtype.itemsize * 8
+        if self.bits.get(reg) != bits:
+            return None
+        limit = 1 << (bits - (dtype.kind == "i"))
+        if reg in self.static:
+            return "full", limit, self.ids.get(reg)
+        return f"full and V[{reg}]", limit, None
+
+
+#: (query code, dimension) of an id query -> its lane-id array key
+_ID_KEYS = {(0, d): k for d, k in enumerate(GLOBAL_ID_KEYS)}
+_ID_KEYS.update({(1, d): k for d, k in enumerate(LOCAL_ID_KEYS)})
+_ID_KEYS.update({(2, d): k for d, k in enumerate(GROUP_ID_KEYS)})
+
+
+def _access_plan(offset: int, coords, segment: int, warp: int,
+                 itemsize: int) -> tuple:
+    """``(low, high, index, offset, dims, transactions, injective)`` of
+    a full-mask access whose index is ``offset + sum(stride * c)`` over
+    the lane coordinates ``coords`` (``((extent, stride), ...)``,
+    outermost first, every extent above 1).
+
+    ``dims`` merges neighbours that step as one (an outer stride equal
+    to the inner stride times the inner extent), so a contiguous 1-D or
+    row-major access becomes a single dimension.  ``index`` is a slice
+    of the buffer when the lanes step through it in one direction, else
+    None (the access goes through a strided view).  ``injective`` says
+    no two lanes share an element: taken by increasing stride, each
+    stride exceeds the reach of all smaller ones."""
+    low = high = offset
+    dims: list = []
+    for extent, stride in coords:
+        if stride > 0:
+            high += stride * (extent - 1)
         else:
-            other.add(d)
-    return frozenset(gid0 - other)
+            low += stride * (extent - 1)
+        if dims and dims[-1][1] == stride * extent:
+            dims[-1] = (dims[-1][0] * extent, stride)
+        else:
+            dims.append((extent, stride))
+    if not dims:
+        index, injective = slice(offset, offset + 1), True
+    elif len(dims) == 1:
+        stride = dims[0][1]
+        index = slice(offset, high + 1, stride) if stride > 0 else None
+        injective = stride != 0
+    else:
+        index, injective = None, True
+        reach = 0
+        for extent, stride in sorted(dims, key=lambda d: abs(d[1])):
+            if abs(stride) <= reach:
+                injective = False
+                break
+            reach += abs(stride) * (extent - 1)
+    dims = tuple(dims)
+    return (low, high, index, offset, dims,
+            count_affine_transactions(offset, dims, segment, itemsize,
+                                      warp),
+            injective)
+
+
+class _LaneBox:
+    """The lane coordinates of a 1-D or 2-D launch on one device.
+    Lanes are flattened group-major, so lane ``((gy * ngx + gx) * ly +
+    y) * lx + x`` has coordinates ``(gy, gx, y, x)``.  ``coords`` pairs
+    each coordinate of extent above 1 with the lane one step along it;
+    ``plans`` caches the :func:`_access_plan` of each id query
+    (:meth:`id_plan`), which the launch shape fixes.  A box lives as
+    long as its launch shape stays in a small memo: cluster chunks
+    drift in size, so most shapes are new."""
+
+    __slots__ = ("extents", "segment", "warp", "plans", "_coords")
+
+    def __init__(self, nd, spec) -> None:
+        lx, ly = (nd.local_size + (1,))[:2]
+        ngx, ngy = (nd.num_groups + (1,))[:2]
+        self.extents = (ngy, ngx, ly, lx)
+        self.segment = spec.segment_bytes
+        self.warp = spec.warp_size
+        self.plans: dict = {}
+        self._coords = None
+
+    @property
+    def coords(self) -> list:
+        """``(extent, probe lane)`` of each coordinate of extent above
+        1, outermost first: the probe is the lane one step along it."""
+        coords = self._coords
+        if coords is None:
+            ngy, ngx, ly, lx = self.extents
+            coords = self._coords = [
+                (e, p) for e, p in ((ngy, ngx * lx * ly), (ngx, lx * ly),
+                                    (ly, lx), (lx, 1)) if e > 1]
+        return coords
+
+    def id_plan(self, key: str, itemsize: int) -> tuple:
+        """The access plan of the lane-id array ``key``."""
+        _ngy, _ngx, ly, lx = self.extents
+        strides = {"idx": (0, lx, 0, 1), "idy": (ly, 0, 1, 0),
+                   "lidx": (0, 0, 0, 1), "lidy": (0, 0, 1, 0),
+                   "gidx": (0, 1, 0, 0), "gidy": (1, 0, 0, 0)}.get(
+                       key, (0, 0, 0, 0))   # z ids are 0 below 3-D
+        plan = self.plans[(key, itemsize)] = _access_plan(
+            0, [(e, s) for e, s in zip(self.extents, strides) if e > 1],
+            self.segment, self.warp, itemsize)
+        return plan
+
+
+#: (global size, local size, segment, warp) -> _LaneBox; see _lane_box()
+_BOXES: dict = {}
+
+
+def _lane_box(nd, spec):
+    """The memoized :class:`_LaneBox` of a launch shape on a device, or
+    None for a 3-D launch (its accesses always gather)."""
+    if nd.dim > 2:
+        return None
+    key = (nd.global_size, nd.local_size, spec.segment_bytes,
+           spec.warp_size)
+    box = _BOXES.get(key)
+    if box is None:
+        if len(_BOXES) >= 64:
+            _BOXES.clear()
+        box = _BOXES[key] = _LaneBox(nd, spec)
+    return box
+
+
+def _plan(box, value, array, limit: int, key):
+    """The access plan of a full-mask access to ``array`` through an
+    affine index, or None when it must gather: a 3-D launch (no
+    ``box``), or a buffer the index type cannot address without
+    wrapping.  An id query's plan is cached on the launch's box; any
+    other index is read at five lanes: the first gives the offset, and
+    one lane along each coordinate its stride."""
+    if box is None or array.shape[0] > limit:
+        return None
+    if key is not None:
+        return (box.plans.get((key, array.itemsize))
+                or box.id_plan(key, array.itemsize))
+    if value.ndim:
+        offset = int(value[0])
+        coords = [(e, int(value[p]) - offset) for e, p in box.coords]
+    else:
+        offset = int(value)
+        coords = [(e, 0) for e, _p in box.coords]
+    return _access_plan(offset, coords, box.segment, box.warp,
+                        array.itemsize)
+
+
+def _strided_view(array, offset: int, dims):
+    """A view of ``array`` whose row-major elements are the affine
+    index's elements in lane order, or None (a non-contiguous buffer
+    gathers instead)."""
+    if not array.flags.c_contiguous:
+        return None
+    item = array.itemsize
+    return np.ndarray(tuple(e for e, _s in dims), array.dtype, array,
+                      offset * item, tuple(s * item for _e, s in dims))
+
+
+def _affine_load(E, value, m, limit: int, key):
+    """``(values, transactions)`` of a full-mask global load through
+    an affine index, or None for the gather path.  The values are a
+    copy: a view would see later stores to the buffer."""
+    array = m.array
+    plan = _plan(E.box, value, array, limit, key)
+    if plan is None:
+        return None
+    low, high, index, offset, dims, count, _inj = plan
+    if low < 0 or high >= array.shape[0]:
+        return None
+    if index is not None:
+        return array[index].copy(), count
+    view = _strided_view(array, offset, dims)
+    if view is None:
+        return None
+    return view.copy().reshape(-1), count
+
+
+def _affine_store(E, value, stored, m, limit: int, key):
+    """Store ``stored`` through an affine index at a full mask and
+    return the transactions, or None for the gather path (which also
+    keeps last-lane-wins order where two lanes share an element)."""
+    array = m.array
+    plan = _plan(E.box, value, array, limit, key)
+    if plan is None:
+        return None
+    low, high, index, offset, dims, count, injective = plan
+    if low < 0 or high >= array.shape[0] or not injective:
+        return None
+    if index is None:
+        view = _strided_view(array, offset, dims)
+        if view is None:
+            return None
+    stored = E._broadcast(stored)
+    if stored.dtype is not array.dtype:
+        stored = to_dtype(stored, array.dtype)
+    if index is not None:
+        array[index] = stored
+    else:
+        view[...] = stored.reshape(view.shape)
+    return count
+
+
+_EXEC_ENV["_aff_ld"] = _affine_load
+_EXEC_ENV["_aff_st"] = _affine_store
 
 
 class _FnEmitter:
@@ -223,17 +588,19 @@ class _FnEmitter:
         self.kbc = kbc
         self.spans: list[list[str]] = []
         self.n_spans = 0
-        self.gid0 = _gid0_registers(code)
+        self.affine = _AffineScan(code, kbc)
 
     def emit(self) -> list[str]:
         top = self.span_fn(0, len(self.code))
         lines = [f"def f_{self.kbc.name}(E, F, mask, full):"]
-        for pre in ("R = F.regs", "M = F.mems", "counters = E.counters",
-                    "col = E._col", "n = E.n",
-                    "_seg = E.spec.segment_bytes",
-                    "_ww = E.spec.warp_size",
-                    # lane == get_global_id(0) in a 1-D launch only
-                    "_d1 = E.nd.dim == 1"):
+        pres = ["R = F.regs", "M = F.mems", "counters = E.counters",
+                "col = E._col", "n = E.n",
+                "_seg = E.spec.segment_bytes",
+                "_ww = E.spec.warp_size"]
+        if self.affine.flagged:
+            # per activation: is each flagged register affine right now?
+            pres.append(f"V = [False] * {self.kbc.n_regs}")
+        for pre in pres:
             lines.append("    " + pre)
         for span in self.spans:
             lines.extend("    " + s for s in span)
@@ -334,6 +701,9 @@ class _FnEmitter:
                         f"    R[{d}] = _r if _r.dtype is {dt} "
                         f"else _r.astype({dt}, copy=False)",
                     ])
+                    if d in self.affine.flagged:
+                        # a blend under a partial mask mixes two values
+                        out.append(f"V[{d}] = full and {self._flag_of(a)}")
             elif op == OP_CASTF or op == OP_CAST:
                 self._coerce(out, f"R[{a}]", ins[L_NP], d, trunc=True)
                 if op == OP_CAST:
@@ -455,9 +825,22 @@ class _FnEmitter:
                 return out
             else:  # pragma: no cover - lowerer never emits others
                 raise NotImplementedError(f"jit: opcode {op}")
+            if op != OP_MOV and d in self.affine.flagged:
+                # every lane was computed: affine if the operands are
+                out.append(f"V[{d}] = " + " and ".join(
+                    [self._flag_of(r) for r in _operands(ins)
+                     if r in self.affine.flagged] or ["True"]))
             pos += 1
         flush()
         return out
+
+    def _flag_of(self, reg: int) -> str:
+        """The generated expression telling whether ``reg`` holds an
+        affine value: its runtime flag, or a constant."""
+        if reg in self.affine.flagged:
+            return f"V[{reg}]"
+        return repr(reg in self.affine.static
+                    or reg in self.affine.uniform)
 
     # -- memory / structured ops ----------------------------------------------
 
@@ -477,22 +860,20 @@ class _FnEmitter:
             "    _s = _nmin(_nmax(_i, 0), _m.size - 1)",
         ])
 
-    def _emit_global(self, out: list[str], slot: int, b: int,
-                     fast: list[str], general: list[str]) -> None:
+    def _emit_global(self, out: list[str], b: int, call: str,
+                     general: list[str]) -> bool:
         """Emit a global access: ``general`` always works; when the
-        index register ``b`` is ``get_global_id(0)`` (see
-        :func:`_gid0_registers`), ``fast`` runs instead whenever lane
-        ``i`` touches element ``i``, i.e. a full 1-D launch that fits
-        the buffer.  Both leave the transaction count in ``_t``."""
-        out.extend([f"_m = M[{slot}]", "_z = _m.array.dtype.itemsize"])
-        if b not in self.gid0:
+        index register ``b`` may be affine (see :class:`_AffineScan`),
+        the helper ``call`` — its arguments completed here — runs
+        first and leaves None in ``_x`` where the gather must run.
+        Returns whether the affine call was emitted."""
+        access = self.affine.access(b)
+        if access is None:
             out.extend(general)
-            return
-        out.append("if full and _d1 and n <= _m.size:")
-        out.extend("    " + s for s in fast)
-        out.append("    _t = count_contiguous_transactions(n, _seg, _z, _ww)")
-        out.append("else:")
-        out.extend("    " + s for s in general)
+            return False
+        guard, limit, key = access
+        out.append(f"_x = {call}, {limit}, {key!r}) if {guard} else None")
+        return True
 
     def _emit_ld(self, out: list[str], ins) -> None:
         slot, space = ins[L_AUX]
@@ -502,9 +883,8 @@ class _FnEmitter:
             # raises IndexError past the end, and the min() guard rules
             # out the negative wrap-around), so the general path runs
             # one reduction + one gather instead of two reductions + a
-            # fancy index.  The contiguous path copies its slice: a
-            # view would see later stores to the same buffer.
-            self._emit_global(out, slot, b, ["_r = _m.array[:n].copy()"], [
+            # fancy index.
+            general = [
                 f"_i = E._broadcast(R[{b}])",
                 "_r = None",
                 "if 0 <= _i.min():",
@@ -521,7 +901,13 @@ class _FnEmitter:
                 "_t = count_index_transactions(_s if full else _s[mask],"
                 " _wp if full else _wp[mask], _seg, _z,"
                 " _ww if full else 0)",
-            ])
+            ]
+            out.extend([f"_m = M[{slot}]", "_z = _m.array.dtype.itemsize"])
+            if self._emit_global(out, b, f"_aff_ld(E, R[{b}], _m", general):
+                out.extend(["if _x is not None:",
+                            "    _r, _t = _x",
+                            "else:"])
+                out.extend("    " + g for g in general)
             out.extend([
                 "counters.global_loads += n_act",
                 "counters.global_load_bytes += n_act * _z",
@@ -568,8 +954,13 @@ class _FnEmitter:
                 " _wp if full else _wp[mask], _seg, _z,"
                 " _ww if full else 0)",
             ])
-            self._emit_global(out, slot, b, value + ["_m.array[:n] = _v"],
-                              general)
+            out.extend([f"_m = M[{slot}]", "_z = _m.array.dtype.itemsize"])
+            if self._emit_global(out, b, f"_aff_st(E, R[{b}], R[{c}], _m",
+                                 general):
+                out.extend(["if _x is not None:",
+                            "    _t = _x",
+                            "else:"])
+                out.extend("    " + g for g in general)
             out.extend([
                 "counters.global_stores += n_act",
                 "counters.global_store_bytes += n_act * _z",
@@ -854,6 +1245,7 @@ class JitEngine(VectorEngine):
         frame = self._bc_frame(kbc, args)
         self._bloops = []
         self._dead = np.zeros(self.n, dtype=bool)
+        self.box = _lane_box(self.nd, self.spec)
         mask = np.ones(self.n, dtype=bool)
         pbc._jit[kbc.name](self, frame, mask, True)
         return "compiled"

@@ -6,10 +6,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import repro.ocl as cl
-from repro.ocl.costmodel import (CostCounters,
-                                 count_contiguous_transactions,
+from repro.ocl import costmodel
+from repro.ocl.costmodel import (CostCounters, count_affine_transactions,
                                  count_index_transactions, count_transactions,
                                  kernel_time, transfer_time)
+from repro.ocl.devicedb import DEFAULT_DEVICES
 
 
 class TestCoalescingCounter:
@@ -57,8 +58,9 @@ class TestCoalescingCounter:
 
 
 class TestContiguousCount:
-    """The closed form the jit's contiguous path charges equals the
-    measured count over ``arange(n)``."""
+    """The affine count of a 1-D unit-stride access, the shape of
+    ``x[get_global_id(0)]``, equals the measured count over
+    ``arange(n)``."""
 
     @staticmethod
     def _measured(n, segment, itemsize, warp):
@@ -72,15 +74,113 @@ class TestContiguousCount:
                                                    segment, warp):
         """Up to eight warps, ``n < warp`` and a partial last warp
         included; ``warp == 1`` with 64 B segments is the Xeon host."""
-        got = count_contiguous_transactions(n, segment, itemsize, warp)
+        got = count_affine_transactions(0, ((n, 1),), segment, itemsize,
+                                        warp)
         assert type(got) is int
         assert got == self._measured(n, segment, itemsize, warp)
 
     def test_empty_and_warpless(self):
-        assert count_contiguous_transactions(0, 128, 4, 32) == 0
+        assert count_affine_transactions(0, ((0, 1),), 128, 4, 32) == 0
         lanes = np.arange(40, dtype=np.int64)
-        assert count_contiguous_transactions(40, 128, 4, 0) == \
+        assert count_affine_transactions(0, ((40, 1),), 128, 4, 0) == \
             count_index_transactions(lanes, lanes, 128, 4, 0)
+
+
+#: (segment bytes, warp width) of every device in the database
+_DEVICE_SHAPES = sorted({(d.segment_bytes, d.warp_size)
+                         for d in DEFAULT_DEVICES})
+
+
+@st.composite
+def _affine_launches(draw):
+    """An affine access over a 1-D or 2-D launch: lane coordinates
+    ``(group y, group x, local y, local x)`` with tiled local sizes,
+    lanes group-major, and a random offset and stride per coordinate,
+    0 and negative included."""
+    two_d = draw(st.booleans())
+    lx = draw(st.sampled_from([1, 2, 4, 8, 16, 24, 32, 64]))
+    ly = draw(st.sampled_from([1, 2, 4, 16])) if two_d else 1
+    ngx = draw(st.integers(1, 6))
+    ngy = draw(st.integers(1, 4)) if two_d else 1
+    strides = draw(st.lists(
+        st.one_of(st.sampled_from([0, 1, -1, 16, 32, 128, -16, 1024]),
+                  st.integers(-300, 300)), min_size=4, max_size=4))
+    dims = tuple(zip((ngy, ngx, ly, lx), strides))
+    low = sum(min(0, s * (e - 1)) for e, s in dims)
+    offset = -low + draw(st.integers(0, 300))
+    return offset, dims
+
+
+class TestAffineCount:
+    """``count_affine_transactions`` equals
+    ``count_index_transactions`` over the materialised index array,
+    lane by lane, for every device's warp and segment and every item
+    size — the closed form and its fallbacks alike."""
+
+    @staticmethod
+    def _measured(offset, dims, segment, itemsize, warp):
+        index = costmodel._lattice(offset, dims)
+        lanes = np.arange(index.size, dtype=np.int64)
+        return count_index_transactions(index, lanes // max(1, warp),
+                                        segment, itemsize, warp)
+
+    @given(_affine_launches(), st.sampled_from(_DEVICE_SHAPES),
+           st.sampled_from([1, 2, 4, 8]))
+    def test_equals_the_measured_count(self, launch, device, itemsize):
+        offset, dims = launch
+        segment, warp = device
+        costmodel._AFFINE_COUNTS.clear()
+        got = count_affine_transactions(offset, dims, segment, itemsize,
+                                        warp)
+        assert type(got) is int
+        assert got == self._measured(offset, dims, segment, itemsize,
+                                     warp)
+
+    @given(_affine_launches(), st.sampled_from([24, 48, 96, 128]),
+           st.sampled_from([0, 1, 8, 32, 64]), st.sampled_from([1, 4, 8]))
+    def test_any_warp_and_segment(self, launch, segment, warp, itemsize):
+        """Warps that straddle the coordinate box and segments that do
+        not hold whole items fall back, and still count exactly."""
+        offset, dims = launch
+        costmodel._AFFINE_COUNTS.clear()
+        assert count_affine_transactions(offset, dims, segment, itemsize,
+                                         warp) == \
+            self._measured(offset, dims, segment, itemsize, warp)
+
+    @given(st.integers(1, 300), st.integers(-40, 40),
+           st.sampled_from(_DEVICE_SHAPES), st.sampled_from([1, 2, 4, 8]),
+           st.integers(0, 64))
+    def test_1d_strides_with_a_partial_last_warp(self, n, stride, device,
+                                                 itemsize, slack):
+        """A cluster chunk's launch: any length, so the last warp is
+        partial, at any stride."""
+        segment, warp = device
+        offset = max(0, -stride * (n - 1)) + slack
+        costmodel._AFFINE_COUNTS.clear()
+        assert count_affine_transactions(offset, ((n, stride),), segment,
+                                         itemsize, warp) == \
+            self._measured(offset, ((n, stride),), segment, itemsize, warp)
+
+    @pytest.mark.parametrize("dims", [
+        # Floyd's y * n + x over 16x16 groups: two rows per warp
+        ((8, 16 * 128), (8, 16), (16, 128), (16, 1)),
+        # a row of 24 lanes: warps of 32 straddle rows
+        ((4, 24), (24, 1)),
+    ], ids=["floyd-tiles", "straddling-row"])
+    def test_floyd_tiles_and_a_straddling_row(self, dims):
+        costmodel._AFFINE_COUNTS.clear()
+        assert count_affine_transactions(3, dims, 128, 4, 32) == \
+            self._measured(3, dims, 128, 4, 32)
+
+    def test_memo_keys_on_the_offset_residue(self):
+        """Offsets a whole segment apart share an entry; others do
+        not.  (A single dimension is closed-form and not memoized.)"""
+        costmodel._AFFINE_COUNTS.clear()
+        dims = ((4, 64), (16, 1))
+        for offset in (0, 32, 1, 33):
+            assert count_affine_transactions(offset, dims, 128, 4, 32) == \
+                self._measured(offset, dims, 128, 4, 32)
+        assert len(costmodel._AFFINE_COUNTS) == 2
 
 
 class TestKernelTime:

@@ -8,7 +8,7 @@ import pytest
 
 import repro.ocl as cl
 from repro import prof, trace
-from repro.clc.lower import L_DST, OP_MOV, OP_WIQ, linked_program
+from repro.clc.lower import L_A, L_DST, OP_LD, OP_MOV, OP_WIQ, linked_program
 from repro.errors import KernelLaunchError
 from repro.ocl import TESLA_C2050
 from repro.ocl.engines import base as engines_base
@@ -221,10 +221,11 @@ class TestCodegenEngagement:
 
 
 class TestContiguousPath:
-    """Global accesses indexed by ``get_global_id(0)``: the compiled
-    tier's slice path runs only where lane ``i`` touches element ``i``
-    (a full 1-D launch that fits the buffer) and matches the
-    interpreter everywhere else."""
+    """Global accesses indexed by ``get_global_id(0)``, the simplest
+    affine index: the compiled tier's strided path runs only at a full
+    mask with every lane in bounds, and matches the interpreter
+    everywhere (tests/ocl/test_affine_access.py covers the other
+    affine shapes)."""
 
     COPY = """__kernel void f(__global float* out,
                               __global const float* x) {
@@ -233,8 +234,8 @@ class TestContiguousPath:
 
     @pytest.mark.parametrize("short", ["load", "store"])
     def test_one_item_past_the_buffer_raises_the_same_error(self, short):
-        """The guard ``n <= size`` fails and the general path reports
-        the first bad lane, as the interpreter does."""
+        """The range check fails and the general path reports the
+        first bad lane, as the interpreter does."""
         messages = []
         for engine in ("jit-interp", "jit-compiled"):
             out = np.zeros(16 if short == "store" else 17, np.float32)
@@ -247,8 +248,8 @@ class TestContiguousPath:
         assert "work-item 16 accessed" in messages[0]
 
     def test_2d_launch_matches_the_interpreter(self):
-        """In a 2-D launch lane != get_global_id(0), so the slice path
-        must not run even though every lane is active and in bounds."""
+        """In a 2-D launch lane != get_global_id(0): the strided path
+        must read element ``get_global_id(0)``, not the lane's."""
         src = """__kernel void f(__global int* out,
                                  __global const int* x) {
             out[get_global_id(0)] = x[get_global_id(0)] * 10
@@ -287,10 +288,11 @@ class TestContiguousPath:
         assert np.all(results[1][0][40:] == -1.0)
         assert results[1][1]["global_store_transactions"] == 2
 
-    def test_only_registers_always_holding_the_id_qualify(self):
-        """The def scan: the query's own register qualifies, a variable
-        copied from it does not (its definition is a move), and neither
-        does a query register some other instruction also writes."""
+    def test_def_scan_sorts_static_flagged_and_plain_registers(self):
+        """The def scan: the id query's register is static with the
+        form of ``idx``, a variable copied from it is flagged (a move
+        may blend lanes), and a query register some other instruction
+        also writes is not affine at all."""
         src = """__kernel void f(__global float* out) {
             int i = get_global_id(0);
             out[i] = 1.0f;
@@ -298,11 +300,20 @@ class TestContiguousPath:
         }"""
         ctx = cl.Context([cl.Device(TESLA_C2050, "jit")])
         program = cl.Program(ctx, src).build()
-        code, _kbc = linked_program(program.ir.bytecode)["f"]
+        code, kbc = linked_program(program.ir.bytecode)["f"]
         (wiq,) = [ins for ins in code if ins[0] == OP_WIQ]
-        assert jit_mod._gid0_registers(code) == {wiq[L_DST]}
-        clobber = (OP_MOV,) + wiq[1:]
-        assert jit_mod._gid0_registers(code + [clobber]) == set()
+        (mov,) = [ins for ins in code
+                  if ins[0] == OP_MOV and ins[L_A] == wiq[L_DST]]
+        scan = jit_mod._AffineScan(code, kbc)
+        assert scan.static == {wiq[L_DST]}
+        assert scan.ids == {wiq[L_DST]: "idx"}
+        assert scan.flagged == {mov[L_DST]}
+        assert scan.access(wiq[L_DST])[0] == "full"
+        assert scan.access(mov[L_DST])[0] == f"full and V[{mov[L_DST]}]"
+        clobber = (OP_LD,) + wiq[1:]
+        scan = jit_mod._AffineScan(code + [clobber], kbc)
+        assert not (scan.static | scan.flagged)
+        assert scan.access(wiq[L_DST]) is None
 
     @pytest.mark.parametrize("engine", ["jit-interp", "jit-compiled"])
     def test_1d_launch_builds_only_the_ids_it_reads(self, engine,
@@ -317,5 +328,5 @@ class TestContiguousPath:
         ids = memo[((64,), (16,))]
         assert not {"lidy", "lidz", "gidy", "gidz"} & set(ids)
         if engine == "jit-compiled":
-            # the slice path reads neither lanes nor warps
+            # the strided path reads neither lanes nor warps
             assert set(ids) == {"idx"}
