@@ -7,11 +7,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 import repro.ocl as cl
 from repro.hpl import reset_runtime
 from repro.ocl import QUADRO_FX380, TESLA_C2050, XEON_HOST
 from repro.ocl.engines import JitEngine, register_engine
+
+
+#: ``pytest --hypothesis-profile=ci``: ten times the default examples,
+#: no per-example deadline (CI runners vary in speed)
+settings.register_profile("ci", max_examples=1000, deadline=None)
 
 
 @register_engine
