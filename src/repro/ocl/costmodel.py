@@ -275,9 +275,11 @@ def count_affine_transactions(offset: int, dims, segment_bytes: int,
     depends only on its first byte offset modulo the segment.  The
     count is one warp's pattern counted at each residue of the warp
     starts: a single residue when every outer stride is a whole number
-    of segments, otherwise a histogram of the starts.  Warps that
-    straddle an outer coordinate count over the materialised index.
-    Memoized on everything the count depends on.
+    of segments, otherwise a histogram of the starts.  A single
+    dimension is a progression with a closed form per warp.  Warps
+    that straddle an outer coordinate count over the materialised
+    index.  Multi-dimensional forms are memoized on everything their
+    count depends on.
     """
     g = math.gcd(itemsize, segment_bytes)
     unit, seg = itemsize // g, segment_bytes // g

@@ -860,20 +860,25 @@ class _FnEmitter:
             "    _s = _nmin(_nmax(_i, 0), _m.size - 1)",
         ])
 
-    def _emit_global(self, out: list[str], b: int, call: str,
-                     general: list[str]) -> bool:
+    def _emit_global(self, out: list[str], slot: int, b: int, call: str,
+                     taken: str, general: list[str]) -> None:
         """Emit a global access: ``general`` always works; when the
         index register ``b`` may be affine (see :class:`_AffineScan`),
         the helper ``call`` — its arguments completed here — runs
-        first and leaves None in ``_x`` where the gather must run.
-        Returns whether the affine call was emitted."""
+        first, and ``taken`` unpacks its result ``_x`` unless it is
+        None, where the gather runs instead.  Both leave the
+        transaction count in ``_t``."""
+        out.extend([f"_m = M[{slot}]", "_z = _m.array.dtype.itemsize"])
         access = self.affine.access(b)
         if access is None:
             out.extend(general)
-            return False
+            return
         guard, limit, key = access
-        out.append(f"_x = {call}, {limit}, {key!r}) if {guard} else None")
-        return True
+        out.extend([f"_x = {call}, {limit}, {key!r}) if {guard} else None",
+                    "if _x is not None:",
+                    "    " + taken,
+                    "else:"])
+        out.extend("    " + g for g in general)
 
     def _emit_ld(self, out: list[str], ins) -> None:
         slot, space = ins[L_AUX]
@@ -902,12 +907,8 @@ class _FnEmitter:
                 " _wp if full else _wp[mask], _seg, _z,"
                 " _ww if full else 0)",
             ]
-            out.extend([f"_m = M[{slot}]", "_z = _m.array.dtype.itemsize"])
-            if self._emit_global(out, b, f"_aff_ld(E, R[{b}], _m", general):
-                out.extend(["if _x is not None:",
-                            "    _r, _t = _x",
-                            "else:"])
-                out.extend("    " + g for g in general)
+            self._emit_global(out, slot, b, f"_aff_ld(E, R[{b}], _m",
+                              "_r, _t = _x", general)
             out.extend([
                 "counters.global_loads += n_act",
                 "counters.global_load_bytes += n_act * _z",
@@ -954,13 +955,9 @@ class _FnEmitter:
                 " _wp if full else _wp[mask], _seg, _z,"
                 " _ww if full else 0)",
             ])
-            out.extend([f"_m = M[{slot}]", "_z = _m.array.dtype.itemsize"])
-            if self._emit_global(out, b, f"_aff_st(E, R[{b}], R[{c}], _m",
-                                 general):
-                out.extend(["if _x is not None:",
-                            "    _t = _x",
-                            "else:"])
-                out.extend("    " + g for g in general)
+            self._emit_global(out, slot, b,
+                              f"_aff_st(E, R[{b}], R[{c}], _m", "_t = _x",
+                              general)
             out.extend([
                 "counters.global_stores += n_act",
                 "counters.global_store_bytes += n_act * _z",

@@ -18,12 +18,8 @@ import repro.ocl as cl
 from repro.errors import KernelLaunchError
 from repro.ocl import TESLA_C2050
 from repro.ocl.engines import jit as jit_mod
+from tests.clc.test_opt_differential import _MODEL_INDEPENDENT
 from tests.conftest import ENGINE_LEGS, run_cl_kernel
-
-#: counters the serial engine models like the lock-step tiers
-_MODEL_INDEPENDENT = ("global_loads", "global_stores", "global_load_bytes",
-                      "global_store_bytes", "local_accesses", "barriers",
-                      "work_items", "work_groups")
 
 _LEGS = [leg.values[0] for leg in ENGINE_LEGS]
 
