@@ -467,14 +467,23 @@ class _LaneBox:
 
     def id_plan(self, key: str, itemsize: int) -> tuple:
         """The access plan of the lane-id array ``key``."""
-        _ngy, _ngx, ly, lx = self.extents
-        strides = {"idx": (0, lx, 0, 1), "idy": (ly, 0, 1, 0),
-                   "lidx": (0, 0, 0, 1), "lidy": (0, 0, 1, 0),
-                   "gidx": (0, 1, 0, 0), "gidy": (1, 0, 0, 0)}.get(
-                       key, (0, 0, 0, 0))   # z ids are 0 below 3-D
-        plan = self.plans[(key, itemsize)] = _access_plan(
-            0, [(e, s) for e, s in zip(self.extents, strides) if e > 1],
-            self.segment, self.warp, itemsize)
+        ngy, ngx, ly, lx = self.extents
+        if key == "idx" and ngy == ly == 1:
+            # a 1-D launch's global id, lane l: its unit stride is
+            # known, and cluster chunks make most launch shapes new
+            n = ngx * lx
+            plan = (0, n - 1, slice(0, n), 0, ((n, 1),),
+                    count_affine_transactions(0, ((n, 1),), self.segment,
+                                              itemsize, self.warp), True)
+        else:
+            strides = {"idx": (0, lx, 0, 1), "idy": (ly, 0, 1, 0),
+                       "lidx": (0, 0, 0, 1), "lidy": (0, 0, 1, 0),
+                       "gidx": (0, 1, 0, 0), "gidy": (1, 0, 0, 0)}.get(
+                           key, (0, 0, 0, 0))   # z ids are 0 below 3-D
+            plan = _access_plan(
+                0, [(e, s) for e, s in zip(self.extents, strides) if e > 1],
+                self.segment, self.warp, itemsize)
+        self.plans[(key, itemsize)] = plan
         return plan
 
 

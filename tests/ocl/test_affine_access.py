@@ -16,7 +16,7 @@ import pytest
 
 import repro.ocl as cl
 from repro.errors import KernelLaunchError
-from repro.ocl import TESLA_C2050
+from repro.ocl import TESLA_C2050, XEON_HOST
 from repro.ocl.engines import jit as jit_mod
 from tests.clc.test_opt_differential import _MODEL_INDEPENDENT
 from tests.conftest import ENGINE_LEGS, run_cl_kernel
@@ -45,14 +45,15 @@ def affine_spy(monkeypatch):
     return taken
 
 
-def _run_legs(source, make_args, global_size, local_size, spy):
+def _run_legs(source, make_args, global_size, local_size, spy,
+              spec=TESLA_C2050):
     """Buffers and counters per leg, checked against each other; returns
     the affine accesses the compiled leg took."""
     results = {}
     for engine in _LEGS:
         args = make_args()
         before = dict(spy)
-        event = run_cl_kernel(cl.Device(TESLA_C2050, engine), source, "f",
+        event = run_cl_kernel(cl.Device(spec, engine), source, "f",
                               args, global_size, local_size)
         buffers = [a.tobytes() for a in args if isinstance(a, np.ndarray)]
         taken = {k: spy[k] - before[k] for k in spy}
@@ -71,6 +72,25 @@ def _f32(n, seed=0):
 
 
 class TestShapesThatQualify:
+    @pytest.mark.parametrize("spec", [TESLA_C2050, XEON_HOST],
+                             ids=["warp32", "warp1"])
+    @pytest.mark.parametrize("global_size, local_size", [
+        ((1,), None), ((33,), None), ((33,), (11,)), ((96,), (32,))],
+        ids=["one-lane", "partial-warp", "odd-groups", "three-warps"])
+    def test_1d_global_id(self, affine_spy, spec, global_size,
+                          local_size):
+        """``x[get_global_id(0)]`` in any 1-D launch, a cluster chunk's
+        shape: one lane, a partial last warp, groups of 11."""
+        src = """__kernel void f(__global float* out,
+                                 __global const float* x) {
+            out[get_global_id(0)] = x[get_global_id(0)] * 2.0f
+                                    + get_local_id(0);
+        }"""
+        taken = _run_legs(src, lambda: [np.zeros(96, np.float32),
+                                        _f32(96)],
+                          global_size, local_size, affine_spy, spec)
+        assert taken == {"load": 1, "store": 1}
+
     def test_offset_index(self, affine_spy):
         src = """__kernel void f(__global float* out,
                                  __global const float* x, int u) {
