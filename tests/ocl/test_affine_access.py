@@ -192,6 +192,24 @@ class TestShapesThatQualify:
                           (64,), (16,), affine_spy)
         assert taken == {"load": 1, "store": 1}
 
+    def test_all_lanes_in_one_loop_exit_stay_affine(self, affine_spy):
+        """When every lane leaves the loop in the same iteration, each
+        took every update, and ``i`` keeps its flag."""
+        src = """__kernel void f(__global float* out,
+                                 __global const float* x, int m) {
+            int gid = get_global_id(0);
+            int i = gid;
+            for (int k = 0; k < 8; k++) {
+                if (k >= m) break;
+                i += 2;
+            }
+            out[gid] = x[i];
+        }"""
+        taken = _run_legs(src, lambda: [np.zeros(64, np.float32), _f32(70),
+                                        np.int32(3)],
+                          (64,), (16,), affine_spy)
+        assert taken == {"load": 1, "store": 1}
+
 
 class TestShapesThatFallBack:
     def test_index_updated_under_a_branch(self, affine_spy):
@@ -227,24 +245,6 @@ class TestShapesThatFallBack:
         taken = _run_legs(src, lambda: [np.zeros(64, np.float32), _f32(68)],
                           (64,), (16,), affine_spy)
         assert taken == {"load": 0, "store": 1}
-
-    def test_all_lanes_in_one_loop_exit_stay_affine(self, affine_spy):
-        """When every lane leaves the loop in the same iteration, each
-        took every update, and ``i`` keeps its flag."""
-        src = """__kernel void f(__global float* out,
-                                 __global const float* x, int m) {
-            int gid = get_global_id(0);
-            int i = gid;
-            for (int k = 0; k < 8; k++) {
-                if (k >= m) break;
-                i += 2;
-            }
-            out[gid] = x[i];
-        }"""
-        taken = _run_legs(src, lambda: [np.zeros(64, np.float32), _f32(70),
-                                        np.int32(3)],
-                          (64,), (16,), affine_spy)
-        assert taken == {"load": 1, "store": 1}
 
     def test_wrapping_index_in_range(self, affine_spy):
         """``uchar`` arithmetic wraps at lane 4: every lane is in bounds,
