@@ -5,8 +5,9 @@ constants, this pass deletes the untaken branch, which exposes further
 folds.  Liveness is name-based and deliberately conservative — a scalar
 variable is removable only when *no* expression anywhere in the function
 mentions it, so no flow analysis can be wrong about loops or barriers.
-Dead stores go first; the declaration itself follows a round later once
-nothing assigns it (the manager iterates the rewriters to a fixpoint).
+One run recomputes liveness and cleans again until a sweep removes
+nothing, so a dead store, the declaration nothing assigns after it and
+the stores that only fed it all go in one run.
 
 ``__local`` array declarations are always kept even when unused: they
 participate in the engines' local-memory accounting (occupancy and
@@ -53,10 +54,17 @@ class DeadCodePass:
     def run(self, program: I.ProgramIR) -> bool:
         changed = False
         for func in program.functions.values():
-            self._reads, self._assigned = _collect_liveness(func)
-            out, block_changed = self._clean_block(func.body)
-            func.body[:] = out
-            changed |= block_changed
+            # every sweep that reports a change removes statements, so
+            # the loop ends
+            while self._sweep(func):
+                changed = True
+        return changed
+
+    def _sweep(self, func: I.Function) -> bool:
+        """One liveness computation and one cleaning walk of ``func``."""
+        self._reads, self._assigned = _collect_liveness(func)
+        out, changed = self._clean_block(func.body)
+        func.body[:] = out
         return changed
 
     def _clean_block(self, stmts: list):

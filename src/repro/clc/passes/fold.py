@@ -18,7 +18,8 @@ from ...ocl.engines.carith import (c_div, c_imod, c_shl, c_shr, to_dtype,
 from .. import ir as I
 from ..builtins import BUILTINS
 from ..types import INT
-from .manager import is_pure, map_expr, walk_exprs, walk_stmts
+from .manager import (is_pure, map_expr, rewrite_stmt_exprs, walk_exprs,
+                      walk_stmts)
 
 _COMPARISONS = ("==", "!=", "<", ">", "<=", ">=")
 
@@ -45,19 +46,22 @@ def _is_const(expr, value=None) -> bool:
         return False
 
 
+#: nodes no rule rewrites (a Load's index is folded as its child)
+_LEAVES = (I.Var, I.Const, I.Load)
+
+
 class FoldPass:
     name = "fold"
 
     def run(self, program: I.ProgramIR) -> bool:
         self._changed = False
-        for func in program.functions.values():
-            for stmt in walk_stmts(func.body):
-                self._fold_stmt(stmt)
+        with np.errstate(all="ignore"):
+            for func in program.functions.values():
+                for stmt in walk_stmts(func.body):
+                    self._fold_stmt(stmt)
         return self._changed
 
     def _fold_stmt(self, stmt) -> None:
-        from .manager import rewrite_stmt_exprs
-
         # rewrite only this statement's direct expressions; walk_stmts
         # already visits nested statements, so recursion here would fold
         # every inner statement once per nesting depth
@@ -69,28 +73,36 @@ class FoldPass:
     # -- the single-node rewrite (children already folded) ------------------
 
     def _fold(self, expr):
-        out = self._fold_node(expr)
+        if type(expr) in _LEAVES:
+            return expr
+        out = self._rewrite(expr)
         if out is not expr:
             self._changed = True
         return out
 
     def _fold_node(self, expr):
         with np.errstate(all="ignore"):
-            if isinstance(expr, I.Convert):
-                return self._fold_convert(expr)
-            if isinstance(expr, I.Unary):
-                return self._fold_unary(expr)
-            if isinstance(expr, I.Binary):
-                return self._fold_binary(expr)
-            if isinstance(expr, I.Select):
-                if _is_const(expr.cond):
-                    taken = (expr.then if truth(_typed(expr.cond))
-                             else expr.otherwise)
-                    if taken.type is expr.type:
-                        return taken
-                return expr
-            if isinstance(expr, I.CallBuiltin):
-                return self._fold_builtin(expr)
+            return self._rewrite(expr)
+
+    def _rewrite(self, expr):
+        """The rule for ``expr``'s node type; the caller has entered
+        ``np.errstate(all="ignore")``."""
+        t = type(expr)
+        if t is I.Binary:
+            return self._fold_binary(expr)
+        if t is I.Convert:
+            return self._fold_convert(expr)
+        if t is I.Unary:
+            return self._fold_unary(expr)
+        if t is I.Select:
+            if _is_const(expr.cond):
+                taken = (expr.then if truth(_typed(expr.cond))
+                         else expr.otherwise)
+                if taken.type is expr.type:
+                    return taken
+            return expr
+        if t is I.CallBuiltin:
+            return self._fold_builtin(expr)
         return expr
 
     def _fold_convert(self, expr: I.Convert):

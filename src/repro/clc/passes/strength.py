@@ -20,7 +20,7 @@ import numpy as np
 
 from .. import ir as I
 from ..types import INT
-from .manager import rewrite_stmt_exprs, walk_stmts
+from .manager import map_expr, rewrite_stmt_exprs, walk_stmts
 
 
 def _power_of_two_int(expr) -> int | None:
@@ -67,7 +67,6 @@ class StrengthReducePass:
                 if not isinstance(stmt, (I.If, I.While)):
                     rewrite_stmt_exprs(stmt, self._reduce)
                 else:
-                    from .manager import map_expr
                     stmt.cond = map_expr(stmt.cond, self._reduce)
         return self._changed
 

@@ -68,19 +68,18 @@ class UniformityPass:
         self._levels = levels
         self._loop_floors: dict[int, int] = {}
         self._loop_stack: list[int] = []
-        self._tagging = False
         self._func_floor = LAUNCH if func.is_kernel else VARYING
 
+        # every walk tags the expressions it visits, so the first walk
+        # that lowers nothing has tagged them with the settled levels
         for _ in range(64):   # |lattice| * |vars| bounds real iteration
             self._changed = False
             self._visit_block(func.body, self._func_floor)
             if not self._changed:
                 break
-
-        # final pass: tag every expression with its settled level
-        self._tagging = True
-        self._visit_block(func.body, self._func_floor)
-        self._tagging = False
+        else:
+            # the cap cut iteration short: tag with the levels reached
+            self._visit_block(func.body, self._func_floor)
         func._uniform_vars = dict(levels)
 
     def _lower_var(self, name: str, level: int) -> None:
@@ -142,8 +141,7 @@ class UniformityPass:
 
     def _expr(self, expr) -> int:
         lvl = self._expr_level(expr)
-        if self._tagging:
-            expr._uniform = lvl
+        expr._uniform = lvl
         return lvl
 
     def _expr_level(self, expr) -> int:

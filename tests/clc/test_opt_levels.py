@@ -16,7 +16,7 @@ import repro.ocl as cl
 from repro.clc import compile_source
 from repro.clc.__main__ import main as clc_main
 from repro.clc.binary import ProgramBinary
-from repro.clc.lower import BYTECODE_VERSION
+from repro.clc.lower import BYTECODE_VERSION, disassemble
 from repro.clc.passes.manager import opt_signature, optimize_program
 from repro.errors import InvalidProgramExecutable
 from repro.ocl import TESLA_C2050
@@ -101,3 +101,33 @@ def test_dump_at_o0_prints_bytecode(tmp_path, capsys):
     assert "== bytecode (version" in out
     assert "-O0) ==" in out
     assert "kernel k(out)" in out
+
+
+def test_dump_at_o2_prints_each_pass_run_and_the_built_bytecode(
+        tmp_path, capsys):
+    """fold, dce and strength reduction each change this kernel once;
+    fold and dce then confirm the fixpoint, and strength reduction,
+    which ran last, is not run again."""
+    source = """__kernel void k(__global uint* out)
+{
+    uint i = get_global_id(0);
+    int unused = 3;
+    unused = 4;
+    out[i] = i / 4u + (2 * 3);
+}
+"""
+    path = tmp_path / "k.cl"
+    path.write_text(source)
+    assert clc_main(["dump", str(path), "-O", "2"]) == 0
+    out = capsys.readouterr().out
+    passes = [line[len("== after pass "):].split(" ")[0].rstrip(":")
+              for line in out.splitlines()
+              if line.startswith("== after pass ")]
+    assert passes == ["fold", "dce", "strength_reduce", "fold", "dce",
+                      "uniformity"]
+
+    device = cl.Device(TESLA_C2050, "jit")
+    built = cl.Program(cl.Context([device]), source).build("-O2").ir
+    header = f"== bytecode (version {BYTECODE_VERSION}, -O2) ==\n"
+    assert out.split(header)[1] == "".join(
+        disassemble(bc) + "\n\n" for bc in built.bytecode.functions.values())
