@@ -1000,7 +1000,13 @@ class _Runner:
         self.kernel_name, self.summary = kernel_name, summary
         self.deferred, self.backoff = deferred, backoff
         self.probation = bool(probation)
-        self.registry = trace.get_registry()
+        self.registry = registry = trace.get_registry()
+        # every completed chunk counts into these: resolve them once
+        self.chunks_dispatched = registry.counter("cluster.chunks_dispatched")
+        self.chunk_items = registry.counter("cluster.chunk_items")
+        self.chunk_seconds = registry.histogram("cluster.chunk_seconds")
+        #: device label -> its (chunks, chunk items) counters
+        self.device_tallies: dict = {}
         self.restore: list = []     # (readmitted device, deferred flag)
         self.watchdog = None
         if watchdog and deferred:   # eager launches cannot be cancelled
@@ -1266,19 +1272,23 @@ class _Runner:
         self.done[chunk.key] = (chunk, result)
         self.unsaved += 1
         label, items = chunk.device.label, chunk.hi - chunk.lo
-        registry = self.registry
-        registry.counter("cluster.chunks_dispatched").inc()
-        registry.counter("cluster.chunk_items").inc(items)
-        registry.counter(f"cluster.chunks[{label}]").inc()
-        registry.counter(f"cluster.chunk_items[{label}]").inc(items)
-        registry.histogram("cluster.chunk_seconds").observe(seconds)
+        per_device = self.device_tallies.get(label)
+        if per_device is None:
+            per_device = self.device_tallies[label] = (
+                self.registry.counter(f"cluster.chunks[{label}]"),
+                self.registry.counter(f"cluster.chunk_items[{label}]"))
+        self.chunks_dispatched.inc()
+        self.chunk_items.inc(items)
+        per_device[0].inc()
+        per_device[1].inc(items)
+        self.chunk_seconds.observe(seconds)
         heapq.heappush(self.ready, (event.end_ns, chunk.rank))
         self.since_probe += 1
         if chunk.origin is not None:
             # the speculated copy won; the origin is free again at the
             # winner's completion stamp
             self.summary.speculative_wins += 1
-            registry.counter("cluster.speculation_wins").inc()
+            self.registry.counter("cluster.speculation_wins").inc()
             if chunk.origin in self.active:
                 heapq.heappush(self.ready, (event.end_ns, chunk.origin))
 

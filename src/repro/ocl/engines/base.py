@@ -219,6 +219,13 @@ def launch_ndrange(global_size, local_size, spec) -> "NDRange":
 _LANE_IDS_CACHE: dict = {}
 
 
+def lane_id_dtype(n: int) -> np.dtype:
+    """The dtype of the lane-id arrays of an ``n``-lane launch: sema
+    types every id query as ``int``, so int32 while the lane count
+    fits it, and int64 from ``2**31`` lanes on."""
+    return np.dtype(np.int32 if n < (1 << 31) else np.int64)
+
+
 class _LaneIds1D(dict):
     """The lane-id arrays of a 1-D NDRange, each built on its first
     read: a launch that only reads ``get_global_id(0)`` builds no
@@ -241,14 +248,15 @@ class _LaneIds1D(dict):
 
     def __missing__(self, key: str) -> np.ndarray:
         n = self._n
+        dtype = lane_id_dtype(n)
         if key in ("lane", "idx"):
-            value = np.arange(n, dtype=np.int64)
+            value = np.arange(n, dtype=dtype)
         elif key == "lidx":
-            value = np.arange(n, dtype=np.int64) % self._local
+            value = np.arange(n, dtype=dtype) % self._local
         elif key in ("gidx", "group_flat"):
-            value = np.arange(n, dtype=np.int64) // self._local
+            value = np.arange(n, dtype=dtype) // self._local
         elif key in ("lidy", "lidz", "gidy", "gidz", "idy", "idz"):
-            value = np.zeros(n, dtype=np.int64)
+            value = np.zeros(n, dtype=dtype)
         else:
             raise KeyError(key)
         self[key] = value
@@ -376,7 +384,11 @@ class NDRange:
             "group_flat": group,
             "lane": lane,
         }
-        return {k: v.astype(np.int64) for k, v in ids.items()}
+        # computed in int64, then narrowed with one copy each: building
+        # them in int32 directly cost a warm transpose thousands of
+        # page faults per launch (docs/engines.md)
+        dtype = lane_id_dtype(self.total_items)
+        return {k: v.astype(dtype) for k, v in ids.items()}
 
     def item_ids(self, flat: int) -> dict[str, int]:
         """Scalar ids of one flattened work-item (serial engine)."""

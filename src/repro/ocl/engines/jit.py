@@ -24,7 +24,9 @@ full-mask global access whose index is affine in the lane coordinates
 through a strided view, and its transactions come from the closed form
 :func:`~repro.ocl.costmodel.count_affine_transactions` — the same
 numbers the gather and the measured count give (see
-:class:`_AffineScan`).
+:class:`_AffineScan`).  Another: a variable write whose old value no
+lane can read writes every lane instead of blending under the mask
+(see :func:`_span_local_moves`).
 
 Launch counts and compiled functions live on the program's bytecode
 object, so they die with the program (``reset_runtime()`` drops both).
@@ -33,6 +35,8 @@ A codegen or ``compile()`` failure raises
 """
 
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 
@@ -380,6 +384,84 @@ class _AffineScan:
         return f"full and V[{reg}]", limit, None
 
 
+# -- span-local variables -----------------------------------------------------------
+#
+# Under a partial mask a ``mov`` blends: inactive lanes keep the old
+# value.  That matters only if some lane can later read the old value.
+# Masks only narrow while a span runs, so when every reference to a
+# register lies inside one span and the first of them is a write at
+# that span's top level, each later read in the span sees a value the
+# reading lane was active for, and each new run of the span writes
+# first.  Such writes may set every lane (pocl keeps per-work-item
+# state only for values live across a region boundary).
+
+
+def _reads(ins) -> tuple:
+    """The registers ``ins`` reads (an ``if`` or ``loop`` reads its
+    condition at its own position, before its nested spans run)."""
+    op = ins[0]
+    if op == OP_BUILTIN:
+        return ins[L_AUX][1]
+    if op == OP_CALL:
+        return tuple(b[1] for b in ins[L_AUX][1] if b[0] != "mem")
+    return _operands(ins)
+
+
+def _span_local_moves(code) -> frozenset:
+    """Positions of the ``mov`` instructions of ``code`` that may write
+    every lane instead of blending.
+
+    For a register R, let S be the innermost span (a function body, an
+    ``if`` arm, a loop's condition, body or update) holding every read
+    and write of R, nested spans included.  When the first of those
+    references in code order is a write at S's top level that does not
+    read R, every ``mov`` to R at S's top level may write plainly.
+    Writes in nested spans still blend."""
+    paths: list = [()] * len(code)     # span path of each instruction
+    spans = itertools.count(1)
+
+    def walk(pos: int, end: int, path: tuple) -> None:
+        while pos < end:
+            ins = code[pos]
+            paths[pos] = path
+            pos += 1
+            if ins[0] == OP_IF or ins[0] == OP_LOOP:
+                lengths = ins[L_AUX][:2 if ins[0] == OP_IF else 3]
+                for length in lengths:
+                    walk(pos, pos + length, path + (next(spans),))
+                    pos += length
+
+    walk(0, len(code), (0,))
+    first: dict = {}        # register -> position of its first reference
+    span: dict = {}         # register -> the path all its references share
+    for pos, ins in enumerate(code):
+        path = paths[pos]
+        refs = _reads(ins)
+        if ins[L_DST] >= 0:
+            refs += (ins[L_DST],)
+        for reg in refs:
+            shared = span.get(reg)
+            if shared is None:
+                first[reg], span[reg] = pos, path
+                continue
+            depth = 0
+            for outer, inner in zip(shared, path):
+                if outer != inner:
+                    break
+                depth += 1
+            span[reg] = shared[:depth]
+    plain = []
+    for pos, ins in enumerate(code):
+        reg = ins[L_DST]
+        if ins[0] != OP_MOV or paths[pos] != span[reg]:
+            continue
+        head = code[first[reg]]
+        if paths[first[reg]] == span[reg] and head[L_DST] == reg \
+                and reg not in _reads(head):
+            plain.append(pos)
+    return frozenset(plain)
+
+
 #: (query code, dimension) of an id query -> its lane-id array key
 _ID_KEYS = {(0, d): k for d, k in enumerate(GLOBAL_ID_KEYS)}
 _ID_KEYS.update({(1, d): k for d, k in enumerate(LOCAL_ID_KEYS)})
@@ -598,6 +680,7 @@ class _FnEmitter:
         self.spans: list[list[str]] = []
         self.n_spans = 0
         self.affine = _AffineScan(code, kbc)
+        self.plain = _span_local_moves(code)
 
     def emit(self) -> list[str]:
         top = self.span_fn(0, len(self.code))
@@ -697,6 +780,18 @@ class _FnEmitter:
             elif op == OP_MOV:
                 if ins[L_UNI] == 2:
                     out.append(f"R[{d}] = R[{a}]")
+                elif pos in self.plain:
+                    # a span-local write: no lane reads what it
+                    # overwrites, but the interpreter's blend makes a
+                    # lane array of a scalar source, and so does this
+                    out.extend([
+                        f"_r = R[{a}]",
+                        f"R[{d}] = _r if full or _r.ndim "
+                        f"else _r.repeat(n)",
+                    ])
+                    if d in self.affine.flagged:
+                        # every lane now holds the source's value
+                        out.append(f"V[{d}] = {self._flag_of(a)}")
                 else:
                     dt = self.mod.dtype_ref(ins[L_NP])
                     out.extend([

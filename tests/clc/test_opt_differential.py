@@ -1,7 +1,8 @@
 """Differential fuzzing of the optimizing middle-end and the engines.
 
-~200 seeded random OpenCL C kernels (integer/uint/float arithmetic,
-nested ifs and for loops, selects, barriers with __local staging) are
+~250 seeded random OpenCL C kernels (integer/uint/float arithmetic,
+nested ifs and for loops, selects, barriers with __local staging; 50
+of them declare block-local variables in their bodies) are
 executed six ways — the serial engine and the jit engine pinned to its
 interpreted and to its compiled tier, each at -O0 (unoptimized
 bytecode: no rewriting pass ran) and -O2 (optimized bytecode) — and
@@ -36,6 +37,7 @@ from tests.conftest import run_cl_kernel
 
 _KERNELS_PER_BATCH = 10
 _BATCHES = 20                   # 200 kernels total
+_LOCAL_BATCHES = 5              # 50 more with block-local variables
 
 
 # -- random kernel generator --------------------------------------------------
@@ -49,8 +51,12 @@ class _KernelGen:
     top-level (uniform) control flow.
     """
 
-    def __init__(self, seed: int) -> None:
+    def __init__(self, seed: int, span_locals: bool = False) -> None:
         self.rng = np.random.default_rng(seed)
+        #: opt-in: bodies may open with a block-local variable (see
+        #: :meth:`span_local`); off, a seed's source never changes
+        self.span_locals = span_locals
+        self.n_locals = 0
         self.has_barrier = bool(self.rng.random() < 0.4)
         self.lsize = 16
         self.gsize = int(self.rng.choice([32, 48, 64])) \
@@ -128,6 +134,38 @@ class _KernelGen:
 
     # -- statements ----------------------------------------------------------
 
+    def body(self, depth: int) -> list:
+        """The statements of an ``if``, ``else`` or loop body."""
+        local = None
+        lines = []
+        if self.span_locals and self.rng.random() < 0.6:
+            local, lines = self.span_local(depth)
+        for _ in range(int(self.rng.integers(1, 3))):
+            lines += self.statement(depth)
+        if local is not None:
+            self.float_vars.remove(local)
+        return lines
+
+    def span_local(self, depth: int) -> tuple:
+        """A float declared at the top of a body, read there and in a
+        nested ``if``: every reference lies inside the body, so the
+        compiled tier writes it without a blend.  It stays readable
+        and assignable in the rest of the body."""
+        name = f"l{self.n_locals}"
+        self.n_locals += 1
+        pad = "    " * (depth + 1)
+        lines = [
+            f"{pad}float {name} = {self.float_expr()};",
+            f"{pad}{self._pick(self.float_vars)} = "
+            f"{self._pick(self.float_vars)} + {name};",
+            f"{pad}if ({name} > {self.float_expr(2)}) {{",
+            f"{pad}    {self._pick(self.float_vars)} = "
+            f"{name} * {self.float_expr(2)};",
+            f"{pad}}}",
+        ]
+        self.float_vars.append(name)
+        return name, lines
+
     def statement(self, depth: int) -> list:
         roll = self.rng.random()
         pad = "    " * (depth + 1)
@@ -143,12 +181,10 @@ class _KernelGen:
                     f"{self.uint_expr()};"]
         if roll < 0.8:
             lines = [f"{pad}if ({self.int_cond()}) {{"]
-            for _ in range(int(self.rng.integers(1, 3))):
-                lines += self.statement(depth + 1)
+            lines += self.body(depth + 1)
             if self.rng.random() < 0.5:
                 lines += [f"{pad}}} else {{"]
-                for _ in range(int(self.rng.integers(1, 3))):
-                    lines += self.statement(depth + 1)
+                lines += self.body(depth + 1)
             lines += [f"{pad}}}"]
             return lines
         k = f"k{self.n_loops}"
@@ -156,8 +192,7 @@ class _KernelGen:
         bound = int(self.rng.integers(2, 5))
         lines = [f"{pad}for (int {k} = 0; {k} < {bound}; {k}++) {{"]
         self.int_vars.append(k)
-        for _ in range(int(self.rng.integers(1, 3))):
-            lines += self.statement(depth + 1)
+        lines += self.body(depth + 1)
         self.int_vars.remove(k)
         lines += [f"{pad}}}"]
         return lines
@@ -235,6 +270,49 @@ _MODEL_INDEPENDENT = ("global_loads", "global_stores", "global_load_bytes",
                       "work_items", "work_groups")
 
 
+def _check_kernel(seed: int, gen: _KernelGen) -> None:
+    """Run ``gen``'s kernel on every engine and level; outputs agree
+    bit for bit, compiled counters equal interpreted ones field for
+    field, and serial equals jit on the model-independent fields."""
+    source = gen.source()
+    gsize = (gen.gsize,)
+    lsize = (gen.lsize,) if gen.has_barrier else None
+    rng = np.random.default_rng(seed)
+    fin = rng.uniform(0.1, 4.0, gen.gsize).astype(np.float32)
+    iin = rng.integers(-100, 100, gen.gsize).astype(np.int32)
+    s = round(float(rng.uniform(-2, 2)), 2)
+
+    legs = {
+        f"{engine} {level}": _run_config(engine, level, source, gsize,
+                                         lsize, fin, iin, s)
+        for level in _LEVELS for engine in _ENGINES
+    }
+    ref_name, (ref_out, ref_iout, _c) = next(iter(legs.items()))
+    for name, (out, iout, _c) in legs.items():
+        # byte-level compare: exact bits, NaN-safe
+        assert out.tobytes() == ref_out.tobytes(), (
+            f"seed {seed}: float outputs of {name} != {ref_name}\n"
+            f"{source}")
+        assert iout.tobytes() == ref_iout.tobytes(), (
+            f"seed {seed}: int outputs of {name} != {ref_name}\n"
+            f"{source}")
+    for level in _LEVELS:
+        interp = vars(legs[f"jit-interp {level}"][2])
+        # compiling swaps the execution substrate, not the model:
+        # every counter (ALU, traffic, transactions, barriers) must
+        # match the interpreter exactly
+        assert vars(legs[f"jit-compiled {level}"][2]) == interp, (
+            f"seed {seed}: compiled {level} counters diverge from "
+            f"interpreted {level}\n{source}")
+        serial = vars(legs[f"serial {level}"][2])
+        diff = {k: (serial[k], interp[k]) for k in _MODEL_INDEPENDENT
+                if serial[k] != interp[k]}
+        assert not diff, (
+            f"seed {seed}: serial {level} != jit {level} on "
+            f"model-independent counters (serial, jit): {diff}\n"
+            f"{source}")
+
+
 @pytest.mark.parametrize("batch", range(_BATCHES))
 def test_random_kernels_bit_identical_across_engines(batch):
     """serial and both jit tiers at -O0 and -O2 agree bit for bit on 10
@@ -244,44 +322,17 @@ def test_random_kernels_bit_identical_across_engines(batch):
     fields."""
     for i in range(_KERNELS_PER_BATCH):
         seed = 1000 + batch * _KERNELS_PER_BATCH + i
-        gen = _KernelGen(seed)
-        source = gen.source()
-        gsize = (gen.gsize,)
-        lsize = (gen.lsize,) if gen.has_barrier else None
-        rng = np.random.default_rng(seed)
-        fin = rng.uniform(0.1, 4.0, gen.gsize).astype(np.float32)
-        iin = rng.integers(-100, 100, gen.gsize).astype(np.int32)
-        s = round(float(rng.uniform(-2, 2)), 2)
+        _check_kernel(seed, _KernelGen(seed))
 
-        legs = {
-            f"{engine} {level}": _run_config(engine, level, source, gsize,
-                                             lsize, fin, iin, s)
-            for level in _LEVELS for engine in _ENGINES
-        }
-        ref_name, (ref_out, ref_iout, _c) = next(iter(legs.items()))
-        for name, (out, iout, _c) in legs.items():
-            # byte-level compare: exact bits, NaN-safe
-            assert out.tobytes() == ref_out.tobytes(), (
-                f"seed {seed}: float outputs of {name} != {ref_name}\n"
-                f"{source}")
-            assert iout.tobytes() == ref_iout.tobytes(), (
-                f"seed {seed}: int outputs of {name} != {ref_name}\n"
-                f"{source}")
-        for level in _LEVELS:
-            interp = vars(legs[f"jit-interp {level}"][2])
-            # compiling swaps the execution substrate, not the model:
-            # every counter (ALU, traffic, transactions, barriers) must
-            # match the interpreter exactly
-            assert vars(legs[f"jit-compiled {level}"][2]) == interp, (
-                f"seed {seed}: compiled {level} counters diverge from "
-                f"interpreted {level}\n{source}")
-            serial = vars(legs[f"serial {level}"][2])
-            diff = {k: (serial[k], interp[k]) for k in _MODEL_INDEPENDENT
-                    if serial[k] != interp[k]}
-            assert not diff, (
-                f"seed {seed}: serial {level} != jit {level} on "
-                f"model-independent counters (serial, jit): {diff}\n"
-                f"{source}")
+
+@pytest.mark.parametrize("batch", range(_LOCAL_BATCHES))
+def test_random_kernels_with_span_locals_bit_identical(batch):
+    """The same six-way check on kernels whose ``if``, ``else`` and
+    loop bodies declare block-local variables, which the compiled tier
+    writes without a masked blend."""
+    for i in range(_KERNELS_PER_BATCH):
+        seed = 5000 + batch * _KERNELS_PER_BATCH + i
+        _check_kernel(seed, _KernelGen(seed, span_locals=True))
 
 
 # -- cost model counts executed, post-optimization ops ------------------------

@@ -8,7 +8,8 @@ import pytest
 
 import repro.ocl as cl
 from repro import prof, trace
-from repro.clc.lower import L_A, L_DST, OP_LD, OP_MOV, OP_WIQ, linked_program
+from repro.clc.lower import (L_A, L_AUX, L_DST, OP_LD, OP_MOV, OP_WIQ,
+                              linked_program)
 from repro.errors import KernelLaunchError
 from repro.ocl import TESLA_C2050
 from repro.ocl.engines import base as engines_base
@@ -330,3 +331,54 @@ class TestContiguousPath:
         if engine == "jit-compiled":
             # the strided path reads neither lanes nor warps
             assert set(ids) == {"idx"}
+
+
+class TestLaneIds:
+    """Lane-id arrays have the width sema gives an id query (``int``),
+    so a launch reads the memoized arrays without converting them."""
+
+    def test_1d_lazy_and_2d_eager_ids_are_int32(self):
+        lazy = engines_base.NDRange((64,), (16,)).lane_ids()
+        assert lazy["idx"].dtype == lazy["lidx"].dtype == np.int32
+        assert lazy["gidy"].dtype == lazy["group_flat"].dtype == np.int32
+        eager = engines_base.NDRange((8, 4), (4, 2)).lane_ids()
+        assert {k: v.dtype for k, v in eager.items()} == \
+            {k: np.dtype(np.int32) for k in eager}
+
+    def test_the_id_dtype_widens_from_two_to_the_31_lanes(self):
+        """Decided from the lane count alone: no array is built."""
+        assert engines_base.lane_id_dtype(1) == np.int32
+        assert engines_base.lane_id_dtype((1 << 31) - 1) == np.int32
+        assert engines_base.lane_id_dtype(1 << 31) == np.int64
+        assert engines_base.lane_id_dtype(1 << 40) == np.int64
+
+    def test_2d_compiled_id_registers_are_the_memoized_arrays(
+            self, monkeypatch):
+        src = """__kernel void f(__global int* out) {
+            int x = get_global_id(0) + get_local_id(1);
+            out[get_global_id(1) * 8 + get_global_id(0)] =
+                x * get_group_id(0);
+        }"""
+        frames = []
+        original = jit_mod.JitEngine._bc_frame
+
+        def capture(engine, kbc, args):
+            frames.append(original(engine, kbc, args))
+            return frames[-1]
+
+        monkeypatch.setattr(jit_mod.JitEngine, "_bc_frame", capture)
+        memo: dict = {}
+        monkeypatch.setattr(engines_base, "_LANE_IDS_CACHE", memo)
+        out = np.zeros(32, np.int32)
+        run_cl_kernel(cl.Device(TESLA_C2050, "jit-compiled"), src, "f",
+                      [out], (8, 4), (4, 2))
+        ids = memo[((8, 4), (4, 2))]
+        ctx = cl.Context([cl.Device(TESLA_C2050, "jit")])
+        code, _kbc = linked_program(
+            cl.Program(ctx, src).build().ir.bytecode)["f"]
+        queries = {ins[L_DST]: jit_mod._ID_KEYS[ins[L_AUX][:2]]
+                   for ins in code if ins[0] == OP_WIQ}
+        (frame,) = frames
+        assert len(queries) == 4
+        for reg, key in queries.items():
+            assert frame.regs[reg] is ids[key], key
