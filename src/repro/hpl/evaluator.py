@@ -19,6 +19,8 @@ enqueues per chunk.
 
 from __future__ import annotations
 
+import operator
+
 from .. import trace
 from ..errors import DomainError, HPLError
 from .array import Array
@@ -62,7 +64,12 @@ class Evaluator:
     def _dims(dims, what: str) -> tuple:
         if len(dims) == 1 and isinstance(dims[0], (tuple, list)):
             dims = tuple(dims[0])
-        out = tuple(int(d) for d in dims)
+        try:
+            out = tuple(map(operator.index, dims))
+        except TypeError:
+            raise DomainError(
+                f"invalid {what} domain {dims!r}: sizes must be "
+                f"integers") from None
         if not 1 <= len(out) <= 3 or any(d <= 0 for d in out):
             raise DomainError(f"invalid {what} domain {dims!r}")
         return out

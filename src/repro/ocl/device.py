@@ -12,8 +12,7 @@ class Device:
     Mirrors the informational surface of ``clGetDeviceInfo`` and selects
     the execution engine used for kernels enqueued to it.  Engines come
     from the :mod:`repro.ocl.engines.base` registry; pass ``engine=`` for
-    an explicit choice, set ``engine`` on the :class:`DeviceSpec` for a
-    per-device default, or leave both unset to track the process-wide
+    an explicit choice, or leave it unset to track the process-wide
     default (``hpl.configure(engine=)`` / ``$HPL_ENGINE`` / ``jit``).
     The unset case re-resolves on every launch, so reconfiguring the
     default mid-session affects already-constructed devices.
@@ -40,12 +39,9 @@ class Device:
     @property
     def engine_name(self) -> str:
         """The resolved backend name: explicit ``Device(engine=)`` >
-        ``DeviceSpec.engine`` > process default."""
+        process default."""
         if self._engine is not None:
             return self._engine
-        spec_engine = getattr(self.spec, "engine", None)
-        if spec_engine is not None:
-            return spec_engine
         return default_engine()
 
     # -- clGetDeviceInfo-style properties -----------------------------------

@@ -61,9 +61,6 @@ class DeviceSpec:
     local_access_cost: float = 1.0
     #: cycles a work-group barrier costs
     barrier_cycles: float = 32.0
-    #: per-device execution-backend override; ``None`` tracks the
-    #: process-wide default (see :mod:`repro.ocl.engines.base`)
-    engine: str | None = None
 
     @property
     def has_fp64(self) -> bool:

@@ -21,8 +21,10 @@ variable, then ``"jit"``.
 from __future__ import annotations
 
 import math
+import operator
 import os
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -174,20 +176,19 @@ class Mem:
         return self.array.shape[-1]
 
 
-def _as_tuple(size) -> tuple[int, ...]:
-    if isinstance(size, int):
-        return (size,)
-    return tuple(int(s) for s in size)
-
-
-def _size_key(size):
-    """Hashable form of an NDRange size argument (int, sequence or None):
-    an int and its 1-tuple share a key."""
-    if size is None:
-        return None
-    if isinstance(size, int):
-        return (size,)
-    return tuple(size)
+def _shape(size) -> tuple[int, ...]:
+    """An NDRange size argument (an integer, or a tuple or list of
+    integers, NumPy integers included) as a tuple of ints.  One form
+    for the memo key and the :class:`NDRange`, so ``np.int64(64)``,
+    ``64`` and ``(64,)`` share a shape; anything else (a float, a
+    string, ...) raises :class:`~repro.errors.InvalidWorkDimension`."""
+    dims = size if isinstance(size, (tuple, list)) else (size,)
+    try:
+        return tuple(map(operator.index, dims))
+    except TypeError:
+        raise InvalidWorkDimension(
+            f"an NDRange size must be an integer or a sequence of "
+            f"integers, got {size!r}") from None
 
 
 #: launch shape + device limits -> validated NDRange; see launch_ndrange()
@@ -198,25 +199,25 @@ def launch_ndrange(global_size, local_size, spec) -> "NDRange":
     """The validated :class:`NDRange` of one launch on a device ``spec``.
 
     Memoized across launches and engine instances (a device builds a
-    new engine for every launch).  Only a valid geometry is stored, so
-    an invalid one raises on every launch.  The memo holds at most 64
-    shapes; NDRanges are never mutated after construction.
+    new engine for every launch), and the only per-shape memo of the
+    engines: an NDRange carries its lane ids and the jit's id-query
+    plans, so they live as long as it does.  Only a valid geometry is
+    stored, so an invalid one raises on every launch.  The memo holds
+    at most 64 shapes; an NDRange's geometry is never mutated after
+    construction.
     """
-    key = (_size_key(global_size), _size_key(local_size),
+    key = (_shape(global_size),
+           None if local_size is None else _shape(local_size),
            spec.max_work_group_size, tuple(spec.max_work_item_sizes))
     nd = _NDRANGE_CACHE.get(key)
     if nd is None:
-        nd = NDRange(global_size, local_size,
+        nd = NDRange(key[0], key[1],
                      max_work_group_size=spec.max_work_group_size,
                      max_work_item_sizes=spec.max_work_item_sizes)
         if len(_NDRANGE_CACHE) >= 64:
             _NDRANGE_CACHE.clear()
         _NDRANGE_CACHE[key] = nd
     return nd
-
-
-#: (global_size, local_size) -> read-only lane-id arrays; see lane_ids()
-_LANE_IDS_CACHE: dict = {}
 
 
 def lane_id_dtype(n: int) -> np.dtype:
@@ -274,7 +275,7 @@ class NDRange:
     def __init__(self, global_size, local_size=None,
                  max_work_group_size: int = 1 << 30,
                  max_work_item_sizes=(1 << 30,) * 3) -> None:
-        gsize = _as_tuple(global_size)
+        gsize = _shape(global_size)
         if not 1 <= len(gsize) <= 3:
             raise InvalidWorkDimension(
                 f"global domain must have 1-3 dimensions, got {len(gsize)}")
@@ -284,7 +285,7 @@ class NDRange:
             lsize = self._default_local(gsize, max_work_group_size,
                                         max_work_item_sizes)
         else:
-            lsize = _as_tuple(local_size)
+            lsize = _shape(local_size)
             if len(lsize) != len(gsize):
                 raise InvalidWorkGroupSize(
                     f"local domain {lsize} must match global domain "
@@ -309,6 +310,11 @@ class NDRange:
         self.items_per_group = group_items
         self.total_items = math.prod(gsize)
         self.total_groups = math.prod(self.num_groups)
+        self._ids = None
+        #: the jit's access plans of id queries, keyed by (id key, item
+        #: size, segment bytes, warp size): devices with equal limits
+        #: share an NDRange but not their segment and warp sizes
+        self.plans: dict = {}
 
     @staticmethod
     def _default_local(gsize: tuple[int, ...], cap: int,
@@ -337,26 +343,23 @@ class NDRange:
     def lane_ids(self) -> dict[str, np.ndarray]:
         """Per-lane id arrays in group-major order (see class docstring).
 
-        Memoized across launches of the same NDRange shape; the arrays
-        are shared and must be treated as read-only, which every engine
-        already does (registers are never mutated in place).  A 1-D
-        launch builds each array on its first read (see
+        Memoized on this NDRange, so shared by every launch of its
+        shape; the arrays must be treated as read-only, which every
+        engine already does (registers are never mutated in place).  A
+        1-D launch builds each array on its first read (see
         :class:`_LaneIds1D`); a multi-dimensional one builds all eleven
-        up front.
+        up front.  Launches over ``2**20`` lanes build a fresh dict
+        each time rather than pin their ids in memory.
         """
-        key = (self.global_size, self.local_size)
-        hit = _LANE_IDS_CACHE.get(key)
-        if hit is not None:
-            return hit
-        n = self.total_items
-        if self.dim == 1:
-            ids = _LaneIds1D(n, self.local_size[0])
-        else:
-            ids = self._all_lane_ids()
-        if n <= (1 << 20):          # don't pin huge launches in memory
-            if len(_LANE_IDS_CACHE) >= 64:
-                _LANE_IDS_CACHE.clear()
-            _LANE_IDS_CACHE[key] = ids
+        ids = self._ids
+        if ids is None:
+            n = self.total_items
+            if self.dim == 1:
+                ids = _LaneIds1D(n, self.local_size[0])
+            else:
+                ids = self._all_lane_ids()
+            if n <= (1 << 20):
+                self._ids = ids
         return ids
 
     def _all_lane_ids(self) -> dict[str, np.ndarray]:
@@ -389,6 +392,25 @@ class NDRange:
         # page faults per launch (docs/engines.md)
         dtype = lane_id_dtype(self.total_items)
         return {k: v.astype(dtype) for k, v in ids.items()}
+
+    # -- lane coordinates (jit affine accesses, 1-D and 2-D) --------------------
+
+    @cached_property
+    def extents(self) -> tuple[int, int, int, int]:
+        """``(ngy, ngx, ly, lx)`` of a 1-D or 2-D launch: lanes are
+        flattened group-major, so lane ``((gy * ngx + gx) * ly + y) *
+        lx + x`` has coordinates ``(gy, gx, y, x)``."""
+        lx, ly = (self.local_size + (1,))[:2]
+        ngx, ngy = (self.num_groups + (1,))[:2]
+        return (ngy, ngx, ly, lx)
+
+    @cached_property
+    def coords(self) -> list:
+        """``(extent, probe lane)`` of each coordinate of extent above
+        1, outermost first: the probe is the lane one step along it."""
+        ngy, ngx, ly, lx = self.extents
+        return [(e, p) for e, p in ((ngy, ngx * lx * ly), (ngx, lx * ly),
+                                    (ly, lx), (lx, 1)) if e > 1]
 
     def item_ids(self, flat: int) -> dict[str, int]:
         """Scalar ids of one flattened work-item (serial engine)."""

@@ -514,100 +514,53 @@ def _access_plan(offset: int, coords, segment: int, warp: int,
             injective)
 
 
-class _LaneBox:
-    """The lane coordinates of a 1-D or 2-D launch on one device.
-    Lanes are flattened group-major, so lane ``((gy * ngx + gx) * ly +
-    y) * lx + x`` has coordinates ``(gy, gx, y, x)``.  ``coords`` pairs
-    each coordinate of extent above 1 with the lane one step along it;
-    ``plans`` caches the :func:`_access_plan` of each id query
-    (:meth:`id_plan`), which the launch shape fixes.  A box lives as
-    long as its launch shape stays in a small memo: cluster chunks
-    drift in size, so most shapes are new."""
-
-    __slots__ = ("extents", "segment", "warp", "plans", "_coords")
-
-    def __init__(self, nd, spec) -> None:
-        lx, ly = (nd.local_size + (1,))[:2]
-        ngx, ngy = (nd.num_groups + (1,))[:2]
-        self.extents = (ngy, ngx, ly, lx)
-        self.segment = spec.segment_bytes
-        self.warp = spec.warp_size
-        self.plans: dict = {}
-        self._coords = None
-
-    @property
-    def coords(self) -> list:
-        """``(extent, probe lane)`` of each coordinate of extent above
-        1, outermost first: the probe is the lane one step along it."""
-        coords = self._coords
-        if coords is None:
-            ngy, ngx, ly, lx = self.extents
-            coords = self._coords = [
-                (e, p) for e, p in ((ngy, ngx * lx * ly), (ngx, lx * ly),
-                                    (ly, lx), (lx, 1)) if e > 1]
-        return coords
-
-    def id_plan(self, key: str, itemsize: int) -> tuple:
-        """The access plan of the lane-id array ``key``."""
-        ngy, ngx, ly, lx = self.extents
-        if key == "idx" and ngy == ly == 1:
-            # a 1-D launch's global id, lane l: its unit stride is
-            # known, and cluster chunks make most launch shapes new
-            n = ngx * lx
-            plan = (0, n - 1, slice(0, n), 0, ((n, 1),),
-                    count_affine_transactions(0, ((n, 1),), self.segment,
-                                              itemsize, self.warp), True)
-        else:
-            strides = {"idx": (0, lx, 0, 1), "idy": (ly, 0, 1, 0),
-                       "lidx": (0, 0, 0, 1), "lidy": (0, 0, 1, 0),
-                       "gidx": (0, 1, 0, 0), "gidy": (1, 0, 0, 0)}.get(
-                           key, (0, 0, 0, 0))   # z ids are 0 below 3-D
-            plan = _access_plan(
-                0, [(e, s) for e, s in zip(self.extents, strides) if e > 1],
-                self.segment, self.warp, itemsize)
-        self.plans[(key, itemsize)] = plan
-        return plan
+def _id_plan(nd, pkey) -> tuple:
+    """The access plan of the lane-id array of an id query, cached in
+    ``nd.plans`` under ``pkey``: (id key, item size, segment bytes,
+    warp size)."""
+    key, itemsize, segment, warp = pkey
+    ngy, ngx, ly, lx = nd.extents
+    if key == "idx" and ngy == ly == 1:
+        # a 1-D launch's global id, lane l: its unit stride is known,
+        # and cluster chunks make most launch shapes new
+        n = ngx * lx
+        plan = (0, n - 1, slice(0, n), 0, ((n, 1),),
+                count_affine_transactions(0, ((n, 1),), segment, itemsize,
+                                          warp), True)
+    else:
+        strides = {"idx": (0, lx, 0, 1), "idy": (ly, 0, 1, 0),
+                   "lidx": (0, 0, 0, 1), "lidy": (0, 0, 1, 0),
+                   "gidx": (0, 1, 0, 0), "gidy": (1, 0, 0, 0)}.get(
+                       key, (0, 0, 0, 0))   # z ids are 0 below 3-D
+        plan = _access_plan(
+            0, [(e, s) for e, s in zip(nd.extents, strides) if e > 1],
+            segment, warp, itemsize)
+    nd.plans[pkey] = plan
+    return plan
 
 
-#: (global size, local size, segment, warp) -> _LaneBox; see _lane_box()
-_BOXES: dict = {}
-
-
-def _lane_box(nd, spec):
-    """The memoized :class:`_LaneBox` of a launch shape on a device, or
-    None for a 3-D launch (its accesses always gather)."""
-    if nd.dim > 2:
-        return None
-    key = (nd.global_size, nd.local_size, spec.segment_bytes,
-           spec.warp_size)
-    box = _BOXES.get(key)
-    if box is None:
-        if len(_BOXES) >= 64:
-            _BOXES.clear()
-        box = _BOXES[key] = _LaneBox(nd, spec)
-    return box
-
-
-def _plan(box, value, array, limit: int, key):
+def _plan(E, value, array, limit: int, key):
     """The access plan of a full-mask access to ``array`` through an
-    affine index, or None when it must gather: a 3-D launch (no
-    ``box``), or a buffer the index type cannot address without
-    wrapping.  An id query's plan is cached on the launch's box; any
-    other index is read at five lanes: the first gives the offset, and
-    one lane along each coordinate its stride."""
-    if box is None or array.shape[0] > limit:
+    affine index, or None when it must gather: a 3-D launch, or a
+    buffer the index type cannot address without wrapping.  An id
+    query's plan is cached on the launch's ``NDRange``; any other
+    index is read at five lanes: the first gives the offset, and one
+    lane along each coordinate its stride."""
+    nd = E.nd
+    if nd.dim > 2 or array.shape[0] > limit:
         return None
+    spec = E.spec
     if key is not None:
-        return (box.plans.get((key, array.itemsize))
-                or box.id_plan(key, array.itemsize))
+        pkey = (key, array.itemsize, spec.segment_bytes, spec.warp_size)
+        return nd.plans.get(pkey) or _id_plan(nd, pkey)
     if value.ndim:
         offset = int(value[0])
-        coords = [(e, int(value[p]) - offset) for e, p in box.coords]
+        coords = [(e, int(value[p]) - offset) for e, p in nd.coords]
     else:
         offset = int(value)
-        coords = [(e, 0) for e, _p in box.coords]
-    return _access_plan(offset, coords, box.segment, box.warp,
-                        array.itemsize)
+        coords = [(e, 0) for e, _p in nd.coords]
+    return _access_plan(offset, coords, spec.segment_bytes,
+                        spec.warp_size, array.itemsize)
 
 
 def _strided_view(array, offset: int, dims):
@@ -626,7 +579,7 @@ def _affine_load(E, value, m, limit: int, key):
     an affine index, or None for the gather path.  The values are a
     copy: a view would see later stores to the buffer."""
     array = m.array
-    plan = _plan(E.box, value, array, limit, key)
+    plan = _plan(E, value, array, limit, key)
     if plan is None:
         return None
     low, high, index, offset, dims, count, _inj = plan
@@ -645,7 +598,7 @@ def _affine_store(E, value, stored, m, limit: int, key):
     return the transactions, or None for the gather path (which also
     keeps last-lane-wins order where two lanes share an element)."""
     array = m.array
-    plan = _plan(E.box, value, array, limit, key)
+    plan = _plan(E, value, array, limit, key)
     if plan is None:
         return None
     low, high, index, offset, dims, count, injective = plan
@@ -1346,7 +1299,6 @@ class JitEngine(VectorEngine):
         frame = self._bc_frame(kbc, args)
         self._bloops = []
         self._dead = np.zeros(self.n, dtype=bool)
-        self.box = _lane_box(self.nd, self.spec)
         mask = np.ones(self.n, dtype=bool)
         pbc._jit[kbc.name](self, frame, mask, True)
         return "compiled"

@@ -79,6 +79,19 @@ class TestDomains:
         with pytest.raises(DomainError):
             hpl.eval(fill_ids).global_(1, 1, 1, 1)
 
+    @pytest.mark.parametrize("dims", [(8.5,), ("8",), (8.0,), ((4, 2.5),),
+                                      (np.float32(8),), (None,)])
+    @pytest.mark.parametrize("what", ["global_", "local_"])
+    def test_non_integer_domains_raise_domain_error(self, what, dims):
+        with pytest.raises(DomainError, match="integers"):
+            getattr(hpl.eval(fill_ids), what)(*dims)
+
+    def test_numpy_integer_domains_run(self):
+        a = Array(int_, 16).fill(0)
+        hpl.eval(fill_ids).global_(np.int64(8)).local_(np.int32(4))(a)
+        assert np.array_equal(a.read()[:8], np.arange(8))
+        assert np.all(a.read()[8:] == 0)
+
 
 class TestDeviceSelection:
     def test_default_is_first_non_cpu(self):

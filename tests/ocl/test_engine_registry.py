@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import os
 import subprocess
 import sys
@@ -107,6 +106,8 @@ class TestSelectionPrecedence:
         monkeypatch.setenv("HPL_ENGINE", "serial")
         assert default_engine() == "serial"
         assert cl.Device(TESLA_C2050).engine_name == "serial"
+        # an explicit Device(engine=) wins over the default
+        assert cl.Device(TESLA_C2050, "jit").engine_name == "jit"
         monkeypatch.setenv("HPL_ENGINE", "warpspeed")
         with pytest.raises(ValueError, match="registered backends"):
             default_engine()
@@ -121,12 +122,6 @@ class TestSelectionPrecedence:
     def test_configure_rejects_unknown_engine(self):
         with pytest.raises(ValueError, match="registered backends"):
             hpl.configure(engine="warpspeed")
-
-    def test_spec_engine_beats_default(self):
-        spec = dataclasses.replace(TESLA_C2050, engine="serial")
-        assert cl.Device(spec).engine_name == "serial"
-        # explicit Device(engine=) still wins over the spec
-        assert cl.Device(spec, "jit").engine_name == "jit"
 
     def test_unset_device_tracks_default_dynamically(self):
         device = cl.Device(TESLA_C2050)

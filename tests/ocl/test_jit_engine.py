@@ -5,15 +5,18 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import repro.ocl as cl
 from repro import prof, trace
 from repro.clc.lower import (L_A, L_AUX, L_DST, OP_LD, OP_MOV, OP_WIQ,
                               linked_program)
 from repro.errors import KernelLaunchError
-from repro.ocl import TESLA_C2050
+from repro.ocl import TESLA_C2050, XEON_HOST
 from repro.ocl.engines import base as engines_base
 from repro.ocl.engines import jit as jit_mod
+from repro.ocl.engines.base import launch_ndrange
 from tests.conftest import run_cl_kernel
 
 # loop + divergent branch + global/local traffic + barrier + atomic:
@@ -319,14 +322,13 @@ class TestContiguousPath:
     @pytest.mark.parametrize("engine", ["jit-interp", "jit-compiled"])
     def test_1d_launch_builds_only_the_ids_it_reads(self, engine,
                                                     monkeypatch):
-        memo: dict = {}
-        monkeypatch.setattr(engines_base, "_LANE_IDS_CACHE", memo)
+        monkeypatch.setattr(engines_base, "_NDRANGE_CACHE", {})
         out = np.zeros(64, np.float32)
         x = np.arange(64, dtype=np.float32)
         run_cl_kernel(cl.Device(TESLA_C2050, engine), self.COPY, "f",
                       [out, x], (64,), (16,))
         assert np.array_equal(out, x * 2)
-        ids = memo[((64,), (16,))]
+        ids = launch_ndrange((64,), (16,), TESLA_C2050).lane_ids()
         assert not {"lidy", "lidz", "gidy", "gidz"} & set(ids)
         if engine == "jit-compiled":
             # the strided path reads neither lanes nor warps
@@ -367,12 +369,11 @@ class TestLaneIds:
             return frames[-1]
 
         monkeypatch.setattr(jit_mod.JitEngine, "_bc_frame", capture)
-        memo: dict = {}
-        monkeypatch.setattr(engines_base, "_LANE_IDS_CACHE", memo)
+        monkeypatch.setattr(engines_base, "_NDRANGE_CACHE", {})
         out = np.zeros(32, np.int32)
         run_cl_kernel(cl.Device(TESLA_C2050, "jit-compiled"), src, "f",
                       [out], (8, 4), (4, 2))
-        ids = memo[((8, 4), (4, 2))]
+        ids = launch_ndrange((8, 4), (4, 2), TESLA_C2050).lane_ids()
         ctx = cl.Context([cl.Device(TESLA_C2050, "jit")])
         code, _kbc = linked_program(
             cl.Program(ctx, src).build().ir.bytecode)["f"]
@@ -382,3 +383,78 @@ class TestLaneIds:
         assert len(queries) == 4
         for reg, key in queries.items():
             assert frame.regs[reg] is ids[key], key
+
+
+class TestShapeMemo:
+    """The memoized NDRange is the only per-shape state: it owns the
+    lane ids and the compiled tier's id-query plans."""
+
+    #: loads and a store through each id query, so every id key gets a
+    #: plan whose transaction count depends on the device's warp and
+    #: segment sizes
+    SRC = """__kernel void f(__global int* out, __global const int* x) {
+        int i = get_global_id(1) * get_global_size(0) + get_global_id(0);
+        out[i] = x[get_global_id(0)] + x[get_local_id(0)]
+                 + x[get_group_id(0)] + x[get_global_id(1)]
+                 + x[get_local_id(1)] + x[get_group_id(1)] + x[i];
+    }"""
+
+    def _launch(self, kernels, spec, engine, gsize, lsize):
+        key = (spec.name, engine)
+        if key not in kernels:
+            device = cl.Device(spec, engine)
+            ctx = cl.Context([device])
+            kernels[key] = (ctx, cl.CommandQueue(ctx, device),
+                            cl.Program(ctx, self.SRC).build()
+                            .create_kernel("f"))
+        ctx, queue, kernel = kernels[key]
+        n = int(np.prod(gsize))
+        x = np.arange(n, dtype=np.int32) * 3
+        out = np.zeros(n, np.int32)
+        xbuf = cl.Buffer(ctx, cl.mem_flags.READ_WRITE, size=x.nbytes)
+        obuf = cl.Buffer(ctx, cl.mem_flags.READ_WRITE, size=out.nbytes)
+        queue.enqueue_write_buffer(xbuf, x)
+        kernel.set_arg(0, obuf)
+        kernel.set_arg(1, xbuf)
+        event = queue.enqueue_nd_range_kernel(kernel, gsize, lsize)
+        queue.enqueue_read_buffer(obuf, out)
+        queue.finish()
+        return out, vars(event.counters)
+
+    @given(shape=st.lists(st.tuples(st.sampled_from([1, 2, 4, 8]),
+                                    st.integers(1, 3)),
+                          min_size=1, max_size=2),
+           xeon_first=st.booleans())
+    def test_devices_share_the_ndrange_but_not_the_plans(
+            self, shape, xeon_first):
+        """Tesla and Xeon have equal limits, so one launch shape gets one
+        NDRange on both; their warp and segment sizes differ, so a plan
+        cached for one device must not serve the other: each device's
+        compiled counters equal its interpreted ones."""
+        engines_base._NDRANGE_CACHE.clear()
+        kernels: dict = {}
+        lsize = tuple(local for local, _groups in shape)
+        gsize = tuple(local * groups for local, groups in shape)
+        specs = [XEON_HOST, TESLA_C2050]
+        if not xeon_first:
+            specs.reverse()
+        for spec in specs:
+            compiled = self._launch(kernels, spec, "jit-compiled", gsize,
+                                    lsize)
+            interp = self._launch(kernels, spec, "jit-interp", gsize,
+                                  lsize)
+            assert compiled[0].tobytes() == interp[0].tobytes()
+            assert compiled[1] == interp[1], spec.name
+        nd = launch_ndrange(gsize, lsize, TESLA_C2050)
+        assert launch_ndrange(gsize, lsize, XEON_HOST) is nd
+        assert {k[2:] for k in nd.plans} == {
+            (s.segment_bytes, s.warp_size) for s in specs}
+        assert len(engines_base._NDRANGE_CACHE) <= 64
+
+    def test_launches_over_2_to_the_20_lanes_keep_no_ids(self):
+        """A 1-D id dict builds nothing until read, so a huge launch's
+        dict is cheap to make and its ids are not pinned."""
+        huge = launch_ndrange(((1 << 20) + 256,), (256,), TESLA_C2050)
+        assert huge.lane_ids() is not huge.lane_ids()
+        small = launch_ndrange((1 << 20,), (256,), TESLA_C2050)
+        assert small.lane_ids() is small.lane_ids()

@@ -14,7 +14,8 @@ from repro.ocl.engines.base import (BufferBinding, NDRange, check_args,
                                     launch_ndrange)
 from repro.errors import (BuildProgramFailure, InvalidDevice,
                           InvalidKernelArgs, InvalidProgramExecutable,
-                          InvalidValue, InvalidWorkGroupSize,
+                          InvalidValue, InvalidWorkDimension,
+                          InvalidWorkGroupSize,
                           OutOfResources)
 
 COPY_SRC = """
@@ -87,6 +88,47 @@ class TestLaunchNDRangeMemo:
         for size in range(1, 200):
             launch_ndrange((size,), None, TESLA_C2050)
         assert len(base._NDRANGE_CACHE) <= 64
+
+
+class TestLaunchSizes:
+    """Each dimension of a launch size goes through ``operator.index``:
+    NumPy integers launch like ints and share their memo entry, and
+    anything else is a typed error, never a raw ``TypeError`` or a
+    silently reshaped launch."""
+
+    INC = ("__kernel void k(__global int* y) "
+           "{ y[get_global_id(0)] += 1; }")
+
+    @pytest.fixture()
+    def launch(self, cl_run):
+        def run(global_size, local_size=None):
+            y = np.zeros(128, np.int32)
+            event = cl_run(cl.Device(TESLA_C2050, "jit"), self.INC, "k",
+                           [y], global_size, local_size)
+            return event.counters.work_items, y
+        return run
+
+    @pytest.mark.parametrize("size", [np.int64(64), np.int32(64),
+                                      (np.int64(64),), [64]])
+    def test_numpy_and_sequence_sizes_run(self, launch, size):
+        items, y = launch(size, np.int16(16))
+        assert items == 64
+        assert y.tolist() == [1] * 64 + [0] * 64
+
+    @pytest.mark.parametrize("size", [np.int64(64), np.uint8(64), (64,),
+                                      [np.int32(64)]])
+    def test_numpy_sizes_share_the_memo_entry(self, size):
+        assert launch_ndrange(size, None, TESLA_C2050) \
+            is launch_ndrange(64, None, TESLA_C2050)
+
+    @pytest.mark.parametrize("global_size,local_size", [
+        (64.0, None), ("64", None), ((8, 8.5), None), (np.float64(64), None),
+        (None, None), ((8, None), None), (64, 16.0), (64, "16"),
+        ((8, 8), (4, 2.0))])
+    def test_non_integer_sizes_raise_invalid_work_dimension(
+            self, launch, global_size, local_size):
+        with pytest.raises(InvalidWorkDimension):
+            launch(global_size, local_size)
 
 
 # -- per-device build state ---------------------------------------------------
