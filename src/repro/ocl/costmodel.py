@@ -311,6 +311,62 @@ def count_affine_transactions(offset: int, dims, segment_bytes: int,
     return count
 
 
+#: (offset residue, dims, segment, item size, warp) -> key run starts or
+#: None; see count_masked_affine_transactions()
+_AFFINE_RUNS: dict = {}
+
+
+def _key_runs(offset: int, dims, segment_bytes: int, itemsize: int,
+              warp_width: int):
+    """The first lane of each run of consecutive lanes that share a
+    ``(warp, segment)`` key in a full launch of an affine access (lanes
+    and keys as in :func:`count_affine_transactions`), or None when
+    there are more runs than keys: some key then fills two runs.
+    Memoized on everything the runs depend on."""
+    import numpy as np
+
+    g = math.gcd(itemsize, segment_bytes)
+    unit, seg = itemsize // g, segment_bytes // g
+    key = (offset * unit % seg, dims, segment_bytes, itemsize, warp_width)
+    if key in _AFFINE_RUNS:
+        return _AFFINE_RUNS[key]
+    segments = (key[0] + _lattice(0, dims) * unit) // seg
+    change = segments[1:] != segments[:-1]
+    w = max(1, warp_width)
+    change[w - 1::w] = True             # each warp opens a new run
+    starts = np.concatenate(([0], np.flatnonzero(change) + 1))
+    if starts.size != count_affine_transactions(offset, dims, segment_bytes,
+                                                itemsize, warp_width):
+        starts = None
+    if len(_AFFINE_RUNS) >= 256:
+        _AFFINE_RUNS.clear()
+    _AFFINE_RUNS[key] = starts
+    return starts
+
+
+def count_masked_affine_transactions(mask, offset: int, dims,
+                                     segment_bytes: int, itemsize: int,
+                                     warp_width: int):
+    """:func:`count_index_transactions` of the active lanes of an
+    affine access (``mask`` over every lane of the launch; lanes, warps
+    and the index as in :func:`count_affine_transactions`), or None
+    when the runs of the full launch cannot give it.
+
+    A transaction is a distinct ``(warp, segment)`` key among the
+    active lanes.  When the full launch has as many runs of equal
+    consecutive keys as it has distinct keys, each key fills exactly
+    one contiguous run of lanes.  The keys of the active lanes are then
+    the keys of the runs holding an active lane, one per run, so the
+    count is the number of runs with a lane set in ``mask``.
+    """
+    import numpy as np
+
+    starts = _key_runs(offset, dims, segment_bytes, itemsize, warp_width)
+    if starts is None:
+        return None
+    return int(np.count_nonzero(np.logical_or.reduceat(mask, starts)))
+
+
 def _affine_count(offset: int, dims: list, unit: int, seg: int,
                   segment_bytes: int, itemsize: int,
                   warp_width: int) -> int:

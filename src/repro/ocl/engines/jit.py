@@ -19,14 +19,17 @@ sides of the tier boundary.  Per-line profiling works through the same
 ``LaunchCollector`` calls, emitted as literal ``(line, cost)`` replay
 statements from the instruction→line sidecar the lowerer already stamps
 on every instruction.  One shortcut has no interpreter counterpart: a
-full-mask global access whose index is affine in the lane coordinates
-(``x[i + u]``, ``y * n + x``, a grid-stride loop's ``i``) moves its data
-through a strided view, and its transactions come from the closed form
-:func:`~repro.ocl.costmodel.count_affine_transactions` — the same
-numbers the gather and the measured count give (see
-:class:`_AffineScan`).  Another: a variable write whose old value no
-lane can read writes every lane instead of blending under the mask
-(see :func:`_span_local_moves`).
+global or local access whose index is affine in the lane coordinates
+(``x[i + u]``, ``y * n + x``, a grid-stride loop's ``i``, a tile's
+``ly * 16 + lx``) moves its data through a strided view, under a
+partial mask too, and a global one's transactions come from the
+closed form :func:`~repro.ocl.costmodel.count_affine_transactions` or
+its masked run count — the same numbers the gather and the measured
+count give (see :class:`_AffineScan`).  Another: a variable write
+whose old value no lane can read writes every lane instead of blending
+under the mask (see :func:`_span_local_moves`), or does not run at all
+when a write in the same straight-line run replaces it (see
+:func:`_dead_moves`).
 
 Launch counts and compiled functions live on the program's bytecode
 object, so they die with the program (``reset_runtime()`` drops both).
@@ -58,7 +61,9 @@ from ...clc.lower import (L_A, L_AUX, L_B, L_C, L_DST,
 from ...errors import KernelLaunchError
 from ...clc.types import SCALAR_TYPES
 from ..costmodel import (count_affine_transactions,
-                         count_index_transactions, count_transactions)
+                         count_index_transactions,
+                         count_masked_affine_transactions,
+                         count_transactions)
 from .base import (ATOMIC_UFUNCS, GLOBAL_ID_KEYS, GROUP_ID_KEYS,
                    LOCAL_ID_KEYS, MAX_LOOP_ITERATIONS, Mem,
                    register_engine)
@@ -199,14 +204,16 @@ class _ModuleEmitter:
         return "\n".join(lines) + "\n"
 
 
-# -- affine global accesses ---------------------------------------------------------
+# -- affine accesses ----------------------------------------------------------------
 #
 # An index register is *affine* when its value at every lane is an
 # affine function of the lane's coordinates (group y, group x, local y,
-# local x).  A full-mask global access through such a register needs
-# no gather: five lanes give its offset and strides, a range check in
-# Python ints proves every lane in bounds, the data moves through a
-# strided view, and the transactions have a closed form.
+# local x).  A global or local access through such a register needs no
+# gather: five lanes give its offset and strides, a range check in
+# Python ints proves every lane in bounds, and the data moves through a
+# strided view, under a partial mask too.  A full-mask global access's
+# transactions have a closed form; a masked one's come from the runs of
+# the full launch's keys when each key fills one run.
 
 #: operations that keep a value affine: ``mul`` needs a uniform factor
 _AFFINE_OPS = frozenset({OP_ADD, OP_SUB, OP_MUL, OP_NEG, OP_MOV, OP_CAST,
@@ -244,8 +251,8 @@ class _AffineScan:
       depend on one: a ``mov`` under a partial mask blends lanes, so
       each carries a runtime flag in the generated code.
 
-    :meth:`access` says whether a global access through a register
-    may take the affine path, and how.
+    :meth:`access` says whether an access through a register may take
+    the affine path, and how.
     """
 
     def __init__(self, code, kbc) -> None:
@@ -358,11 +365,12 @@ class _AffineScan:
         return True
 
     def access(self, reg):
-        """``(guard, limit, key)`` for a global access indexed by
-        ``reg``, or None when it always takes the gather path.
+        """``(guard, limit, key)`` for an access indexed by ``reg``, or
+        None when it always takes the gather path.
 
-        ``guard`` is the generated condition for the affine path.
-        ``limit`` bounds the buffer size: an affine range inside
+        ``guard`` is the generated condition for the affine path, or
+        None when it always holds.  ``limit`` bounds the size of the
+        buffer or of a local array's rows: an affine range inside
         ``[0, size)`` with ``size <= limit`` fits the index type, and
         a value congruent to it modulo ``2**bits`` is then equal to it
         at every lane, so no lane wrapped.  ``key`` names the lane-id
@@ -374,14 +382,14 @@ class _AffineScan:
             return None
         if reg in self.uniform:
             # every lane reads the register's own value: no wrap to rule out
-            return "full", 1 << 64, None
+            return None, 1 << 64, None
         bits = dtype.itemsize * 8
         if self.bits.get(reg) != bits:
             return None
         limit = 1 << (bits - (dtype.kind == "i"))
         if reg in self.static:
-            return "full", limit, self.ids.get(reg)
-        return f"full and V[{reg}]", limit, None
+            return None, limit, self.ids.get(reg)
+        return f"V[{reg}]", limit, None
 
 
 # -- span-local variables -----------------------------------------------------------
@@ -407,17 +415,10 @@ def _reads(ins) -> tuple:
     return _operands(ins)
 
 
-def _span_local_moves(code) -> frozenset:
-    """Positions of the ``mov`` instructions of ``code`` that may write
-    every lane instead of blending.
-
-    For a register R, let S be the innermost span (a function body, an
-    ``if`` arm, a loop's condition, body or update) holding every read
-    and write of R, nested spans included.  When the first of those
-    references in code order is a write at S's top level that does not
-    read R, every ``mov`` to R at S's top level may write plainly.
-    Writes in nested spans still blend."""
-    paths: list = [()] * len(code)     # span path of each instruction
+def _span_paths(code) -> list:
+    """The span path of each instruction of ``code``: the ids of the
+    spans holding it, outermost (the function body, 0) first."""
+    paths: list = [()] * len(code)
     spans = itertools.count(1)
 
     def walk(pos: int, end: int, path: tuple) -> None:
@@ -432,6 +433,20 @@ def _span_local_moves(code) -> frozenset:
                     pos += length
 
     walk(0, len(code), (0,))
+    return paths
+
+
+def _span_local_moves(code) -> frozenset:
+    """Positions of the ``mov`` instructions of ``code`` that may write
+    every lane instead of blending.
+
+    For a register R, let S be the innermost span (a function body, an
+    ``if`` arm, a loop's condition, body or update) holding every read
+    and write of R, nested spans included.  When the first of those
+    references in code order is a write at S's top level that does not
+    read R, every ``mov`` to R at S's top level may write plainly.
+    Writes in nested spans still blend."""
+    paths = _span_paths(code)
     first: dict = {}        # register -> position of its first reference
     span: dict = {}         # register -> the path all its references share
     for pos, ins in enumerate(code):
@@ -462,33 +477,75 @@ def _span_local_moves(code) -> frozenset:
     return frozenset(plain)
 
 
+#: instructions that end a straight-line run of a span: they change the
+#: mask, run other code or leave the span
+_CONTROL_OPS = frozenset({OP_IF, OP_LOOP, OP_CALL, OP_BREAK, OP_CONTINUE,
+                          OP_RET})
+
+
+def _dead_moves(code) -> frozenset:
+    """Positions of the ``mov`` instructions of ``code`` that need not
+    run: the next reference to the register is a write in the same
+    span, and only straight-line instructions lie between, so no lane
+    reads the moved value.  A write other than a blend sets every lane.
+    A blend keeps the inactive lanes' old values, but then the dropped
+    move blended too, under the same mask: a variable's moves are all
+    launch-uniform or none is, and :func:`_span_local_moves` makes all
+    of a register's moves at one span's top level plain or none."""
+    paths = _span_paths(code)
+    dead = []
+    for pos, ins in enumerate(code):
+        if ins[0] != OP_MOV:
+            continue
+        reg = ins[L_DST]
+        nxt = pos + 1
+        while nxt < len(code) and paths[nxt] == paths[pos] \
+                and code[nxt][0] not in _CONTROL_OPS:
+            later = code[nxt]
+            if reg in _reads(later):
+                break
+            if later[L_DST] == reg:
+                dead.append(pos)
+                break
+            nxt += 1
+    return frozenset(dead)
+
+
 #: (query code, dimension) of an id query -> its lane-id array key
 _ID_KEYS = {(0, d): k for d, k in enumerate(GLOBAL_ID_KEYS)}
 _ID_KEYS.update({(1, d): k for d, k in enumerate(LOCAL_ID_KEYS)})
 _ID_KEYS.update({(2, d): k for d, k in enumerate(GROUP_ID_KEYS)})
 
 
-def _access_plan(offset: int, coords, segment: int, warp: int,
+def _access_plan(offset: int, coords, row: int, segment: int, warp: int,
                  itemsize: int) -> tuple:
     """``(low, high, index, offset, dims, transactions, injective)`` of
-    a full-mask access whose index is ``offset + sum(stride * c)`` over
-    the lane coordinates ``coords`` (``((extent, stride), ...)``,
+    an access whose index is ``offset + sum(stride * c)`` over the lane
+    coordinates ``coords`` (``((extent, stride, group step), ...)``,
     outermost first, every extent above 1).
 
-    ``dims`` merges neighbours that step as one (an outer stride equal
-    to the inner stride times the inner extent), so a contiguous 1-D or
-    row-major access becomes a single dimension.  ``index`` is a slice
-    of the buffer when the lanes step through it in one direction, else
-    None (the access goes through a strided view).  ``injective`` says
-    no two lanes share an element: taken by increasing stride, each
-    stride exceeds the reach of all smaller ones."""
+    ``low`` and ``high`` bound the index.  A global buffer (``row`` 0)
+    holds a lane's element at the index itself; a local array, ``row``
+    elements per work-group, at ``group_flat * row + index``, and a
+    coordinate's group step is what one step along it adds to
+    ``group_flat``.  That element is affine in the coordinates too, and
+    the rest of the plan addresses it.  ``dims`` merges neighbours that
+    step as one (an outer stride equal to the inner stride times the
+    inner extent), so a contiguous 1-D or row-major access becomes a
+    single dimension.  ``index`` is a slice of the (flattened) array
+    when the lanes step through it in one direction, else None (the
+    access goes through a strided view).  ``injective`` says no two
+    lanes share an element: taken by increasing stride, each stride
+    exceeds the reach of all smaller ones.  ``transactions`` is the
+    full-mask count of a global access, None for a local one."""
     low = high = offset
     dims: list = []
-    for extent, stride in coords:
+    for extent, stride, group in coords:
         if stride > 0:
             high += stride * (extent - 1)
         else:
             low += stride * (extent - 1)
+        stride += row * group
         if dims and dims[-1][1] == stride * extent:
             dims[-1] = (dims[-1][0] * extent, stride)
         else:
@@ -497,7 +554,8 @@ def _access_plan(offset: int, coords, segment: int, warp: int,
         index, injective = slice(offset, offset + 1), True
     elif len(dims) == 1:
         stride = dims[0][1]
-        index = slice(offset, high + 1, stride) if stride > 0 else None
+        end = offset + stride * (dims[0][0] - 1) + 1
+        index = slice(offset, end, stride) if stride > 0 else None
         injective = stride != 0
     else:
         index, injective = None, True
@@ -508,19 +566,19 @@ def _access_plan(offset: int, coords, segment: int, warp: int,
                 break
             reach += abs(stride) * (extent - 1)
     dims = tuple(dims)
-    return (low, high, index, offset, dims,
-            count_affine_transactions(offset, dims, segment, itemsize,
-                                      warp),
-            injective)
+    count = None if row else count_affine_transactions(
+        offset, dims, segment, itemsize, warp)
+    return low, high, index, offset, dims, count, injective
 
 
 def _id_plan(nd, pkey) -> tuple:
     """The access plan of the lane-id array of an id query, cached in
     ``nd.plans`` under ``pkey``: (id key, item size, segment bytes,
-    warp size)."""
-    key, itemsize, segment, warp = pkey
+    warp size, row length), the first three 0 for a local array and
+    the last 0 for a global buffer."""
+    key, itemsize, segment, warp, row = pkey
     ngy, ngx, ly, lx = nd.extents
-    if key == "idx" and ngy == ly == 1:
+    if key == "idx" and ngy == ly == 1 and not row:
         # a 1-D launch's global id, lane l: its unit stride is known,
         # and cluster chunks make most launch shapes new
         n = ngx * lx
@@ -533,93 +591,144 @@ def _id_plan(nd, pkey) -> tuple:
                    "gidx": (0, 1, 0, 0), "gidy": (1, 0, 0, 0)}.get(
                        key, (0, 0, 0, 0))   # z ids are 0 below 3-D
         plan = _access_plan(
-            0, [(e, s) for e, s in zip(nd.extents, strides) if e > 1],
-            segment, warp, itemsize)
+            0, [(e, s, g) for e, s, g in zip(nd.extents, strides,
+                                             (ngx, 1, 0, 0)) if e > 1],
+            row, segment, warp, itemsize)
     nd.plans[pkey] = plan
     return plan
 
 
 def _plan(E, value, array, limit: int, key):
-    """The access plan of a full-mask access to ``array`` through an
-    affine index, or None when it must gather: a 3-D launch, or a
-    buffer the index type cannot address without wrapping.  An id
-    query's plan is cached on the launch's ``NDRange``; any other
-    index is read at five lanes: the first gives the offset, and one
-    lane along each coordinate its stride."""
+    """The access plan of an access to ``array`` through an affine
+    index, or None when it must gather: a 3-D launch, or an array
+    whose rows the index type cannot address without wrapping.
+    ``array`` is a global buffer, or a local array with one row per
+    work-group.  An id query's plan is cached on the launch's
+    ``NDRange``; any other index is read at five lanes: the first gives
+    the offset, and one lane along each coordinate its stride."""
     nd = E.nd
-    if nd.dim > 2 or array.shape[0] > limit:
+    shape = array.shape
+    if nd.dim > 2 or shape[-1] > limit:
         return None
+    row = shape[1] if len(shape) == 2 else 0
     spec = E.spec
     if key is not None:
-        pkey = (key, array.itemsize, spec.segment_bytes, spec.warp_size)
+        pkey = ((key, 0, 0, 0, row) if row else
+                (key, array.itemsize, spec.segment_bytes, spec.warp_size, 0))
         return nd.plans.get(pkey) or _id_plan(nd, pkey)
+    # lanes are group-major, so a probe lane's group is its flat group
+    # step: 0 along a local coordinate
+    ipg = nd.items_per_group
     if value.ndim:
         offset = int(value[0])
-        coords = [(e, int(value[p]) - offset) for e, p in nd.coords]
+        coords = [(e, int(value[p]) - offset, p // ipg)
+                  for e, p in nd.coords]
     else:
         offset = int(value)
-        coords = [(e, 0) for e, _p in nd.coords]
-    return _access_plan(offset, coords, spec.segment_bytes,
+        coords = [(e, 0, p // ipg) for e, p in nd.coords]
+    return _access_plan(offset, coords, row, spec.segment_bytes,
                         spec.warp_size, array.itemsize)
 
 
-def _strided_view(array, offset: int, dims):
-    """A view of ``array`` whose row-major elements are the affine
-    index's elements in lane order, or None (a non-contiguous buffer
-    gathers instead)."""
+def _view(E, value, array, limit: int, key, store: bool):
+    """``(view, plan)`` of an access to ``array`` through an affine
+    index, the view's row-major elements the lanes' elements in lane
+    order, or None for the gather path.  The view covers every lane,
+    active or not, so every lane's index must lie in range (the
+    gather's loads read every lane too); a store must be injective
+    (the gather keeps last-lane-wins order where two lanes share an
+    element); and a non-contiguous buffer gathers."""
+    plan = _plan(E, value, array, limit, key)
+    if plan is None or plan[0] < 0 or plan[1] >= array.shape[-1] \
+            or (store and not plan[6]):
+        return None
+    index = plan[2]
+    if index is not None and array.ndim == 1:
+        return array[index], plan
     if not array.flags.c_contiguous:
         return None
+    if index is not None:
+        return array.reshape(-1)[index], plan
     item = array.itemsize
+    dims = plan[4]
     return np.ndarray(tuple(e for e, _s in dims), array.dtype, array,
-                      offset * item, tuple(s * item for _e, s in dims))
+                      plan[3] * item,
+                      tuple(s * item for _e, s in dims)), plan
 
 
-def _affine_load(E, value, m, limit: int, key):
-    """``(values, transactions)`` of a full-mask global load through
-    an affine index, or None for the gather path.  The values are a
-    copy: a view would see later stores to the buffer."""
-    array = m.array
-    plan = _plan(E, value, array, limit, key)
-    if plan is None:
-        return None
-    low, high, index, offset, dims, count, _inj = plan
-    if low < 0 or high >= array.shape[0]:
-        return None
-    if index is not None:
-        return array[index].copy(), count
-    view = _strided_view(array, offset, dims)
-    if view is None:
-        return None
-    return view.copy().reshape(-1), count
-
-
-def _affine_store(E, value, stored, m, limit: int, key):
-    """Store ``stored`` through an affine index at a full mask and
-    return the transactions, or None for the gather path (which also
-    keeps last-lane-wins order where two lanes share an element)."""
-    array = m.array
-    plan = _plan(E, value, array, limit, key)
-    if plan is None:
-        return None
-    low, high, index, offset, dims, count, injective = plan
-    if low < 0 or high >= array.shape[0] or not injective:
-        return None
-    if index is None:
-        view = _strided_view(array, offset, dims)
-        if view is None:
-            return None
+def _write(E, view, stored, mask, full) -> None:
+    """Store ``stored`` through ``view`` at the lanes in ``mask``."""
     stored = E._broadcast(stored)
-    if stored.dtype is not array.dtype:
-        stored = to_dtype(stored, array.dtype)
-    if index is not None:
-        array[index] = stored
+    if stored.dtype is not view.dtype:
+        stored = to_dtype(stored, view.dtype)
+    if view.ndim > 1:
+        stored = stored.reshape(view.shape)
+    if full:
+        view[...] = stored
     else:
-        view[...] = stored.reshape(view.shape)
+        np.copyto(view, stored, where=mask.reshape(view.shape))
+
+
+def _masked_transactions(E, value, array, plan, mask) -> int:
+    """The transactions of a global access by the lanes of a partial
+    ``mask``: the runs of the full launch's keys that hold an active
+    lane when each key fills one run, else the count over the active
+    lanes."""
+    spec = E.spec
+    count = count_masked_affine_transactions(
+        mask, plan[3], plan[4], spec.segment_bytes, array.itemsize,
+        spec.warp_size)
+    if count is None:
+        count = count_index_transactions(
+            E._broadcast(value)[mask], E.warp_ids[mask], spec.segment_bytes,
+            array.itemsize, 0)
     return count
+
+
+def _affine_load(E, value, m, limit: int, key, mask, full):
+    """``(values, transactions)`` of a global load through an affine
+    index, or None for the gather path.  The values are a copy: a view
+    would see later stores."""
+    got = _view(E, value, m.array, limit, key, False)
+    if got is None:
+        return None
+    view, plan = got
+    return view.flatten(), (plan[5] if full else _masked_transactions(
+        E, value, m.array, plan, mask))
+
+
+def _affine_store(E, value, stored, m, limit: int, key, mask, full):
+    """Store ``stored`` into a global buffer through an affine index
+    and return the transactions, or None for the gather path."""
+    got = _view(E, value, m.array, limit, key, True)
+    if got is None:
+        return None
+    view, plan = got
+    _write(E, view, stored, mask, full)
+    return plan[5] if full else _masked_transactions(E, value, m.array,
+                                                     plan, mask)
+
+
+def _local_load(E, value, m, limit: int, key):
+    """A copy of every lane's element of a local array through an
+    affine index, or None for the gather path."""
+    got = _view(E, value, m.array, limit, key, False)
+    return None if got is None else got[0].flatten()
+
+
+def _local_store(E, value, stored, m, limit: int, key, mask, full):
+    """Store ``stored`` into a local array through an affine index;
+    None for the gather path."""
+    got = _view(E, value, m.array, limit, key, True)
+    if got is not None:
+        _write(E, got[0], stored, mask, full)
+    return got
 
 
 _EXEC_ENV["_aff_ld"] = _affine_load
 _EXEC_ENV["_aff_st"] = _affine_store
+_EXEC_ENV["_loc_ld"] = _local_load
+_EXEC_ENV["_loc_st"] = _local_store
 
 
 class _FnEmitter:
@@ -634,6 +743,7 @@ class _FnEmitter:
         self.n_spans = 0
         self.affine = _AffineScan(code, kbc)
         self.plain = _span_local_moves(code)
+        self.dead = _dead_moves(code)
 
     def emit(self) -> list[str]:
         top = self.span_fn(0, len(self.code))
@@ -711,11 +821,22 @@ class _FnEmitter:
             pend.clear()
 
         code = self.code
+        #: (index register, item size) whose global access left its
+        #: transactions in ``_t``: the same lanes through the same index
+        #: count the same, until the register is written or a control
+        #: instruction (the only ones that change the mask) runs
+        counted = None
         while pos < end:
             ins = code[pos]
             op = ins[0]
             d, a, b, c = ins[L_DST], ins[L_A], ins[L_B], ins[L_C]
             line = ins[L_LINE]
+            if counted is not None and d == counted[0]:
+                counted = None
+            if pos in self.dead:
+                # overwritten before any lane reads it
+                pos += 1
+                continue
             if OP_ADD <= op <= OP_BXOR:
                 if op == OP_DIV:
                     # float / inlined: the launch loop's errstate already
@@ -807,15 +928,19 @@ class _FnEmitter:
                 pend.append((line, ins[L_VCOST], bool(ins[L_ISDBL])))
                 self._coerce(out, f"{bref}({args})", ins[L_NP], d,
                              trunc=True)
-            elif op == OP_LD:
+            elif op == OP_LD or op == OP_ST:
                 flush()
-                self._emit_ld(out, ins)
-            elif op == OP_ST:
-                flush()
-                self._emit_st(out, ins)
+                key = None
+                if ins[L_AUX][1] == SPACE_GLOBAL:
+                    key = (b, ins[L_NP].itemsize)
+                emit = self._emit_ld if op == OP_LD else self._emit_st
+                emit(out, ins, key is not None and key == counted)
+                if key is not None and d != b:
+                    counted = key
             elif op == OP_ATOMIC:
                 flush()
                 self._emit_atomic(out, ins)
+                counted = None
             elif op == OP_DECLARR:
                 flush()
                 self._emit_declarr(out, ins)
@@ -833,18 +958,21 @@ class _FnEmitter:
             elif op == OP_CALL:
                 flush()
                 self._emit_call(out, ins)
+                counted = None
             elif op == OP_IF:
                 flush()
                 tlen, elen = ins[L_AUX]
                 body = pos + 1
                 self._emit_if(out, ins, body, tlen, elen)
                 pos = body + tlen + elen
+                counted = None
                 continue
             elif op == OP_LOOP:
                 flush()
                 self._emit_loop(out, ins, pos)
                 clen, blen, ulen, _ = ins[L_AUX]
                 pos = pos + 1 + clen + blen + ulen
+                counted = None
                 continue
             elif op == OP_BREAK:
                 flush()
@@ -917,27 +1045,31 @@ class _FnEmitter:
             "    _s = _nmin(_nmax(_i, 0), _m.size - 1)",
         ])
 
-    def _emit_global(self, out: list[str], slot: int, b: int, call: str,
-                     taken: str, general: list[str]) -> None:
-        """Emit a global access: ``general`` always works; when the
-        index register ``b`` may be affine (see :class:`_AffineScan`),
-        the helper ``call`` — its arguments completed here — runs
-        first, and ``taken`` unpacks its result ``_x`` unless it is
-        None, where the gather runs instead.  Both leave the
-        transaction count in ``_t``."""
-        out.extend([f"_m = M[{slot}]", "_z = _m.array.dtype.itemsize"])
+    def _emit_affine(self, out: list[str], b: int, call: str, taken: str,
+                     general: list[str]) -> None:
+        """Emit an access through the index register ``b``: ``general``
+        always works; when ``b`` may be affine (see
+        :class:`_AffineScan`), the helper call ``call`` — its ``limit``
+        and ``key`` filled in here — runs first, and ``taken`` consumes
+        its result ``_x`` unless it is None, where ``general`` runs
+        instead."""
         access = self.affine.access(b)
         if access is None:
             out.extend(general)
             return
         guard, limit, key = access
-        out.extend([f"_x = {call}, {limit}, {key!r}) if {guard} else None",
+        call = call.format(limit=limit, key=repr(key))
+        out.extend([f"_x = {call}" if guard is None
+                    else f"_x = {call} if {guard} else None",
                     "if _x is not None:",
                     "    " + taken,
                     "else:"])
         out.extend("    " + g for g in general)
 
-    def _emit_ld(self, out: list[str], ins) -> None:
+    def _emit_ld(self, out: list[str], ins, counted: bool) -> None:
+        """Emit a load; ``counted`` says ``_t`` already holds the
+        transactions of a global load or store by the same lanes
+        through the same index (see :meth:`span_body`)."""
         slot, space = ins[L_AUX]
         d, b, line = ins[L_DST], ins[L_B], ins[L_LINE]
         if space == SPACE_GLOBAL:
@@ -959,13 +1091,18 @@ class _FnEmitter:
                 f"    E._check_bounds(_i, _m, mask, {line})",
                 "    _s = _nmin(_nmax(_i, 0), _m.size - 1)",
                 "    _r = _m.array[_s]",
-                "_wp = E.warp_ids",
-                "_t = count_index_transactions(_s if full else _s[mask],"
-                " _wp if full else _wp[mask], _seg, _z,"
-                " _ww if full else 0)",
             ]
-            self._emit_global(out, slot, b, f"_aff_ld(E, R[{b}], _m",
-                              "_r, _t = _x", general)
+            if not counted:
+                general.extend([
+                    "_wp = E.warp_ids",
+                    "_t = count_index_transactions(_s if full else _s[mask],"
+                    " _wp if full else _wp[mask], _seg, _z,"
+                    " _ww if full else 0)",
+                ])
+            out.extend([f"_m = M[{slot}]", "_z = _m.array.dtype.itemsize"])
+            self._emit_affine(
+                out, b, f"_aff_ld(E, R[{b}], _m, {{limit}}, {{key}}, mask, "
+                f"full)", "_r, _t = _x", general)
             out.extend([
                 "counters.global_loads += n_act",
                 "counters.global_load_bytes += n_act * _z",
@@ -976,15 +1113,21 @@ class _FnEmitter:
             ])
             return
         out.append(f"_m = M[{slot}]")
-        self._emit_index(out, b, line)
         if space == SPACE_LOCAL:
+            general: list[str] = []
+            self._emit_index(general, b, line)
+            general.append("_r = _m.array[E.group_flat, _s]")
+            self._emit_affine(
+                out, b, f"_loc_ld(E, R[{b}], _m, {{limit}}, {{key}})",
+                "_r = _x", general)
             out.extend([
                 "counters.local_accesses += n_act",
                 "if col is not None:",
                 f"    col.local({line}, n_act, n)",
-                f"R[{d}] = _m.array[E.group_flat, _s]",
+                f"R[{d}] = _r",
             ])
         else:
+            self._emit_index(out, b, line)
             out.extend([
                 "counters.alu_ops += n_act",
                 "if col is not None:",
@@ -992,29 +1135,32 @@ class _FnEmitter:
                 f"R[{d}] = _m.array[E.lane, _s]",
             ])
 
-    def _emit_st(self, out: list[str], ins) -> None:
+    def _emit_st(self, out: list[str], ins, counted: bool) -> None:
+        """Emit a store; ``counted`` as for :meth:`_emit_ld`."""
         slot, space = ins[L_AUX]
         b, c, line = ins[L_B], ins[L_C], ins[L_LINE]
-        value = [
+        general: list[str] = []
+        self._emit_index(general, b, line)
+        general.extend([
             f"_v = E._broadcast(R[{c}])",
             "if _v.dtype is not _m.array.dtype:",
             "    _v = to_dtype(_v, _m.array.dtype)",
-        ]
+            "_sm = _s if full else _s[mask]",
+        ])
+        out.append(f"_m = M[{slot}]")
         if space == SPACE_GLOBAL:
-            general: list[str] = []
-            self._emit_index(general, b, line)
-            general.extend(value)
-            general.extend([
-                "_sm = _s if full else _s[mask]",
-                "_m.array[_sm] = _v if full else _v[mask]",
-                "_wp = E.warp_ids",
-                "_t = count_index_transactions(_sm,"
-                " _wp if full else _wp[mask], _seg, _z,"
-                " _ww if full else 0)",
-            ])
-            self._emit_global(out, slot, b,
-                              f"_aff_st(E, R[{b}], R[{c}], _m", "_t = _x",
-                              general)
+            general.append("_m.array[_sm] = _v if full else _v[mask]")
+            if not counted:
+                general.extend([
+                    "_wp = E.warp_ids",
+                    "_t = count_index_transactions(_sm,"
+                    " _wp if full else _wp[mask], _seg, _z,"
+                    " _ww if full else 0)",
+                ])
+            out.append("_z = _m.array.dtype.itemsize")
+            self._emit_affine(
+                out, b, f"_aff_st(E, R[{b}], R[{c}], _m, {{limit}}, {{key}}, "
+                f"mask, full)", "_t = _x", general)
             out.extend([
                 "counters.global_stores += n_act",
                 "counters.global_store_bytes += n_act * _z",
@@ -1022,26 +1168,26 @@ class _FnEmitter:
                 "if col is not None:",
                 f"    col.mem({line}, n_act, n_act * _z, _t, True, n)",
             ])
-            return
-        out.append(f"_m = M[{slot}]")
-        self._emit_index(out, b, line)
-        out.extend(value)
-        out.extend([
-            "_sm = _s if full else _s[mask]",
-            "_vm = _v if full else _v[mask]",
-        ])
-        if space == SPACE_LOCAL:
-            out.extend([
+        elif space == SPACE_LOCAL:
+            general.extend([
                 "_g = E.group_flat",
-                "_m.array[_g if full else _g[mask], _sm] = _vm",
+                "_m.array[_g if full else _g[mask], _sm] = "
+                "_v if full else _v[mask]",
+            ])
+            self._emit_affine(
+                out, b, f"_loc_st(E, R[{b}], R[{c}], _m, {{limit}}, {{key}}, "
+                f"mask, full)", "pass", general)
+            out.extend([
                 "counters.local_accesses += n_act",
                 "if col is not None:",
                 f"    col.local({line}, n_act, n)",
             ])
         else:
+            out.extend(general)
             out.extend([
                 "_l = E.lane",
-                "_m.array[_l if full else _l[mask], _sm] = _vm",
+                "_m.array[_l if full else _l[mask], _sm] = "
+                "_v if full else _v[mask]",
                 "counters.alu_ops += n_act",
                 "if col is not None:",
                 f"    col.op({line}, n_act, 1.0, False, n)",

@@ -1,9 +1,10 @@
 """Differential fuzzing of the optimizing middle-end and the engines.
 
-~250 seeded random OpenCL C kernels (integer/uint/float arithmetic,
+~300 seeded random OpenCL C kernels (integer/uint/float arithmetic,
 nested ifs and for loops, selects, barriers with __local staging; 50
-of them declare block-local variables in their bodies) are
-executed six ways — the serial engine and the jit engine pinned to its
+of them declare block-local variables in their bodies, and 50 store
+to __local and global memory through affine indices under branches)
+are executed six ways — the serial engine and the jit engine pinned to its
 interpreted and to its compiled tier, each at -O0 (unoptimized
 bytecode: no rewriting pass ran) and -O2 (optimized bytecode) — and
 every output buffer must match **bit for bit**.  Any
@@ -38,6 +39,7 @@ from tests.conftest import run_cl_kernel
 _KERNELS_PER_BATCH = 10
 _BATCHES = 20                   # 200 kernels total
 _LOCAL_BATCHES = 5              # 50 more with block-local variables
+_AFFINE_BATCHES = 5             # 50 more with affine accesses in branches
 
 
 # -- random kernel generator --------------------------------------------------
@@ -51,11 +53,15 @@ class _KernelGen:
     top-level (uniform) control flow.
     """
 
-    def __init__(self, seed: int, span_locals: bool = False) -> None:
+    def __init__(self, seed: int, span_locals: bool = False,
+                 affine: bool = False) -> None:
         self.rng = np.random.default_rng(seed)
         #: opt-in: bodies may open with a block-local variable (see
         #: :meth:`span_local`); off, a seed's source never changes
         self.span_locals = span_locals
+        #: opt-in: the top level gets blocks of affine accesses (see
+        #: :meth:`affine_block`); off, a seed's source never changes
+        self.affine = affine
         self.n_locals = 0
         self.has_barrier = bool(self.rng.random() < 0.4)
         self.lsize = 16
@@ -66,6 +72,19 @@ class _KernelGen:
         self.float_vars = ["f0", "f1", "f2"]
         self.loop_depth = 0
         self.n_loops = 0
+        if affine:
+            # ``abuf[lid]`` needs every work-group to be 16 wide
+            self.gsize = max(self.lsize, self.gsize // self.lsize
+                             * self.lsize)
+            #: the lane's own ``out`` element, as an id query or as an
+            #: affine form the engines probe: another lane's element
+            #: would race with that lane's final store
+            self.gform = self._pick(["gid", f"lid + grp * {self.lsize}"])
+
+    @property
+    def lsize_arg(self):
+        """The launch's local size, or None for the runtime's pick."""
+        return (self.lsize,) if self.has_barrier or self.affine else None
 
     def _pick(self, seq):
         return seq[int(self.rng.integers(len(seq)))]
@@ -213,6 +232,31 @@ class _KernelGen:
             "    barrier(CLK_LOCAL_MEM_FENCE);",
         ]
 
+    def affine_block(self) -> list:
+        """``__local`` and global accesses through affine indices under
+        branches, at the top level (it holds barriers): stores and a
+        read-back of the lane's own element under one, reads of other
+        lanes' elements after a barrier under another.  The read
+        indices all stay in the array on every lane."""
+        tile = self.lsize
+        fv, fw = self._pick(self.float_vars), self._pick(self.float_vars)
+        index = self._pick(["lid", f"{tile - 1} - lid",
+                            str(int(self.rng.integers(0, tile))),
+                            f"(lid + 3) % {tile}"])
+        return [
+            f"    abuf[lid] = {self.float_expr(2)};",
+            f"    if ({self.int_cond()}) {{",
+            f"        abuf[lid] = {self.float_expr(2)};",
+            f"        out[{self.gform}] = {self.float_expr(2)};",
+            f"        {fv} = {fv} + abuf[lid] * out[{self.gform}];",
+            "    }",
+            "    barrier(CLK_LOCAL_MEM_FENCE);",
+            f"    if ({self.int_cond()}) {{",
+            f"        {fw} = {fw} - abuf[{index}];",
+            "    }",
+            "    barrier(CLK_LOCAL_MEM_FENCE);",
+        ]
+
     def source(self) -> str:
         body = [
             "    int gid = get_global_id(0);",
@@ -229,12 +273,18 @@ class _KernelGen:
         ]
         if self.has_barrier:
             body.append(f"    __local float lbuf[{self.lsize}];")
+        if self.affine:
+            body.append(f"    __local float abuf[{self.lsize}];")
         n_stmts = int(self.rng.integers(4, 9))
         barrier_at = set(self.rng.integers(0, n_stmts, size=2)) \
             if self.has_barrier else set()
+        affine_at = set(self.rng.integers(0, n_stmts, size=2)) \
+            if self.affine else set()
         for i in range(n_stmts):
             if i in barrier_at:
                 body += self.barrier_block()
+            if i in affine_at:
+                body += self.affine_block()
             body += self.statement(0)
         body += [
             "    out[gid] = f0 + f1 + f2;",
@@ -276,7 +326,7 @@ def _check_kernel(seed: int, gen: _KernelGen) -> None:
     field, and serial equals jit on the model-independent fields."""
     source = gen.source()
     gsize = (gen.gsize,)
-    lsize = (gen.lsize,) if gen.has_barrier else None
+    lsize = gen.lsize_arg
     rng = np.random.default_rng(seed)
     fin = rng.uniform(0.1, 4.0, gen.gsize).astype(np.float32)
     iin = rng.integers(-100, 100, gen.gsize).astype(np.int32)
@@ -333,6 +383,17 @@ def test_random_kernels_with_span_locals_bit_identical(batch):
     for i in range(_KERNELS_PER_BATCH):
         seed = 5000 + batch * _KERNELS_PER_BATCH + i
         _check_kernel(seed, _KernelGen(seed, span_locals=True))
+
+
+@pytest.mark.parametrize("batch", range(_AFFINE_BATCHES))
+def test_random_kernels_with_affine_accesses_bit_identical(batch):
+    """The same six-way check on kernels that store to ``__local`` and
+    global memory through affine indices under branches and read back
+    through affine and non-affine ones, which the compiled tier moves
+    through strided views under the branch mask."""
+    for i in range(_KERNELS_PER_BATCH):
+        seed = 7000 + batch * _KERNELS_PER_BATCH + i
+        _check_kernel(seed, _KernelGen(seed, affine=True))
 
 
 # -- cost model counts executed, post-optimization ops ------------------------

@@ -1,12 +1,12 @@
-"""Differential tests of the compiled jit tier's affine global accesses.
+"""Differential tests of the compiled jit tier's affine accesses.
 
 Each kernel runs on every ``ENGINE_LEGS`` leg.  Buffers must be equal
 byte for byte on all three; the compiled tier's counters must equal
 the interpreted tier's (the oracle) field for field, and the serial
 engine's on the model-independent fields (it models one transaction
 per access).  A spy on the generated code's affine helpers checks
-which accesses took the strided path and which fell back to the
-gather.
+which global and local accesses took the strided path and which fell
+back to the gather.
 """
 
 from __future__ import annotations
@@ -26,9 +26,10 @@ _LEGS = [leg.values[0] for leg in ENGINE_LEGS]
 
 @pytest.fixture()
 def affine_spy(monkeypatch):
-    """Counts the affine loads and stores the compiled tier took (a
-    helper call that returned None fell back to the gather)."""
-    taken = {"load": 0, "store": 0}
+    """Counts the affine global and local loads and stores the
+    compiled tier took (a helper call that returned None fell back to
+    the gather)."""
+    taken = _took()
 
     def spy(kind, helper):
         def wrapped(*args):
@@ -42,7 +43,16 @@ def affine_spy(monkeypatch):
                         spy("load", jit_mod._affine_load))
     monkeypatch.setitem(jit_mod._EXEC_ENV, "_aff_st",
                         spy("store", jit_mod._affine_store))
+    monkeypatch.setitem(jit_mod._EXEC_ENV, "_loc_ld",
+                        spy("local_load", jit_mod._local_load))
+    monkeypatch.setitem(jit_mod._EXEC_ENV, "_loc_st",
+                        spy("local_store", jit_mod._local_store))
     return taken
+
+
+def _took(load=0, store=0, local_load=0, local_store=0):
+    return {"load": load, "store": store, "local_load": local_load,
+            "local_store": local_store}
 
 
 def _run_legs(source, make_args, global_size, local_size, spy,
@@ -63,7 +73,7 @@ def _run_legs(source, make_args, global_size, local_size, spy,
     assert compiled[1] == interp[1]
     assert {k: serial[1][k] for k in _MODEL_INDEPENDENT} == \
         {k: interp[1][k] for k in _MODEL_INDEPENDENT}
-    assert interp[2] == {"load": 0, "store": 0}
+    assert interp[2] == _took()
     return compiled[2]
 
 
@@ -89,7 +99,7 @@ class TestShapesThatQualify:
         taken = _run_legs(src, lambda: [np.zeros(96, np.float32),
                                         _f32(96)],
                           global_size, local_size, affine_spy, spec)
-        assert taken == {"load": 1, "store": 1}
+        assert taken == _took(1, 1)
 
     def test_offset_index(self, affine_spy):
         src = """__kernel void f(__global float* out,
@@ -100,7 +110,7 @@ class TestShapesThatQualify:
         taken = _run_legs(src, lambda: [np.zeros(64, np.float32), _f32(80),
                                         np.int32(13)],
                           (64,), (16,), affine_spy)
-        assert taken == {"load": 1, "store": 1}
+        assert taken == _took(1, 1)
 
     def test_copied_index(self, affine_spy):
         src = """__kernel void f(__global int* out,
@@ -113,7 +123,7 @@ class TestShapesThatQualify:
         taken = _run_legs(src, lambda: [np.zeros(96, np.int32),
                                         np.arange(96, dtype=np.int32) * 3],
                           (96,), (32,), affine_spy)
-        assert taken == {"load": 1, "store": 1}
+        assert taken == _took(1, 1)
 
     def test_loop_carried_index(self, affine_spy):
         """Reduction's grid-stride loop: every iteration's load has a
@@ -131,13 +141,14 @@ class TestShapesThatQualify:
         taken = _run_legs(src, lambda: [np.zeros(64, np.float32),
                                         _f32(64 * 5), np.int32(64 * 5)],
                           (64,), (16,), affine_spy)
-        assert taken == {"load": 5, "store": 1}
+        assert taken == _took(5, 1)
 
     @pytest.mark.parametrize("local", [(4, 4), (8, 2), (16, 16)],
                              ids=["4x4", "8x2", "16x16"])
     def test_floyd_2d_loads(self, affine_spy, local):
         """Floyd's three loads are affine in 2-D; its store runs under
-        the ``if`` mask and gathers."""
+        the ``if`` mask and writes through the view where the mask is
+        set."""
         src = """__kernel void f(__global int* d, int n, int k) {
             int x = get_global_id(0);
             int y = get_global_id(1);
@@ -152,7 +163,7 @@ class TestShapesThatQualify:
         taken = _run_legs(src, lambda: [dist.copy(), np.int32(16),
                                         np.int32(3)],
                           (16, 16), local, affine_spy)
-        assert taken == {"load": 3, "store": 0}
+        assert taken == _took(3, 1)
 
     def test_transpose_tiled_store(self, affine_spy):
         src = """__kernel void f(__global float* out,
@@ -169,7 +180,7 @@ class TestShapesThatQualify:
                                         _f32(8 * 12), np.int32(8),
                                         np.int32(12)],
                           (8, 12), (4, 4), affine_spy)
-        assert taken == {"load": 1, "store": 1}
+        assert taken == _took(1, 1, local_load=1, local_store=1)
 
     def test_uniform_index(self, affine_spy):
         src = """__kernel void f(__global float* out,
@@ -179,7 +190,7 @@ class TestShapesThatQualify:
         taken = _run_legs(src, lambda: [np.zeros(64, np.float32), _f32(8),
                                         np.int32(6)],
                           (64,), (32,), affine_spy)
-        assert taken == {"load": 2, "store": 1}
+        assert taken == _took(2, 1)
 
     def test_negative_stride(self, affine_spy):
         src = """__kernel void f(__global float* out,
@@ -190,7 +201,116 @@ class TestShapesThatQualify:
         taken = _run_legs(src, lambda: [np.zeros(64, np.float32), _f32(64),
                                         np.int32(64)],
                           (64,), (16,), affine_spy)
-        assert taken == {"load": 1, "store": 1}
+        assert taken == _took(1, 1)
+
+    @pytest.mark.parametrize("spec", [TESLA_C2050, XEON_HOST],
+                             ids=["warp32", "warp1"])
+    def test_transpose_paper_tiles(self, affine_spy, spec):
+        """The paper's transpose: 16x16 tiles, the tile stored row by
+        row and read column by column through a strided view."""
+        src = """__kernel void f(__global float* out,
+                                 __global const float* in, int w, int h) {
+            __local float tile[256];
+            int lx = get_local_id(0);
+            int ly = get_local_id(1);
+            tile[ly * 16 + lx] = in[get_global_id(1) * w + get_global_id(0)];
+            barrier(CLK_LOCAL_MEM_FENCE);
+            int ox = get_group_id(1) * 16 + lx;
+            int oy = get_group_id(0) * 16 + ly;
+            out[oy * h + ox] = tile[lx * 16 + ly];
+        }"""
+        taken = _run_legs(src, lambda: [np.zeros(32 * 48, np.float32),
+                                        _f32(32 * 48), np.int32(32),
+                                        np.int32(48)],
+                          (32, 48), (16, 16), affine_spy, spec)
+        assert taken == _took(1, 1, local_load=1, local_store=1)
+
+    def test_reduction_tree(self, affine_spy):
+        """Reduction's ``sdata[lid] = total`` at a full mask, then the
+        tree: ``sdata[lid]`` read and written under ``lid < s``.  Its
+        ``sdata[lid + s]`` leaves the array on inactive lanes and
+        gathers; so does the store to ``out[group]``, which every lane
+        of a group shares."""
+        src = """__kernel void f(__global float* out,
+                                 __global const float* x) {
+            __local float sdata[16];
+            int lid = get_local_id(0);
+            sdata[lid] = x[get_global_id(0)];
+            barrier(CLK_LOCAL_MEM_FENCE);
+            for (int s = 8; s > 0; s >>= 1) {
+                if (lid < s) {
+                    sdata[lid] += sdata[lid + s];
+                }
+                barrier(CLK_LOCAL_MEM_FENCE);
+            }
+            if (lid == 0) {
+                out[get_group_id(0)] = sdata[0];
+            }
+        }"""
+        taken = _run_legs(src, lambda: [np.zeros(4, np.float32), _f32(64)],
+                          (64,), (16,), affine_spy)
+        assert taken == _took(1, 0, local_load=5, local_store=5)
+
+    @pytest.mark.parametrize("spec", [TESLA_C2050, XEON_HOST],
+                             ids=["warp32", "warp1"])
+    def test_masked_local_store_and_uniform_load(self, affine_spy, spec):
+        """``if (lid < 4) t[lid] = ...`` writes the active lanes only,
+        and ``t[0]`` gives every lane of a group one element."""
+        src = """__kernel void f(__global float* out,
+                                 __global const float* x) {
+            __local float t[8];
+            int lid = get_local_id(0);
+            t[lid] = 1.0f;
+            if (lid < 4) {
+                t[lid] = x[get_global_id(0)] + 2.0f;
+            }
+            barrier(CLK_LOCAL_MEM_FENCE);
+            out[get_global_id(0)] = t[0] + t[lid];
+        }"""
+        taken = _run_legs(src, lambda: [np.zeros(48, np.float32), _f32(48)],
+                          (48,), (8,), affine_spy, spec)
+        assert taken == _took(1, 1, local_load=2, local_store=2)
+
+    @pytest.mark.parametrize("spec", [TESLA_C2050, XEON_HOST],
+                             ids=["warp32", "warp1"])
+    @pytest.mark.parametrize("local", [(16, 16), (8, 4), (4, 16)],
+                             ids=["16x16", "8x4", "4x16"])
+    def test_masked_global_store(self, affine_spy, spec, local):
+        """Floyd's store under its branch, at tile shapes whose warps
+        hold one, two or several tile rows."""
+        src = """__kernel void f(__global int* d, int n, int k) {
+            int x = get_global_id(0);
+            int y = get_global_id(1);
+            int via = d[y * n + k] + d[k * n + x];
+            if (via < d[y * n + x]) {
+                d[y * n + x] = via;
+            }
+        }"""
+        dist = np.random.default_rng(8).integers(1, 60, 32 * 32) \
+            .astype(np.int32)
+        taken = _run_legs(src, lambda: [dist.copy(), np.int32(32),
+                                        np.int32(7)],
+                          (32, 32), local, affine_spy, spec)
+        assert taken == _took(3, 1)
+
+    def test_masked_load_with_keys_in_two_runs(self, affine_spy):
+        """Every lane of a 4x8 group reads its own segment along x and
+        the same ones again along y, so one warp meets each key in
+        several runs: the view still loads, and the count falls back
+        to the active lanes."""
+        src = """__kernel void f(__global float* out,
+                                 __global const float* x) {
+            int lx = get_local_id(0);
+            float v = 0.0f;
+            if (get_global_id(1) % 3 != 1) {
+                v = x[lx * 64 + get_group_id(0)];
+            }
+            out[get_global_id(1) * 8 + get_global_id(0)] = v;
+        }"""
+        taken = _run_legs(src, lambda: [np.zeros(64, np.float32),
+                                        _f32(4 * 64)],
+                          (8, 8), (4, 8), affine_spy)
+        assert taken == _took(1, 1)
 
     def test_all_lanes_in_one_loop_exit_stay_affine(self, affine_spy):
         """When every lane leaves the loop in the same iteration, each
@@ -208,7 +328,7 @@ class TestShapesThatQualify:
         taken = _run_legs(src, lambda: [np.zeros(64, np.float32), _f32(70),
                                         np.int32(3)],
                           (64,), (16,), affine_spy)
-        assert taken == {"load": 1, "store": 1}
+        assert taken == _took(1, 1)
 
 
 class TestShapesThatFallBack:
@@ -225,7 +345,7 @@ class TestShapesThatFallBack:
         }"""
         taken = _run_legs(src, lambda: [np.zeros(64, np.float32), _f32(65)],
                           (64,), (16,), affine_spy)
-        assert taken == {"load": 0, "store": 1}
+        assert taken == _took(0, 1)
 
     def test_index_diverged_by_an_early_loop_exit(self, affine_spy):
         """Only lane 5 stays in the loop past its first test, so its
@@ -244,7 +364,7 @@ class TestShapesThatFallBack:
         }"""
         taken = _run_legs(src, lambda: [np.zeros(64, np.float32), _f32(68)],
                           (64,), (16,), affine_spy)
-        assert taken == {"load": 0, "store": 1}
+        assert taken == _took(0, 1)
 
     def test_wrapping_index_in_range(self, affine_spy):
         """``uchar`` arithmetic wraps at lane 4: every lane is in bounds,
@@ -257,7 +377,7 @@ class TestShapesThatFallBack:
         taken = _run_legs(src, lambda: [np.zeros(32, np.float32),
                                         _f32(256)],
                           (32,), (8,), affine_spy)
-        assert taken == {"load": 0, "store": 1}
+        assert taken == _took(0, 1)
 
     def test_buffer_past_the_index_type(self, affine_spy):
         """A ``uchar`` index into a buffer of more than 256 elements
@@ -270,7 +390,7 @@ class TestShapesThatFallBack:
         taken = _run_legs(src, lambda: [np.zeros(64, np.float32),
                                         _f32(300)],
                           (64,), (16,), affine_spy)
-        assert taken == {"load": 0, "store": 1}
+        assert taken == _took(0, 1)
 
     def test_index_narrowed_then_widened(self, affine_spy):
         """``int i = j`` with ``uchar j``: lane 7's ``j`` wrapped to 24,
@@ -285,7 +405,7 @@ class TestShapesThatFallBack:
         taken = _run_legs(src, lambda: [np.zeros(8, np.float32),
                                         _f32(300)],
                           (8,), (8,), affine_spy)
-        assert taken == {"load": 0, "store": 1}
+        assert taken == _took(0, 1)
 
     def test_wrapping_int_index_raises_everywhere(self):
         """``gid * 0x40000000`` wraps through negative values: the
@@ -335,7 +455,79 @@ class TestShapesThatFallBack:
         taken = _run_legs(src, lambda: [np.zeros(4, np.float32), _f32(64),
                                         np.int32(2)],
                           (64,), (16,), affine_spy)
-        assert taken == {"load": 1, "store": 0}
+        assert taken == _took(1, 0)
+
+    def test_non_injective_local_stores(self, affine_spy):
+        """``t[lid / 2]`` is no affine index; ``t[get_local_id(1)]``
+        is, but every lane of a row shares its element.  Both gather,
+        and the last lane wins as in the interpreter."""
+        src = """__kernel void f(__global float* out,
+                                 __global const float* x) {
+            __local float t[8];
+            __local float u[8];
+            int lid = get_local_id(1) * 4 + get_local_id(0);
+            t[lid / 2] = x[get_global_id(1) * 8 + get_global_id(0)];
+            u[get_local_id(1)] = (float)lid;
+            barrier(CLK_LOCAL_MEM_FENCE);
+            out[get_global_id(1) * 8 + get_global_id(0)] =
+                t[get_local_id(1)] + u[get_local_id(0)];
+        }"""
+        taken = _run_legs(src, lambda: [np.zeros(64, np.float32), _f32(64)],
+                          (8, 8), (4, 4), affine_spy)
+        assert taken == _took(1, 1, local_load=2)
+
+    def test_read_past_the_tile_on_inactive_lanes(self, affine_spy):
+        """``t[lid + 4]`` under ``lid < 4``: the active lanes stay in
+        the tile, the inactive ones leave it, so the view cannot cover
+        every lane and the read gathers.  ``t[lid]`` stays in range."""
+        src = """__kernel void f(__global float* out,
+                                 __global const float* x) {
+            __local float t[8];
+            int lid = get_local_id(0);
+            t[lid] = x[get_global_id(0)];
+            barrier(CLK_LOCAL_MEM_FENCE);
+            float v = 0.0f;
+            if (lid < 4) {
+                v = t[lid] + t[lid + 4];
+            }
+            out[get_global_id(0)] = v;
+        }"""
+        taken = _run_legs(src, lambda: [np.zeros(32, np.float32), _f32(32)],
+                          (32,), (8,), affine_spy)
+        assert taken == _took(1, 1, local_load=1, local_store=1)
+
+    def test_local_index_with_a_cleared_flag(self, affine_spy):
+        """``i`` is moved under a branch, so its flag is cleared and
+        both local accesses gather."""
+        src = """__kernel void f(__global float* out,
+                                 __global const float* x) {
+            __local float t[16];
+            int lid = get_local_id(0);
+            int i = lid;
+            if (lid == 3) i += 8;
+            t[i] = x[get_global_id(0)];
+            barrier(CLK_LOCAL_MEM_FENCE);
+            out[get_global_id(0)] = t[i];
+        }"""
+        taken = _run_legs(src, lambda: [np.zeros(32, np.float32), _f32(32)],
+                          (32,), (8,), affine_spy)
+        assert taken == _took(1, 1)
+
+    def test_local_memory_in_a_3d_launch(self, affine_spy):
+        src = """__kernel void f(__global float* out,
+                                 __global const float* x) {
+            __local float t[8];
+            int lid = (get_local_id(2) * 2 + get_local_id(1)) * 2
+                      + get_local_id(0);
+            int i = (get_global_id(2) * 4 + get_global_id(1)) * 4
+                    + get_global_id(0);
+            t[lid] = x[i];
+            barrier(CLK_LOCAL_MEM_FENCE);
+            out[i] = t[7 - lid];
+        }"""
+        taken = _run_legs(src, lambda: [np.zeros(64, np.float32), _f32(64)],
+                          (4, 4, 4), (2, 2, 2), affine_spy)
+        assert taken == _took()
 
     def test_3d_launch(self, affine_spy):
         src = """__kernel void f(__global float* out,
@@ -346,4 +538,4 @@ class TestShapesThatFallBack:
         }"""
         taken = _run_legs(src, lambda: [np.zeros(64, np.float32), _f32(64)],
                           (4, 4, 4), (2, 2, 2), affine_spy)
-        assert taken == {"load": 0, "store": 0}
+        assert taken == _took(0, 0)

@@ -8,8 +8,10 @@ from hypothesis import strategies as st
 import repro.ocl as cl
 from repro.ocl import costmodel
 from repro.ocl.costmodel import (CostCounters, count_affine_transactions,
-                                 count_index_transactions, count_transactions,
-                                 kernel_time, transfer_time)
+                                 count_index_transactions,
+                                 count_masked_affine_transactions,
+                                 count_transactions, kernel_time,
+                                 transfer_time)
 from repro.ocl.devicedb import DEFAULT_DEVICES
 
 
@@ -181,6 +183,74 @@ class TestAffineCount:
             assert count_affine_transactions(offset, dims, 128, 4, 32) == \
                 self._measured(offset, dims, 128, 4, 32)
         assert len(costmodel._AFFINE_COUNTS) == 2
+
+
+class TestMaskedAffineCount:
+    """``count_masked_affine_transactions`` equals
+    ``count_index_transactions`` over the active lanes of the
+    materialised index whenever it gives a count, and gives one
+    whenever each key of the full launch fills one run of lanes."""
+
+    @staticmethod
+    def _measured(mask, offset, dims, segment, itemsize, warp):
+        index = costmodel._lattice(offset, dims)
+        lanes = np.arange(index.size, dtype=np.int64)
+        return count_index_transactions(index[mask],
+                                        (lanes // max(1, warp))[mask],
+                                        segment, itemsize, 0)
+
+    @staticmethod
+    def _runs_equal_keys(offset, dims, segment, itemsize, warp):
+        index = costmodel._lattice(offset, dims)
+        keys = (np.arange(index.size) // max(1, warp) * (1 << 40)
+                + index * itemsize // segment)
+        runs = 1 + np.count_nonzero(keys[1:] != keys[:-1])
+        return runs == np.unique(keys).size
+
+    @given(_affine_launches(),
+           st.sampled_from(_DEVICE_SHAPES + [(24, 32), (96, 8), (128, 0),
+                                             (64, 64)]),
+           st.sampled_from([1, 2, 4, 8]),
+           st.integers(0, 2**32 - 1), st.sampled_from([0.05, 0.3, 0.7, 1.0]))
+    def test_equals_the_measured_count(self, launch, device, itemsize,
+                                       seed, density):
+        offset, dims = launch
+        segment, warp = device
+        n = int(np.prod([e for e, _s in dims]))
+        mask = np.random.default_rng(seed).random(n) < density
+        costmodel._AFFINE_RUNS.clear()
+        got = count_masked_affine_transactions(mask, offset, dims, segment,
+                                               itemsize, warp)
+        exact = self._runs_equal_keys(offset, dims, segment, itemsize, warp)
+        assert (got is not None) == exact
+        if got is not None:
+            assert type(got) is int
+            assert got == self._measured(mask, offset, dims, segment,
+                                         itemsize, warp)
+
+    def test_floyd_store_counts_from_runs(self):
+        """Floyd's ``y * n + x`` over 16x16 tiles: each warp holds two
+        tile rows, one segment each, so every key fills one run."""
+        dims = ((8, 16 * 128), (8, 16), (16, 128), (16, 1))
+        mask = np.random.default_rng(3).random(128 * 128) < 0.3
+        costmodel._AFFINE_RUNS.clear()
+        got = count_masked_affine_transactions(mask, 0, dims, 128, 4, 32)
+        assert got == self._measured(mask, 0, dims, 128, 4, 32)
+
+    def test_a_key_in_two_runs_gives_none(self):
+        """Two rows of four lanes, each lane a segment of its own, the
+        rows alike: a warp of eight meets every key twice."""
+        dims = ((2, 0), (4, 64))
+        costmodel._AFFINE_RUNS.clear()
+        assert count_masked_affine_transactions(
+            np.ones(8, bool), 0, dims, 128, 4, 32) is None
+
+    def test_memo_is_bounded(self):
+        costmodel._AFFINE_RUNS.clear()
+        for stride in range(1, 301):
+            count_masked_affine_transactions(np.ones(64, bool), 0,
+                                             ((64, stride),), 128, 4, 32)
+        assert 0 < len(costmodel._AFFINE_RUNS) <= 256
 
 
 class TestKernelTime:

@@ -8,7 +8,9 @@ an old value, and the compiled tier writes every lane
 the oracle: buffers, cost counters and per-line profiles must match.
 
 Each shape marks its ``mov`` lines: ``/* plain */`` must skip the
-blend, ``/* blend */`` must keep it.
+blend, ``/* blend */`` must keep it.  A move overwritten before any
+read in the same straight-line run does not run at all
+(``jit._dead_moves``); its line is marked ``/* dead */`` too.
 """
 
 from __future__ import annotations
@@ -67,6 +69,28 @@ __kernel void f(__global float* out, __global const float* x, int n) {
         acc = acc + v;                              /* blend */
     }
     out[gid] = acc;
+}""",
+    # dead: ``t``'s and ``acc``'s first writes in the if are
+    # overwritten before any read, with only straight-line code
+    # between (EP's ``double t = 0; t = expr;``); a blend is overwritten
+    # by a blend under the same mask.  ``u``'s first write is read
+    # after the nested if, so it runs.
+    "dead-init": """
+__kernel void f(__global float* out, __global const float* x, int n) {
+    int gid = get_global_id(0);
+    float acc = x[gid];
+    if (gid % 3 == 0) {
+        double t = 0.0;                             /* plain */ /* dead */
+        acc = 1.0f;                                 /* blend */ /* dead */
+        acc = x[(gid + 2) % n] * 3.0f;              /* blend */
+        t = acc * 2.0 + x[(gid + 1) % n];           /* plain */
+        float u = 2.0f;                             /* plain */
+        if (t > 3.0) {
+            u = 1.0f;                               /* blend */
+        }
+        out[gid] = (float)t + u;
+    }
+    out[gid] = out[gid] + acc;
 }""",
     # not eligible: ``step`` is read in the loop update
     "update-read": """
@@ -168,6 +192,26 @@ class TestScan:
                                          else "blend")
         assert seen == marks
 
+    @pytest.mark.parametrize("options", LEVELS)
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    def test_dead_moves(self, shape, options):
+        """The moves of the lines marked dead, and no others, are
+        dropped, and the emitted span holds no code for them."""
+        source = SHAPES[shape]
+        dead_lines = {i for i, text in enumerate(source.split("\n"),
+                                                 start=1)
+                      if "/* dead */" in text}
+        pbc = _program(source, options)
+        module = jit_mod._ModuleEmitter(pbc)
+        seen = set()
+        for code, kbc in module.linked.values():
+            emitter = jit_mod._FnEmitter(module, code, kbc)
+            for pos in emitter.dead:
+                assert code[pos][0] == OP_MOV
+                assert emitter.span_body(pos, pos + 1) == []
+                seen.add(code[pos][L_LINE])
+        assert seen == dead_lines
+
     @pytest.mark.parametrize("shape", sorted(SHAPES))
     def test_plain_moves_emit_no_blend(self, shape):
         """A plain move writes its source (a scalar one broadcast);
@@ -179,7 +223,8 @@ class TestScan:
         for code, kbc in module.linked.values():
             emitter = jit_mod._FnEmitter(module, code, kbc)
             for pos, ins in enumerate(code):
-                if ins[0] != OP_MOV or ins[L_LINE] not in marks:
+                if ins[0] != OP_MOV or ins[L_LINE] not in marks \
+                        or pos in emitter.dead:
                     continue
                 emitted = "\n".join(emitter.span_body(pos, pos + 1))
                 if marks[ins[L_LINE]] == "plain":
