@@ -32,6 +32,7 @@ with the function signatures, in the persistent kernel cache.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Any, NamedTuple
 
 import numpy as np
@@ -484,10 +485,10 @@ class _FuncLowerer:
 # -- linking ----------------------------------------------------------------
 #
 # Instr tuples are convenient to store but slow to execute; linking
-# converts each into a plain tuple with integer opcodes, numpy dtypes and
-# precomputed costs, shared by every engine.  The result is cached on the
-# ProgramBytecode instance (an ad-hoc attribute the binary codec never
-# sees).
+# converts each into a plain tuple with integer opcodes, numpy dtypes,
+# precomputed costs and the temporaries it releases, shared by every
+# engine.  The result is cached on the ProgramBytecode instance (an
+# ad-hoc attribute the binary codec never sees).
 
 L_OP = 0
 L_DST = 1
@@ -502,6 +503,10 @@ L_ISDBL = 9
 L_ISFLOAT = 10
 L_LINE = 11
 L_UNI = 12
+#: operand mask of the temporaries that die at an instruction (bit 0
+#: ``a``, bit 1 ``b``, bit 2 ``c``, bit 3 + i a builtin's argument i);
+#: see :func:`killed_regs`
+L_KILL = 13
 
 #: per-op weighted ALU cost of the lock-step engines, in fp32-add units
 #: (every other counted op costs 1.0)
@@ -514,6 +519,24 @@ _COUNTED_OPS = frozenset({
 })
 
 
+#: readers that never release a temporary: they change the mask, run
+#: other code or leave the span
+_CONTROL_OPS = frozenset({OP_IF, OP_LOOP, OP_CALL, OP_BREAK, OP_CONTINUE,
+                          OP_RET})
+
+
+def killed_regs(ins) -> list:
+    """The temporaries a linked instruction releases once it has run:
+    the registers its :data:`L_KILL` mask names."""
+    kill = ins[L_KILL]
+    if not kill:
+        return []
+    if ins[L_OP] == OP_BUILTIN:
+        return [r for i, r in enumerate(ins[L_AUX][1]) if kill >> 3 + i & 1]
+    return [ins[L] for bit, L in ((1, L_A), (2, L_B), (4, L_C))
+            if kill & bit]
+
+
 def linked_program(pbc: ProgramBytecode) -> dict:
     """name -> (linked instr tuple list, KernelBytecode) for ``pbc``."""
     cache = getattr(pbc, "_linked", None)
@@ -524,62 +547,96 @@ def linked_program(pbc: ProgramBytecode) -> dict:
     return cache
 
 
+#: (op name, dtype name) -> (opcode, NumPy dtype, scalar cost, vector
+#: cost, is double, is float, the kill bits it may keep): what linking
+#: derives from those two
+_STATIC: dict = {}
+
+
+def _static(op: str, dtype: str | None) -> tuple:
+    """The memoized ``_STATIC`` entry of ``(op, dtype)``."""
+    from .types import SCALAR_TYPES
+
+    opcode = _OPCODES[op]
+    stype = SCALAR_TYPES.get(dtype) if dtype else None
+    cost = 1.0 if opcode in _COUNTED_OPS else 0.0
+    static = (opcode, stype.np_dtype if stype is not None else None,
+              cost, _VCOSTS.get(opcode, cost), stype is DOUBLE,
+              bool(stype is not None and stype.is_float),
+              0 if opcode in _CONTROL_OPS else 7)
+    _STATIC[(op, dtype)] = static
+    return static
+
+
 def _link(bc: KernelBytecode, pbc: ProgramBytecode) -> list:
     from .types import SCALAR_TYPES
 
+    # Temporaries (``%t`` registers) die at their use.  The lowerer
+    # writes each once and reads it once, at a later instruction of the
+    # same straight-line run, or at the ``loop`` whose condition span
+    # computes it.  The instructions are linked last to first, and
+    # ``live[r]`` says temporary ``r`` has no read further on, so a read
+    # that finds it set is the last one and releases the register
+    # (unless the reader is a control instruction).  A temporary read
+    # twice is released at its last read only, one written twice at the
+    # last read of its second value, and ``live[-1]`` is False: -1
+    # names no register.
+    live = [*map(str.startswith, bc.reg_names, repeat("%t")), False]
     out = []
-    for ins in bc.instrs:
-        opcode = _OPCODES[ins.op]
-        stype = SCALAR_TYPES.get(ins.dtype) if ins.dtype else None
-        np_dtype = stype.np_dtype if stype is not None else None
-        is_double = stype is DOUBLE
-        is_float = bool(stype is not None and stype.is_float)
-        scost = vcost = 0.0
-        aux = ins.aux
-        if opcode in _COUNTED_OPS:
-            scost = 1.0
-            vcost = _VCOSTS.get(opcode, 1.0)
-        if opcode == OP_CONST:
-            aux = np_dtype.type(ins.aux)
+    for op, dst, a, b, c, aux, dtype, line, uniform in reversed(bc.instrs):
+        static = _STATIC.get((op, dtype)) or _static(op, dtype)
+        opcode, np_dtype, scost, vcost, is_double, is_float, keep = static
+        kill = live[a] | live[b] << 1 | live[c] << 2
+        if kill:
+            live[a] = live[b] = live[c] = False
+            kill &= keep
+        if OP_CONST < opcode <= OP_SELECT:
+            pass                            # no payload
+        elif opcode == OP_CONST:
+            aux = np_dtype.type(aux)
         elif opcode == OP_WIQ:
-            name, dim = ins.aux
+            name, dim = aux
             aux = (_WIQ_CODES.get(name, 5), int(dim), name)
         elif opcode == OP_BUILTIN:
-            name, arg_regs = ins.aux
-            b = BUILTINS[name]
-            scost = vcost = b.cost
-            aux = (b.impl, tuple(arg_regs), name)
+            name, arg_regs = aux
+            builtin = BUILTINS[name]
+            scost = vcost = builtin.cost
+            aux = (builtin.impl, tuple(arg_regs), name)
+            for i, reg in enumerate(arg_regs):
+                if live[reg]:
+                    live[reg] = False
+                    kill |= 8 << i
         elif opcode == OP_CALL:
-            fname, binds = ins.aux
+            fname, binds = aux
             callee = pbc.functions[fname]
             resolved = []
             for bind, p in zip(binds, callee.params):
                 if bind[0] == "mem":
                     resolved.append(("mem", bind[1], p[3]))
                 else:
+                    live[bind[1]] = False
                     pdtype = SCALAR_TYPES[p[2]].np_dtype
                     resolved.append(("scalar", bind[1], p[3], pdtype))
             ret_np = (SCALAR_TYPES[callee.ret_dtype].np_dtype
                       if callee.ret_dtype else None)
             aux = (fname, tuple(resolved), ret_np)
-        elif opcode in (OP_LD, OP_ST):
-            aux = (int(ins.aux[0]), int(ins.aux[1]))
+        elif opcode == OP_LD or opcode == OP_ST:
+            aux = (int(aux[0]), int(aux[1]))
         elif opcode == OP_ATOMIC:
-            aux = (ins.aux[0], int(ins.aux[1]), int(ins.aux[2]))
+            aux = (aux[0], int(aux[1]), int(aux[2]))
         elif opcode == OP_DECLARR:
-            slot, size, ename, space, name, nbytes = ins.aux
+            slot, size, ename, space, name, nbytes = aux
             aux = (int(slot), int(size), SCALAR_TYPES[ename].np_dtype,
                    int(space), name, int(nbytes))
         elif opcode == OP_IF:
-            aux = (int(ins.aux[0]), int(ins.aux[1]))
+            aux = (int(aux[0]), int(aux[1]))
         elif opcode == OP_LOOP:
-            aux = (int(ins.aux[0]), int(ins.aux[1]), int(ins.aux[2]),
-                   bool(ins.aux[3]))
+            aux = (int(aux[0]), int(aux[1]), int(aux[2]), bool(aux[3]))
         elif opcode == OP_BARRIER:
-            aux = int(ins.aux or 0)
-        out.append((opcode, ins.dst, ins.a, ins.b, ins.c, aux, np_dtype,
-                    scost, vcost, is_double, is_float, ins.line,
-                    ins.uniform))
+            aux = int(aux or 0)
+        out.append((opcode, dst, a, b, c, aux, np_dtype, scost, vcost,
+                    is_double, is_float, line, uniform, kill))
+    out.reverse()
     return out
 
 

@@ -227,39 +227,67 @@ def lane_id_dtype(n: int) -> np.dtype:
     return np.dtype(np.int32 if n < (1 << 31) else np.int64)
 
 
-class _LaneIds1D(dict):
-    """The lane-id arrays of a 1-D NDRange, each built on its first
-    read: a launch that only reads ``get_global_id(0)`` builds no
-    ``lidy``/``gidz``/... arrays.  The values equal
-    :meth:`NDRange._all_lane_ids`: in one dimension the global id is
-    the lane, the group is ``lane // local``, and every y/z id is 0.
+class _LaneIds(dict):
+    """The lane-id arrays of an NDRange, each built on its first read
+    directly at :func:`lane_id_dtype`: a launch that only reads
+    ``get_global_id(0)`` builds ``idx`` and nothing else.
 
-    Multi-dimensional launches keep the eager build: making it lazy
-    there changed the process's allocation history enough to cost a
-    warm 2-D transpose thousands of page faults per launch (numbers in
-    docs/engines.md).
+    Lanes are flattened group-major, so the lanes of a launch form a
+    C-ordered grid of shape ``(ngz, ngy, ngx, lz, ly, lx)``, and each id
+    is a broadcast of one or two per-axis ``arange``s over that grid,
+    written into its output array without a full-size intermediate.
+    ``_warp<w>`` keys hold each lane's warp for warp width ``w``.
     """
 
-    __slots__ = ("_n", "_local")
+    __slots__ = ("_n", "_grid")
 
-    def __init__(self, n: int, local: int) -> None:
+    #: id key -> the grid axes it sums, each with the axis whose extent
+    #: scales it (a global id is ``group * local + local id``)
+    _TERMS = {
+        "lidx": ((5, None),), "lidy": ((4, None),), "lidz": ((3, None),),
+        "gidx": ((2, None),), "gidy": ((1, None),), "gidz": ((0, None),),
+        "idx": ((2, 5), (5, None)), "idy": ((1, 4), (4, None)),
+        "idz": ((0, 3), (3, None)),
+    }
+
+    def __init__(self, nd: "NDRange") -> None:
         super().__init__()
-        self._n = n
-        self._local = local
+        self._n = nd.total_items
+        lz, ly, lx = (nd.local_size + (1, 1))[:3][::-1]
+        ngz, ngy, ngx = (nd.num_groups + (1, 1))[:3][::-1]
+        self._grid = (ngz, ngy, ngx, lz, ly, lx)
 
     def __missing__(self, key: str) -> np.ndarray:
-        n = self._n
+        n, grid = self._n, self._grid
         dtype = lane_id_dtype(n)
-        if key in ("lane", "idx"):
+        if key == "lane":
             value = np.arange(n, dtype=dtype)
-        elif key == "lidx":
-            value = np.arange(n, dtype=dtype) % self._local
-        elif key in ("gidx", "group_flat"):
-            value = np.arange(n, dtype=dtype) // self._local
-        elif key in ("lidy", "lidz", "gidy", "gidz", "idy", "idz"):
-            value = np.zeros(n, dtype=dtype)
+        elif key == "group_flat":
+            groups = grid[0] * grid[1] * grid[2]
+            value = np.arange(groups, dtype=dtype).repeat(n // groups)
+        elif key.startswith("_warp"):
+            width = max(1, int(key[5:]))
+            value = np.arange(-(-n // width), dtype=dtype).repeat(width)[:n]
         else:
-            raise KeyError(key)
+            terms = [(axis, scale) for axis, scale in self._TERMS[key]
+                     if grid[axis] > 1]
+            if not terms:
+                value = np.zeros(n, dtype=dtype)
+            else:
+                parts = []
+                for axis, scale in terms:
+                    shape = [1] * 6
+                    shape[axis] = grid[axis]
+                    ramp = np.arange(grid[axis], dtype=dtype)
+                    if scale is not None:
+                        ramp *= grid[scale]
+                    parts.append(ramp.reshape(shape))
+                value = np.empty(grid, dtype=dtype)
+                if len(parts) == 1:
+                    value[...] = parts[0]
+                else:
+                    np.add(parts[0], parts[1], out=value)
+                value = value.reshape(n)
         self[key] = value
         return value
 
@@ -345,53 +373,17 @@ class NDRange:
 
         Memoized on this NDRange, so shared by every launch of its
         shape; the arrays must be treated as read-only, which every
-        engine already does (registers are never mutated in place).  A
-        1-D launch builds each array on its first read (see
-        :class:`_LaneIds1D`); a multi-dimensional one builds all eleven
-        up front.  Launches over ``2**20`` lanes build a fresh dict
-        each time rather than pin their ids in memory.
+        engine already does (registers are never mutated in place).
+        Each array is built on its first read (see :class:`_LaneIds`).
+        Launches over ``2**20`` lanes build a fresh dict each time
+        rather than pin their ids in memory.
         """
         ids = self._ids
         if ids is None:
-            n = self.total_items
-            if self.dim == 1:
-                ids = _LaneIds1D(n, self.local_size[0])
-            else:
-                ids = self._all_lane_ids()
-            if n <= (1 << 20):
+            ids = _LaneIds(self)
+            if self.total_items <= (1 << 20):
                 self._ids = ids
         return ids
-
-    def _all_lane_ids(self) -> dict[str, np.ndarray]:
-        lane = np.arange(self.total_items, dtype=np.int64)
-        ipg = self.items_per_group
-        group = lane // ipg
-        within = lane % ipg
-
-        lx_, ly_, lz_ = (self.local_size + (1, 1, 1))[:3]
-        ngx, ngy, _ngz = (self.num_groups + (1, 1, 1))[:3]
-
-        lx = within % lx_
-        ly = (within // lx_) % ly_
-        lz = within // (lx_ * ly_)
-        gx_ = group % ngx
-        gy_ = (group // ngx) % ngy
-        gz_ = group // (ngx * ngy)
-
-        ids = {
-            "lidx": lx, "lidy": ly, "lidz": lz,
-            "gidx": gx_, "gidy": gy_, "gidz": gz_,
-            "idx": gx_ * lx_ + lx,
-            "idy": gy_ * ly_ + ly,
-            "idz": gz_ * lz_ + lz,
-            "group_flat": group,
-            "lane": lane,
-        }
-        # computed in int64, then narrowed with one copy each: building
-        # them in int32 directly cost a warm transpose thousands of
-        # page faults per launch (docs/engines.md)
-        dtype = lane_id_dtype(self.total_items)
-        return {k: v.astype(dtype) for k, v in ids.items()}
 
     # -- lane coordinates (jit affine accesses, 1-D and 2-D) --------------------
 

@@ -57,7 +57,7 @@ from ...clc.lower import (L_A, L_AUX, L_B, L_C, L_DST,
                           OP_MOD, OP_MOV, OP_MUL, OP_NEG, OP_RET,
                           OP_SELECT, OP_SHL, OP_SHR, OP_ST, OP_SUB,
                           OP_WIQ, SPACE_GLOBAL, SPACE_LOCAL,
-                          linked_program)
+                          killed_regs, linked_program)
 from ...errors import KernelLaunchError
 from ...clc.types import SCALAR_TYPES
 from ..costmodel import (count_affine_transactions,
@@ -835,6 +835,7 @@ class _FnEmitter:
                 counted = None
             if pos in self.dead:
                 # overwritten before any lane reads it
+                self._release(out, ins)
                 pos += 1
                 continue
             if OP_ADD <= op <= OP_BXOR:
@@ -1015,9 +1016,16 @@ class _FnEmitter:
                 out.append(f"V[{d}] = " + " and ".join(
                     [self._flag_of(r) for r in _operands(ins)
                      if r in self.affine.flagged] or ["True"]))
+            self._release(out, ins)
             pos += 1
         flush()
         return out
+
+    @staticmethod
+    def _release(out: list[str], ins) -> None:
+        """Emit the release of the temporaries that die at ``ins``, as
+        the interpreter does (see ``clc.lower._link``)."""
+        out.extend(f"R[{r}] = None" for r in killed_regs(ins))
 
     def _flag_of(self, reg: int) -> str:
         """The generated expression telling whether ``reg`` holds an

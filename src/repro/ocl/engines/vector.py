@@ -26,14 +26,15 @@ import numpy as np
 
 from ... import prof, trace
 from ...clc.lower import (L_A, L_AUX, L_B, L_C, L_DST,
-                          L_ISDBL, L_ISFLOAT, L_LINE, L_NP, L_UNI,
+                          L_ISDBL, L_ISFLOAT, L_KILL, L_LINE, L_NP, L_UNI,
                           L_VCOST, OP_ADD, OP_ATOMIC, OP_BARRIER,
                           OP_BNOT, OP_BREAK, OP_BUILTIN, OP_BXOR,
                           OP_CALL, OP_CAST, OP_CASTF, OP_CEQ, OP_CONST,
                           OP_CONTINUE, OP_DECLARR, OP_IF,
                           OP_LD, OP_LNOT, OP_LOOP, OP_LOR, OP_MOV,
                           OP_NEG, OP_RET, OP_SELECT,
-                          OP_ST, OP_WIQ, SPACE_GLOBAL, SPACE_LOCAL)
+                          OP_ST, OP_WIQ, SPACE_GLOBAL, SPACE_LOCAL,
+                          killed_regs)
 from ...clc.types import SCALAR_TYPES
 from ...errors import InvalidKernelArgs, KernelLaunchError, OutOfResources
 from ..costmodel import CostCounters, count_index_transactions
@@ -84,14 +85,9 @@ class VectorEngine:
 
     @property
     def warp_ids(self) -> np.ndarray:
-        """Each lane's warp, memoized next to the lane ids it comes
-        from (the dict is shared across launches of this shape)."""
-        ids = self.ids
-        warp = ids.get(self._warp_key)
-        if warp is None:
-            warp = ids["lane"] // max(1, self.spec.warp_size)
-            ids[self._warp_key] = warp
-        return warp
+        """Each lane's warp, memoized next to the lane ids (the dict is
+        shared across launches of this shape)."""
+        return self.ids[self._warp_key]
 
     # -- public ------------------------------------------------------------------
 
@@ -106,10 +102,6 @@ class VectorEngine:
         self.nd = nd
         self.n = nd.total_items
         self.ids = nd.lane_ids()
-        if nd.dim > 1:
-            # multi-dimensional launches build every id up front (see
-            # base._LaneIds1D); a 1-D one builds the warps on first read
-            self.warp_ids
 
         self.counters = CostCounters(work_items=self.n,
                                      work_groups=nd.total_groups)
@@ -513,6 +505,18 @@ class VectorEngine:
                 return self._dead, False
             else:  # pragma: no cover
                 raise KernelLaunchError(f"bad opcode {op}")
+            kill = ins[L_KILL]
+            if kill:
+                # temporaries die at their use (see clc.lower._link)
+                if kill & 1:
+                    regs[ins[L_A]] = None
+                if kill & 2:
+                    regs[ins[L_B]] = None
+                if kill & 4:
+                    regs[ins[L_C]] = None
+                if kill > 7:
+                    for reg in killed_regs(ins):
+                        regs[reg] = None
             pos += 1
         return mask, full
 

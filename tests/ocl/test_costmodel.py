@@ -228,6 +228,29 @@ class TestMaskedAffineCount:
             assert got == self._measured(mask, offset, dims, segment,
                                          itemsize, warp)
 
+    @given(_affine_launches(),
+           st.sampled_from(_DEVICE_SHAPES + [(24, 32), (96, 8), (128, 0),
+                                             (64, 64)]),
+           st.sampled_from([1, 2, 4, 8]),
+           st.integers(0, 2**32 - 1), st.integers(0, 3))
+    def test_sparse_masks_equal_the_measured_count(self, launch, device,
+                                                   itemsize, seed, active):
+        """Masks with at most three active lanes, fewer than the runs
+        of most launches: the count searches the run of each lane."""
+        offset, dims = launch
+        segment, warp = device
+        n = int(np.prod([e for e, _s in dims]))
+        mask = np.zeros(n, bool)
+        mask[np.random.default_rng(seed).choice(n, min(active, n),
+                                                replace=False)] = True
+        costmodel._AFFINE_RUNS.clear()
+        got = count_masked_affine_transactions(mask, offset, dims, segment,
+                                               itemsize, warp)
+        if got is not None:
+            assert type(got) is int
+            assert got == self._measured(mask, offset, dims, segment,
+                                         itemsize, warp)
+
     def test_floyd_store_counts_from_runs(self):
         """Floyd's ``y * n + x`` over 16x16 tiles: each warp holds two
         tile rows, one segment each, so every key fills one run."""

@@ -339,13 +339,81 @@ class TestLaneIds:
     """Lane-id arrays have the width sema gives an id query (``int``),
     so a launch reads the memoized arrays without converting them."""
 
-    def test_1d_lazy_and_2d_eager_ids_are_int32(self):
-        lazy = engines_base.NDRange((64,), (16,)).lane_ids()
-        assert lazy["idx"].dtype == lazy["lidx"].dtype == np.int32
-        assert lazy["gidy"].dtype == lazy["group_flat"].dtype == np.int32
-        eager = engines_base.NDRange((8, 4), (4, 2)).lane_ids()
-        assert {k: v.dtype for k, v in eager.items()} == \
-            {k: np.dtype(np.int32) for k in eager}
+    #: every lane-id key a launch can read, the warp ids aside
+    KEYS = ("idx", "idy", "idz", "lidx", "lidy", "lidz", "gidx", "gidy",
+            "gidz", "group_flat", "lane")
+
+    @staticmethod
+    def _eager_ids(nd) -> dict:
+        """The lane ids as every launch built them before they were
+        built on first read: all eleven in int64 from the flat lane,
+        then narrowed to the lane-id dtype."""
+        lane = np.arange(nd.total_items, dtype=np.int64)
+        ipg = nd.items_per_group
+        group = lane // ipg
+        within = lane % ipg
+        lx_, ly_, lz_ = (nd.local_size + (1, 1, 1))[:3]
+        ngx, ngy, _ngz = (nd.num_groups + (1, 1, 1))[:3]
+        lx = within % lx_
+        ly = (within // lx_) % ly_
+        lz = within // (lx_ * ly_)
+        gx_ = group % ngx
+        gy_ = (group // ngx) % ngy
+        gz_ = group // (ngx * ngy)
+        ids = {"lidx": lx, "lidy": ly, "lidz": lz,
+               "gidx": gx_, "gidy": gy_, "gidz": gz_,
+               "idx": gx_ * lx_ + lx, "idy": gy_ * ly_ + ly,
+               "idz": gz_ * lz_ + lz, "group_flat": group, "lane": lane}
+        dtype = engines_base.lane_id_dtype(nd.total_items)
+        return {k: v.astype(dtype) for k, v in ids.items()}
+
+    @given(shape=st.lists(st.tuples(st.integers(1, 7), st.integers(1, 5)),
+                          min_size=1, max_size=3),
+           order=st.permutations(KEYS), warp=st.integers(1, 40))
+    def test_ids_built_on_first_read_equal_the_eager_build(
+            self, shape, order, warp):
+        """1-, 2- and 3-D shapes, local sizes of any length, keys read
+        in any order: each array equals the eager build's, dtype
+        included, and only the keys read are built."""
+        lsize = tuple(local for local, _groups in shape)
+        gsize = tuple(local * groups for local, groups in shape)
+        nd = engines_base.NDRange(gsize, lsize)
+        ids = nd.lane_ids()
+        eager = self._eager_ids(nd)
+        for i, key in enumerate(order):
+            assert len(ids) == i
+            got = ids[key]
+            assert got.dtype == eager[key].dtype, key
+            assert np.array_equal(got, eager[key]), key
+        warps = ids[f"_warp{warp}"]
+        assert warps.dtype == eager["lane"].dtype
+        assert np.array_equal(warps, eager["lane"] // warp)
+
+    def test_ids_of_every_shape_are_int32(self):
+        for nd in (engines_base.NDRange((64,), (16,)),
+                   engines_base.NDRange((8, 4), (4, 2)),
+                   engines_base.NDRange((4, 2, 6), (2, 1, 3))):
+            ids = nd.lane_ids()
+            assert {k: ids[k].dtype for k in self.KEYS} == \
+                {k: np.dtype(np.int32) for k in self.KEYS}
+
+    @pytest.mark.parametrize("engine", ["jit-interp", "jit-compiled"])
+    def test_2d_launch_builds_only_the_ids_it_reads(self, engine,
+                                                    monkeypatch):
+        """A 2-D launch of a kernel that reads only ``get_global_id(0)``
+        builds no other id; the compiled tier's strided accesses need
+        neither lanes nor warps, so it builds ``idx`` alone."""
+        monkeypatch.setattr(engines_base, "_NDRANGE_CACHE", {})
+        out = np.zeros(64, np.float32)
+        x = np.arange(64, dtype=np.float32)
+        run_cl_kernel(cl.Device(TESLA_C2050, engine),
+                      TestContiguousPath.COPY, "f", [out, x], (64, 1),
+                      (16, 1))
+        assert np.array_equal(out, x * 2)
+        ids = launch_ndrange((64, 1), (16, 1), TESLA_C2050).lane_ids()
+        assert not {"idy", "lidx", "lidy", "gidx", "gidy"} & set(ids)
+        if engine == "jit-compiled":
+            assert set(ids) == {"idx"}
 
     def test_the_id_dtype_widens_from_two_to_the_31_lanes(self):
         """Decided from the lane count alone: no array is built."""
