@@ -226,15 +226,33 @@ def _settle_process() -> None:
     gc.collect()
 
 
+#: fresh cold builds per side of :func:`run_warm_cache`
+COLD_BUILDS = 3
+
+
 def run_warm_cache(ep_class: str = "W") -> dict:
-    """First vs second invocation of the same HPL kernel (binary reuse)."""
+    """First vs second invocation of the same HPL kernel (binary reuse).
+
+    A cold time includes a wall-clock build, which one busy moment of
+    the host can double, so each side's cold run is the best of
+    :data:`COLD_BUILDS` fresh ones, both sides alike: each repetition
+    resets the runtime and builds a new program.  The warm run reuses
+    the last HPL cold run's binary.
+    """
     problem = ep.ep_problem(ep_class)
     _settle_process()
     module = _BENCH_MODULES["EP"]
-    ocl_run = module.run_opencl(problem, TESLA)
-    reset_runtime()
-    cold = module.run_hpl(problem, TESLA)
+    ocl_runs, cold_runs = [], []
+    for _ in range(COLD_BUILDS):
+        reset_runtime()
+        ocl_runs.append(module.run_opencl(problem, TESLA))
+        reset_runtime()
+        cold_runs.append(module.run_hpl(problem, TESLA))
     warm = module.run_hpl(problem, TESLA)
+    ocl_run = min(ocl_runs,
+                  key=lambda run: run.total_seconds(include_build=True))
+    cold = min(cold_runs,
+               key=lambda run: run.total_seconds(include_build=True))
     # cold: both sides pay their one-off compile (HPL also captures);
     # warm: both sides reuse binaries, so only execution is compared
     ocl_cold_t = ocl_run.total_seconds(include_build=True)

@@ -27,6 +27,19 @@ from .builder import KernelBuilder
 from .proxy import ArrayHandle
 
 
+#: ``repro.hpl.runtime.HPLRuntime``, bound on first use: the runtime
+#: module imports this one
+_RUNTIME_CLASS = None
+
+
+def _runtime_class():
+    global _RUNTIME_CLASS
+    if _RUNTIME_CLASS is None:
+        from .runtime import HPLRuntime
+        _RUNTIME_CLASS = HPLRuntime
+    return _RUNTIME_CLASS
+
+
 def _normalize_dims(dims) -> tuple[int, ...]:
     if len(dims) == 1 and isinstance(dims[0], (tuple, list)):
         dims = tuple(dims[0])
@@ -208,8 +221,7 @@ class Array:
     def _live_devices():
         """Devices of the current runtime, or None when no runtime exists
         (``reset_runtime()`` was called and nothing re-created one)."""
-        from .runtime import HPLRuntime
-        rt = HPLRuntime._instance
+        rt = _runtime_class()._instance
         return None if rt is None else rt.device_set
 
     def _purge_dead_devices(self) -> None:
@@ -218,7 +230,11 @@ class Array:
         A copy that is both valid and the array's *only* valid copy is
         kept, so :meth:`_sync_host` can raise a clear error instead of a
         silent "no valid copy anywhere"."""
+        if not self._buffers:
+            return
         live = self._live_devices()
+        if live is not None and live.issuperset(self._buffers):
+            return
         dead = [dev for dev in self._buffers
                 if live is None or dev not in live]
         for dev in dead:
@@ -298,15 +314,17 @@ class Array:
         not by host-loop side effects.
         """
         self._purge_dead_devices()
-        if dev not in self._buffers:
-            self._buffers[dev] = dev.create_buffer(self.nbytes)
+        buffer = self._buffers.get(dev)
+        if buffer is None:
+            buffer = self._buffers[dev] = dev.create_buffer(
+                self._host.nbytes)
             self._device_valid[dev] = False
         if will_read and not self._device_valid[dev]:
-            self._sync_host()
+            if not self._host_valid:
+                self._sync_host()
             deps = [self.host_event] if self.host_event is not None \
                 else None
-            event = dev.write_buffer(self._buffers[dev], self._host,
-                                     wait_for=deps)
+            event = dev.write_buffer(buffer, self._host, wait_for=deps)
             self._device_valid[dev] = True
             self._device_event[dev] = event
 

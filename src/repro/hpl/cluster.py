@@ -591,12 +591,20 @@ class DistributedArray:
 
 def _local_args(args, lo: int, hi: int) -> list:
     """Per-chunk argument list: each DistributedArray swapped for its
-    block ``[lo, hi)``, offset/count appended."""
+    block ``[lo, hi)``, offset/count appended as the plain ints a
+    launch binds (see :func:`_typed_args`)."""
     local = [a._block(lo, hi) if isinstance(a, DistributedArray) else a
              for a in args]
-    local.append(Int(lo))
-    local.append(Int(hi - lo))
+    local.append(lo)
+    local.append(hi - lo)
     return local
+
+
+def _typed_args(local) -> list:
+    """``local`` with its offset and count as the ``Int`` scalars the
+    kernel is captured and keyed with.  Binding an ``Int`` binds its
+    value, so only the resolve step needs them."""
+    return local[:-2] + [Int(local[-2]), Int(local[-1])]
 
 
 def _check_broadcast_writes(kernel, args, local_args) -> None:
@@ -1159,7 +1167,8 @@ class _Runner:
     def _launch(self, chunk: _Chunk, fresh: bool):
         local = _local_args(self.args, chunk.lo, chunk.hi)
         if not self.checked:
-            _check_broadcast_writes(self.kernel, self.args, local)
+            _check_broadcast_writes(self.kernel, self.args,
+                                    _typed_args(local))
             self.checked = True
         if fresh and self.watchdog is not None:
             self._speculate(chunk, local)
@@ -1180,7 +1189,7 @@ class _Runner:
         device = chunk.device
         prepared = self.prepared.get(device)
         if prepared is None:
-            prepared = prepare(self.kernel, local, device)
+            prepared = prepare(self.kernel, _typed_args(local), device)
             self.prepared[device] = prepared
         transfers, dep_events = prepared.bind(local)
         return prepared.launch(local, transfers, dep_events,

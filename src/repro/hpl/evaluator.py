@@ -150,7 +150,8 @@ class PreparedKernel:
     captures the kernel's bound arguments at enqueue time.
     """
 
-    __slots__ = ("compiled", "device", "from_cache", "kernel", "_params")
+    __slots__ = ("compiled", "device", "from_cache", "kernel", "_params",
+                 "_written")
 
     def __init__(self, compiled, device: HPLDevice,
                  from_cache: bool) -> None:
@@ -161,10 +162,16 @@ class PreparedKernel:
         #: whether the resolve step hit the compiled cache; only the
         #: first launch bills capture and build seconds
         self.from_cache = from_cache
+        #: its per-parameter binders are resolved once, here
         self.kernel = compiled.program.create_kernel(captured.kernel_name)
-        #: (name, reads, writes) per kernel parameter, in order
-        self._params = tuple((name, info.reads(name), info.writes(name))
-                             for name, _proxy in captured.params)
+        #: (index, name, reads) per kernel parameter, in order
+        self._params = tuple((index, name, info.reads(name))
+                             for index, (name, _proxy)
+                             in enumerate(captured.params))
+        #: indices of the parameters the kernel writes
+        self._written = tuple(index for index, (name, _proxy)
+                              in enumerate(captured.params)
+                              if info.writes(name))
 
     def bind(self, args) -> tuple[list, list]:
         """Bind ``args``, copying in only what the kernel will read.
@@ -173,14 +180,14 @@ class PreparedKernel:
         parameter that caused it, and every event the launch must wait
         on (those copies and each argument's producing event).
         """
-        device, kernel = self.device, self.kernel
+        device = self.device
+        set_arg = self.kernel.set_arg
         transfers: list = []
         dep_events: list = []
-        for index, ((name, reads, _writes), arg) in enumerate(
-                zip(self._params, args)):
+        for (index, name, reads), arg in zip(self._params, args):
             if isinstance(arg, Array):
                 h2d = arg.ensure_on_device(device, will_read=reads)
-                kernel.set_arg(index, arg.buffer_on(device))
+                set_arg(index, arg.buffer_on(device))
                 if h2d is not None:
                     transfers.append((name, h2d))
                     dep_events.append(h2d)
@@ -189,8 +196,7 @@ class PreparedKernel:
                     if producer is not None and producer not in dep_events:
                         dep_events.append(producer)
             else:
-                value = arg.value if hasattr(arg, "value") else arg
-                kernel.set_arg(index, value)
+                set_arg(index, arg.value if hasattr(arg, "value") else arg)
         return transfers, dep_events
 
     def launch(self, args, transfers, dep_events, global_size,
@@ -208,12 +214,13 @@ class PreparedKernel:
                 wait_for=dep_events or None)
             if event.is_complete:
                 lspan.set_attr("sim_kernel_seconds", event.duration)
-        get_runtime().stats.launches += 1
+        get_runtime().stats.add(launches=1)
 
         # coherence: the device now owns every array the kernel wrote,
         # and the kernel event is recorded as its producing event
-        for (_name, _reads, writes), arg in zip(self._params, args):
-            if writes and isinstance(arg, Array):
+        for index in self._written:
+            arg = args[index]
+            if isinstance(arg, Array):
                 arg.mark_written_on(device, event)
 
         return EvalResult(

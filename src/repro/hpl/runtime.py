@@ -100,6 +100,11 @@ class RuntimeStats:
         for name, amount in amounts.items():
             counters[name].inc(amount)
 
+    def counter(self, name: str):
+        """The registry counter backing field ``name``, for call sites
+        that add to it on every command."""
+        return self._counters[name]
+
     @property
     def transfer_seconds(self) -> float:
         """Total simulated transfer time (h2d + d2h), in seconds."""
@@ -151,6 +156,22 @@ for _name, _cast in RuntimeStats.FIELDS.items():
 del _name, _cast
 
 
+def _transfer_account(counters, nbytes: int):
+    """The completion callback that bills one transfer of ``nbytes`` to
+    ``counters`` (transfers, bytes, seconds of its direction)."""
+    transfers, nbytes_counter, seconds = counters
+
+    def account(ev):
+        if ev.is_failed:
+            return          # the copy never happened: nothing to bill
+        duration = ev.duration
+        transfers.inc(1)
+        nbytes_counter.inc(nbytes)
+        seconds.inc(duration)
+
+    return account
+
+
 class HPLDevice:
     """One device usable by ``eval(...).device(dev)``."""
 
@@ -158,7 +179,11 @@ class HPLDevice:
         self.ocl = ocl_device
         self.context = ocl.Context([ocl_device])
         self.queue = ocl.CommandQueue(self.context, ocl_device)
-        self._stats = stats
+        #: (transfers, bytes, seconds) counters of each direction
+        self._h2d = tuple(stats.counter(f"h2d_{field}")
+                          for field in ("transfers", "bytes", "seconds"))
+        self._d2h = tuple(stats.counter(f"d2h_{field}")
+                          for field in ("transfers", "bytes", "seconds"))
 
     # -- info --------------------------------------------------------------------
 
@@ -198,16 +223,7 @@ class HPLDevice:
         """
         event = self.queue.enqueue_write_buffer(buffer, host,
                                                 wait_for=wait_for)
-        nbytes = host.nbytes
-        stats = self._stats
-
-        def account(ev):
-            if ev.is_failed:
-                return          # the copy never happened: nothing to bill
-            stats.add(h2d_transfers=1, h2d_bytes=nbytes,
-                      h2d_seconds=ev.duration)
-
-        event.add_callback(account)
+        event.add_callback(_transfer_account(self._h2d, host.nbytes))
         return event
 
     def read_buffer(self, buffer: ocl.Buffer, host: np.ndarray,
@@ -215,16 +231,7 @@ class HPLDevice:
         """Enqueue a d2h copy; returns its event (QUEUED if deferred)."""
         event = self.queue.enqueue_read_buffer(buffer, host,
                                                wait_for=wait_for)
-        nbytes = host.nbytes
-        stats = self._stats
-
-        def account(ev):
-            if ev.is_failed:
-                return          # the copy never happened: nothing to bill
-            stats.add(d2h_transfers=1, d2h_bytes=nbytes,
-                      d2h_seconds=ev.duration)
-
-        event.add_callback(account)
+        event.add_callback(_transfer_account(self._d2h, host.nbytes))
         return event
 
     # -- execution mode ------------------------------------------------------------
@@ -322,17 +329,18 @@ class EvalResult:
         Recovery code (``cluster_eval``) drives results and inspects
         :attr:`failed_event` so one failed partition cannot abort its
         siblings mid-flight."""
-        for event in self.events:
+        for event in self.transfer_events:
             event.drive()
+        self.kernel_event.drive()
         return self
 
     @property
     def failed_event(self) -> "ocl.Event | None":
         """The first abnormally terminated event, or None."""
-        for event in self.events:
+        for event in self.transfer_events:
             if event.is_failed:
                 return event
-        return None
+        return self.kernel_event if self.kernel_event.is_failed else None
 
     @property
     def kernel_seconds(self) -> float:

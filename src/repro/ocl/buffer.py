@@ -34,7 +34,7 @@ class Buffer:
                     f"size {size} does not match hostbuf ({hostbuf.nbytes} B)")
         if size is None or size <= 0:
             raise InvalidValue("buffer size must be positive")
-        limit = min(d.global_mem_size for d in context.devices)
+        limit = context.max_buffer_bytes
         if size > limit:
             raise OutOfResources(
                 f"buffer of {size} B exceeds device memory ({limit} B)")

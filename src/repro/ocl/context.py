@@ -19,6 +19,8 @@ class Context:
             if not isinstance(d, Device):
                 raise InvalidDevice(f"{d!r} is not a Device")
         self.devices = tuple(devices)
+        #: the largest buffer every device of the context can hold
+        self.max_buffer_bytes = min(d.global_mem_size for d in devices)
 
     def __repr__(self) -> str:
         names = ", ".join(d.name for d in self.devices)

@@ -109,7 +109,8 @@ def kernel_time(counters: CostCounters, spec: DeviceSpec) -> TimeBreakdown:
     compute = weighted_ops / throughput
 
     bw = spec.mem_bandwidth_gbs * 1e9
-    if spec.is_cpu:
+    is_cpu = spec.is_cpu
+    if is_cpu:
         memory = counters.global_bytes / bw
     else:
         memory = counters.global_transactions * spec.segment_bytes / bw
@@ -118,7 +119,7 @@ def kernel_time(counters: CostCounters, spec: DeviceSpec) -> TimeBreakdown:
                / (spec.clock_ghz * 1e9))
     launch = spec.launch_overhead_us * 1e-6
 
-    if spec.is_cpu:
+    if is_cpu:
         total = compute + memory + barrier + launch
     else:
         total = max(compute, memory) + barrier + launch

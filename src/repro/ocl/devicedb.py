@@ -18,6 +18,7 @@ spmv ≈ 5.4x, Figure 7); every experiment reuses them unchanged.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 from .api import device_type
 
@@ -66,8 +67,10 @@ class DeviceSpec:
     def has_fp64(self) -> bool:
         return self.fp64_ratio > 0.0
 
-    @property
+    @cached_property
     def is_cpu(self) -> bool:
+        # cached: every launch's cost model asks, and flag arithmetic
+        # on the (frozen) type is slow
         return bool(self.type & device_type.CPU)
 
     @property

@@ -215,7 +215,9 @@ def launch_ndrange(global_size, local_size, spec) -> "NDRange":
                      max_work_group_size=spec.max_work_group_size,
                      max_work_item_sizes=spec.max_work_item_sizes)
         if len(_NDRANGE_CACHE) >= 64:
-            _NDRANGE_CACHE.clear()
+            # the oldest shape goes: cluster chunks bring a new shape on
+            # most launches, and must not flush the shapes that repeat
+            del _NDRANGE_CACHE[next(iter(_NDRANGE_CACHE))]
         _NDRANGE_CACHE[key] = nd
     return nd
 
@@ -307,7 +309,7 @@ class NDRange:
         if not 1 <= len(gsize) <= 3:
             raise InvalidWorkDimension(
                 f"global domain must have 1-3 dimensions, got {len(gsize)}")
-        if any(g <= 0 for g in gsize):
+        if min(gsize) <= 0:
             raise InvalidWorkDimension(f"empty global domain {gsize}")
         if local_size is None:
             lsize = self._default_local(gsize, max_work_group_size,
@@ -359,9 +361,10 @@ class NDRange:
         lsize = []
         for g, dim_cap in zip(gsize, item_caps):
             limit = min(budget, dim_cap)
-            l = 1
-            while l * 2 <= limit and g % (l * 2) == 0:
-                l *= 2
+            # the largest power of two dividing g, capped at the largest
+            # power of two within the limit
+            l = min(g & -g, 1 << (limit.bit_length() - 1)) \
+                if limit > 1 else 1
             lsize.append(l)
             budget = max(1, budget // l)
         return tuple(lsize)
@@ -462,6 +465,35 @@ class LocalBinding:
     nbytes: int
 
 
+def _param_checks(kernel) -> tuple:
+    """``(name, kind, element, space)`` of each parameter of
+    ``kernel``: kind 0 a scalar, 1 a ``__local`` pointer, 2 a global or
+    constant buffer of ``element`` (a scalar type) in ``space``.  Memoized on the
+    signature, which every launch of the kernel shares."""
+    checks = getattr(kernel, "_param_checks", None)
+    if checks is None:
+        rows = []
+        for param in kernel.params:
+            ptype: CLType = param.type
+            if isinstance(ptype, ScalarType):
+                rows.append((param.name, 0, None, None))
+            elif isinstance(ptype, PointerType):
+                if ptype.address_space == "local":
+                    rows.append((param.name, 1, None, None))
+                else:
+                    rows.append((param.name, 2, ptype.pointee,
+                                 ptype.address_space))
+            else:  # pragma: no cover - signature rules prevent this
+                raise InvalidKernelArgs(
+                    f"unsupported parameter type {ptype}")
+        checks = tuple(rows)
+        try:
+            kernel._param_checks = checks
+        except AttributeError:  # pragma: no cover - a slotted signature
+            pass
+    return checks
+
+
 def check_args(kernel, args, spec=None) -> None:
     """Validate binding kinds/counts against the kernel signature.
 
@@ -470,44 +502,38 @@ def check_args(kernel, args, spec=None) -> None:
     be fed a constant-space buffer that fits the device's constant
     buffer size limit (``CL_DEVICE_MAX_CONSTANT_BUFFER_SIZE``).
     """
-    params = kernel.params
-    if len(args) != len(params):
+    checks = _param_checks(kernel)
+    if len(args) != len(checks):
         raise InvalidKernelArgs(
-            f"kernel {kernel.name!r} expects {len(params)} argument(s), "
+            f"kernel {kernel.name!r} expects {len(checks)} argument(s), "
             f"got {len(args)}")
-    for param, arg in zip(params, args):
-        ptype: CLType = param.type
-        if isinstance(ptype, ScalarType):
+    for (name, kind, element, space), arg in zip(checks, args):
+        if kind == 0:
             if not isinstance(arg, ScalarBinding):
                 raise InvalidKernelArgs(
-                    f"argument {param.name!r} must be a scalar")
-        elif isinstance(ptype, PointerType):
-            if ptype.address_space == "local":
-                if not isinstance(arg, LocalBinding):
-                    raise InvalidKernelArgs(
-                        f"argument {param.name!r} is a __local pointer; "
-                        "bind it with a LocalBinding(size)")
-            elif not isinstance(arg, BufferBinding):
+                    f"argument {name!r} must be a scalar")
+        elif kind == 1:
+            if not isinstance(arg, LocalBinding):
                 raise InvalidKernelArgs(
-                    f"argument {param.name!r} must be a buffer")
-            else:
-                if arg.array.dtype != ptype.pointee.np_dtype:
-                    raise InvalidKernelArgs(
-                        f"buffer dtype {arg.array.dtype} does not match "
-                        f"parameter {param.name!r} element type "
-                        f"{ptype.pointee}")
-                if arg.space != ptype.address_space:
-                    raise InvalidKernelArgs(
-                        f"argument {param.name!r} is a "
-                        f"__{ptype.address_space} pointer but the bound "
-                        f"buffer lives in __{arg.space} memory")
-                if (ptype.address_space == "constant" and spec is not None
-                        and arg.array.nbytes
-                        > spec.max_constant_buffer_bytes):
-                    raise OutOfResources(
-                        f"__constant argument {param.name!r} is "
-                        f"{arg.array.nbytes} B, but {spec.name} caps "
-                        f"constant buffers at "
-                        f"{spec.max_constant_buffer_bytes} B")
-        else:  # pragma: no cover - signature rules prevent this
-            raise InvalidKernelArgs(f"unsupported parameter type {ptype}")
+                    f"argument {name!r} is a __local pointer; "
+                    "bind it with a LocalBinding(size)")
+        elif not isinstance(arg, BufferBinding):
+            raise InvalidKernelArgs(
+                f"argument {name!r} must be a buffer")
+        else:
+            array = arg.array
+            if array.dtype != element.np_dtype:
+                raise InvalidKernelArgs(
+                    f"buffer dtype {array.dtype} does not match "
+                    f"parameter {name!r} element type {element}")
+            if arg.space != space:
+                raise InvalidKernelArgs(
+                    f"argument {name!r} is a __{space} pointer but the "
+                    f"bound buffer lives in __{arg.space} memory")
+            if (space == "constant" and spec is not None
+                    and array.nbytes > spec.max_constant_buffer_bytes):
+                raise OutOfResources(
+                    f"__constant argument {name!r} is "
+                    f"{array.nbytes} B, but {spec.name} caps "
+                    f"constant buffers at "
+                    f"{spec.max_constant_buffer_bytes} B")

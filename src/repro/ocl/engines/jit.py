@@ -577,15 +577,16 @@ def _id_plan(nd, pkey) -> tuple:
     warp size, row length), the first three 0 for a local array and
     the last 0 for a global buffer."""
     key, itemsize, segment, warp, row = pkey
-    ngy, ngx, ly, lx = nd.extents
-    if key == "idx" and ngy == ly == 1 and not row:
+    if key == "idx" and not row and (
+            nd.dim == 1 or nd.num_groups[1] == nd.local_size[1] == 1):
         # a 1-D launch's global id, lane l: its unit stride is known,
         # and cluster chunks make most launch shapes new
-        n = ngx * lx
+        n = nd.total_items
         plan = (0, n - 1, slice(0, n), 0, ((n, 1),),
                 count_affine_transactions(0, ((n, 1),), segment, itemsize,
                                           warp), True)
     else:
+        ngy, ngx, ly, lx = nd.extents
         strides = {"idx": (0, lx, 0, 1), "idy": (ly, 0, 1, 0),
                    "lidx": (0, 0, 0, 1), "lidy": (0, 0, 1, 0),
                    "gidx": (0, 1, 0, 0), "gidy": (1, 0, 0, 0)}.get(
@@ -725,6 +726,15 @@ def _local_store(E, value, stored, m, limit: int, key, mask, full):
     return got
 
 
+def _lane_id_value(E, key, dtype):
+    """What an id query's register holds: the launch's lane-id array
+    ``key`` as ``dtype``, for an access that reads a register the
+    generated code leaves unset (see :meth:`_FnEmitter._lazy_ids`)."""
+    ids = E.ids[key]
+    return ids if ids.dtype is dtype else ids.astype(dtype, copy=False)
+
+
+_EXEC_ENV["_lid"] = _lane_id_value
 _EXEC_ENV["_aff_ld"] = _affine_load
 _EXEC_ENV["_aff_st"] = _affine_store
 _EXEC_ENV["_loc_ld"] = _local_load
@@ -744,6 +754,40 @@ class _FnEmitter:
         self.affine = _AffineScan(code, kbc)
         self.plain = _span_local_moves(code)
         self.dead = _dead_moves(code)
+        self.lazy = self._lazy_ids()
+
+    def _lazy_ids(self) -> dict:
+        """Id-query registers that only index global or local accesses
+        which may take the affine path, each with its lane-id key and
+        type.  Their query emits nothing: an affine access needs the
+        launch's geometry, not the ids, so the lane-id array is built
+        only when an access falls back to the gather path or counts
+        the transactions of a partial mask (see :func:`_lane_id_value`)."""
+        lazy = {}
+        for reg, key in self.affine.ids.items():
+            access = self.affine.access(reg)
+            if access is not None and access[2] is not None:
+                lazy[reg] = key
+        for ins in self.code:
+            reads = _reads(ins)
+            for reg in reads:
+                if reg in lazy and not (
+                        (ins[0] == OP_LD or ins[0] == OP_ST)
+                        and ins[L_AUX][1] in (SPACE_GLOBAL, SPACE_LOCAL)
+                        and ins[L_B] == reg and reads.count(reg) == 1):
+                    del lazy[reg]
+        for ins in self.code:
+            if ins[L_DST] in lazy:
+                lazy[ins[L_DST]] = (lazy[ins[L_DST]],
+                                    self.mod.dtype_ref(ins[L_NP]))
+        return lazy
+
+    def _reg(self, reg: int) -> str:
+        """The generated expression of a read of ``reg``'s value."""
+        lazy = self.lazy.get(reg)
+        if lazy is None:
+            return f"R[{reg}]"
+        return f"_lid(E, {lazy[0]!r}, {lazy[1]})"
 
     def emit(self) -> list[str]:
         top = self.span_fn(0, len(self.code))
@@ -907,6 +951,8 @@ class _FnEmitter:
                 out.append(f"R[{d}] = np.logical_not(truth(R[{a}]))"
                            ".astype(np.int32)")
                 pend.append((line, 1.0, False))
+            elif op == OP_WIQ and d in self.lazy:
+                pass    # read through _lid by the gather paths only
             elif op == OP_WIQ:
                 qcode, dim, name = ins[L_AUX]
                 if qcode == 0:
@@ -1043,7 +1089,7 @@ class _FnEmitter:
         clamp (``np.clip`` equivalent, via the cheaper minimum/maximum
         ufuncs)."""
         out.extend([
-            f"_i = E._broadcast(R[{b}])",
+            f"_i = E._broadcast({self._reg(b)})",
             # when every lane (active or not) is in bounds, the exact
             # check cannot raise and the clamp is the identity
             "if 0 <= _i.min() and _i.max() < _m.size:",
@@ -1074,6 +1120,18 @@ class _FnEmitter:
                     "else:"])
         out.extend("    " + g for g in general)
 
+    def _keyed_reg(self, reg: int) -> str:
+        """The index value an affine access helper gets: an id query's
+        plan comes from the launch shape, so a lazy one passes None."""
+        return "None" if reg in self.lazy else f"R[{reg}]"
+
+    def _masked_reg(self, reg: int) -> str:
+        """As :meth:`_keyed_reg` for a global access, whose transaction
+        count under a partial mask may read the index."""
+        if reg in self.lazy:
+            return f"(None if full else {self._reg(reg)})"
+        return f"R[{reg}]"
+
     def _emit_ld(self, out: list[str], ins, counted: bool) -> None:
         """Emit a load; ``counted`` says ``_t`` already holds the
         transactions of a global load or store by the same lanes
@@ -1087,7 +1145,7 @@ class _FnEmitter:
             # one reduction + one gather instead of two reductions + a
             # fancy index.
             general = [
-                f"_i = E._broadcast(R[{b}])",
+                f"_i = E._broadcast({self._reg(b)})",
                 "_r = None",
                 "if 0 <= _i.min():",
                 "    try:",
@@ -1109,8 +1167,8 @@ class _FnEmitter:
                 ])
             out.extend([f"_m = M[{slot}]", "_z = _m.array.dtype.itemsize"])
             self._emit_affine(
-                out, b, f"_aff_ld(E, R[{b}], _m, {{limit}}, {{key}}, mask, "
-                f"full)", "_r, _t = _x", general)
+                out, b, f"_aff_ld(E, {self._masked_reg(b)}, _m, {{limit}}, "
+                f"{{key}}, mask, full)", "_r, _t = _x", general)
             out.extend([
                 "counters.global_loads += n_act",
                 "counters.global_load_bytes += n_act * _z",
@@ -1126,8 +1184,8 @@ class _FnEmitter:
             self._emit_index(general, b, line)
             general.append("_r = _m.array[E.group_flat, _s]")
             self._emit_affine(
-                out, b, f"_loc_ld(E, R[{b}], _m, {{limit}}, {{key}})",
-                "_r = _x", general)
+                out, b, f"_loc_ld(E, {self._keyed_reg(b)}, _m, {{limit}}, "
+                f"{{key}})", "_r = _x", general)
             out.extend([
                 "counters.local_accesses += n_act",
                 "if col is not None:",
@@ -1167,8 +1225,8 @@ class _FnEmitter:
                 ])
             out.append("_z = _m.array.dtype.itemsize")
             self._emit_affine(
-                out, b, f"_aff_st(E, R[{b}], R[{c}], _m, {{limit}}, {{key}}, "
-                f"mask, full)", "_t = _x", general)
+                out, b, f"_aff_st(E, {self._masked_reg(b)}, R[{c}], _m, "
+                f"{{limit}}, {{key}}, mask, full)", "_t = _x", general)
             out.extend([
                 "counters.global_stores += n_act",
                 "counters.global_store_bytes += n_act * _z",
@@ -1183,8 +1241,8 @@ class _FnEmitter:
                 "_v if full else _v[mask]",
             ])
             self._emit_affine(
-                out, b, f"_loc_st(E, R[{b}], R[{c}], _m, {{limit}}, {{key}}, "
-                f"mask, full)", "pass", general)
+                out, b, f"_loc_st(E, {self._keyed_reg(b)}, R[{c}], _m, "
+                f"{{limit}}, {{key}}, mask, full)", "pass", general)
             out.extend([
                 "counters.local_accesses += n_act",
                 "if col is not None:",
@@ -1450,9 +1508,6 @@ class JitEngine(VectorEngine):
             # per-layer ledger looks it up
             JitEngine.prebuild(self.program, self.spec)
         _code, kbc = entry
-        frame = self._bc_frame(kbc, args)
-        self._bloops = []
-        self._dead = np.zeros(self.n, dtype=bool)
-        mask = np.ones(self.n, dtype=bool)
+        frame, mask = self._launch_frame(kbc, args)
         pbc._jit[kbc.name](self, frame, mask, True)
         return "compiled"

@@ -59,6 +59,44 @@ class _BFrame:
         self.ret_np = ret_np
 
 
+#: launches of at most this many lanes take their initial masks as
+#: slices of the shared read-only arrays of :func:`_initial_masks`
+_SHARED_MASK_LANES = 1 << 20
+#: [all-true, all-false]: grown to the longest such launch seen so far
+_MASKS = [np.ones(0, dtype=bool), np.zeros(0, dtype=bool)]
+
+
+def _initial_masks(n: int) -> tuple:
+    """The all-true launch mask and the all-false ``_dead`` mask of an
+    ``n``-lane launch.  Masks are never written in place (every
+    narrowing makes a new array), so launches share read-only slices
+    of two arrays rather than allocate their own."""
+    if n > _SHARED_MASK_LANES:
+        return np.ones(n, dtype=bool), np.zeros(n, dtype=bool)
+    ones, zeros = _MASKS
+    if ones.size < n:
+        size = min(_SHARED_MASK_LANES, max(n, 2 * ones.size, 1 << 12))
+        ones, zeros = np.ones(size, dtype=bool), np.zeros(size, dtype=bool)
+        ones.flags.writeable = zeros.flags.writeable = False
+        _MASKS[:] = ones, zeros
+    return ones[:n], zeros[:n]
+
+
+def _param_binders(kbc) -> tuple:
+    """``(kind, slot, dtype, name, space)`` of each kernel parameter of
+    ``kbc``, memoized on it: kind 0 binds a scalar register of
+    ``dtype``, 1 a buffer or a ``__local`` array of ``dtype``
+    elements."""
+    binders = getattr(kbc, "_binders", None)
+    if binders is None:
+        binders = kbc._binders = tuple(
+            (0 if p[0] == "scalar" else 1, p[3],
+             SCALAR_TYPES[p[2]].np_dtype, p[1],
+             p[4] if p[0] != "scalar" else None)
+            for p in kbc.params)
+    return binders
+
+
 class VectorEngine:
     """Execute one kernel launch over a whole NDRange in lock step.
 
@@ -71,9 +109,19 @@ class VectorEngine:
         self.spec = spec
         #: per-launch profiler collector; None whenever profiling is off
         self._col = None
-        self._warp_key = f"_warp{spec.warp_size}"
+        self._ids = None
 
     # -- lane ids of the current launch, read on demand -----------------------
+
+    @property
+    def ids(self) -> dict:
+        """The lane-id arrays of the launch's NDRange, fetched on the
+        first read: a compiled launch whose id queries all feed affine
+        accesses never asks for them."""
+        ids = self._ids
+        if ids is None:
+            ids = self._ids = self.nd.lane_ids()
+        return ids
 
     @property
     def group_flat(self) -> np.ndarray:
@@ -87,7 +135,7 @@ class VectorEngine:
     def warp_ids(self) -> np.ndarray:
         """Each lane's warp, memoized next to the lane ids (the dict is
         shared across launches of this shape)."""
-        return self.ids[self._warp_key]
+        return self.ids[f"_warp{self.spec.warp_size}"]
 
     # -- public ------------------------------------------------------------------
 
@@ -101,7 +149,7 @@ class VectorEngine:
         nd = launch_ndrange(global_size, local_size, self.spec)
         self.nd = nd
         self.n = nd.total_items
-        self.ids = nd.lane_ids()
+        self._ids = None
 
         self.counters = CostCounters(work_items=self.n,
                                      work_groups=nd.total_groups)
@@ -160,27 +208,32 @@ class VectorEngine:
         (shared with the JIT engine, which compiles the body but keeps
         the interpreter's binding semantics)."""
         frame = _BFrame(kbc.n_regs, kbc.n_mems)
-        for p, arg in zip(kbc.params, args):
-            if p[0] == "scalar":
-                dtype = SCALAR_TYPES[p[2]].np_dtype
-                frame.regs[p[3]] = dtype.type(arg.value)
+        regs, mems = frame.regs, frame.mems
+        for (kind, slot, dtype, name, space), arg in zip(
+                _param_binders(kbc), args):
+            if kind == 0:
+                regs[slot] = dtype.type(arg.value)
             elif isinstance(arg, BufferBinding):
-                frame.mems[p[3]] = _Mem(arg.array, "buffer", p[4], p[1])
+                mems[slot] = _Mem(arg.array, "buffer", space, name)
             else:   # LocalBinding
-                elem = SCALAR_TYPES[p[2]]
-                nelems = arg.nbytes // elem.size
+                nelems = arg.nbytes // dtype.itemsize
                 self._account_local(arg.nbytes)
                 storage = np.zeros((self.nd.total_groups, nelems),
-                                   dtype=elem.np_dtype)
-                frame.mems[p[3]] = _Mem(storage, "local", "local", p[1])
+                                   dtype=dtype)
+                mems[slot] = _Mem(storage, "local", "local", name)
         return frame
+
+    def _launch_frame(self, kbc, args) -> tuple:
+        """The bound frame and the all-true mask a launch starts from;
+        resets the loop and dead-lane state the bodies read."""
+        frame = self._bc_frame(kbc, args)
+        self._bloops: list = []
+        mask, self._dead = _initial_masks(self.n)
+        return frame, mask
 
     def _run_bytecode(self, entry, args) -> str:
         code, kbc = entry
-        frame = self._bc_frame(kbc, args)
-        self._bloops: list = []
-        self._dead = np.zeros(self.n, dtype=bool)
-        mask = np.ones(self.n, dtype=bool)
+        frame, mask = self._launch_frame(kbc, args)
         self._bx_span(code, 0, len(code), frame, mask, True)
         return "interp"
 

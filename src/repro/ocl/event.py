@@ -11,7 +11,7 @@ from .api import command_status, command_type
 from .costmodel import CostCounters, TimeBreakdown
 
 
-@dataclass
+@dataclass(slots=True)
 class Event:
     """Returned by every enqueue; carries status and simulated profiling.
 
@@ -84,7 +84,7 @@ class Event:
     @property
     def is_failed(self) -> bool:
         """True when the command terminated abnormally (negative status)."""
-        return int(self.status) < 0
+        return self.status < 0
 
     @property
     def is_cancelled(self) -> bool:
@@ -104,7 +104,9 @@ class Event:
 
     @property
     def duration_ns(self) -> int:
-        self._check()
+        if self.status is not command_status.COMPLETE \
+                or not self._profiling_enabled:
+            self._check()
         return self.end_ns - self.start_ns
 
     @property
@@ -139,9 +141,11 @@ class Event:
 
     def _fire_callbacks(self) -> None:
         self._queue = None
-        callbacks, self._callbacks = self._callbacks, []
-        for fn in callbacks:
-            self._safe_call(fn)
+        callbacks = self._callbacks
+        if callbacks:
+            self._callbacks = []
+            for fn in callbacks:
+                self._safe_call(fn)
 
     def _complete(self) -> None:
         """Transition to COMPLETE and fire callbacks (queue-internal)."""

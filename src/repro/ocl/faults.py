@@ -129,6 +129,9 @@ class FaultPlan:
         for spec in self.specs:
             _validate(spec)
         self._lock = threading.Lock()
+        #: (device label, op) -> (indices of the clauses matching such a
+        #: command, its combined slow factor); clauses never change
+        self._matches: dict = {}
         self.reset()
 
     # -- construction -------------------------------------------------------
@@ -174,14 +177,25 @@ class FaultPlan:
         """Has ``label`` already died under this plan?"""
         return label in self._lost
 
+    def _matching(self, label: str, op: str) -> tuple:
+        """``(clause indices, slow factor)`` of a command of ``op`` on
+        ``label``: the clauses that match it, in order, and the product
+        of the factors of its ``slow`` clauses."""
+        found = self._matches.get((label, op))
+        if found is None:
+            indices = tuple(i for i, spec in enumerate(self.specs)
+                            if spec.matches_device(label)
+                            and spec.matches_op(op))
+            factor = 1.0
+            for i in indices:
+                if self.specs[i].kind == "slow":
+                    factor *= self.specs[i].factor
+            found = self._matches[(label, op)] = (indices, factor)
+        return found
+
     def slow_factor(self, label: str, op: str) -> float:
         """Combined straggler slowdown for one command (1.0 = none)."""
-        factor = 1.0
-        for spec in self.specs:
-            if (spec.kind == "slow" and spec.matches_device(label)
-                    and spec.matches_op(op)):
-                factor *= spec.factor
-        return factor
+        return self._matching(label, op)[1]
 
     def draw(self, label: str, op: str,
              start_seconds: float) -> Injection | None:
@@ -194,10 +208,8 @@ class FaultPlan:
         with self._lock:
             if label in self._lost:
                 return _injection("lost", "lost", label, op)
-            for i, spec in enumerate(self.specs):
-                if not (spec.matches_device(label)
-                        and spec.matches_op(op)):
-                    continue
+            for i in self._matching(label, op)[0]:
+                spec = self.specs[i]
                 if spec.kind == "lost":
                     if start_seconds >= spec.at:
                         self._lost.add(label)

@@ -114,7 +114,9 @@ class CommandQueue:
 
     @staticmethod
     def _dep_list(wait_for) -> tuple:
-        deps = tuple(wait_for) if wait_for else ()
+        if not wait_for:
+            return ()
+        deps = tuple(wait_for)
         for dep in deps:
             if not isinstance(dep, Event):
                 raise InvalidValue(
@@ -124,30 +126,28 @@ class CommandQueue:
     def _enqueue(self, command: command_type, payload, wait_for,
                  **attrs) -> Event:
         deps = self._dep_list(wait_for)
+        device = self.device
+        parent = trace.current_span()
+        trace_parent = parent.span_id if parent is not None else None
         if not self.deferred:
             # eager: dependencies may still be pending on a deferred
             # queue — drive them to a terminal state (failures
             # propagate onto this event in _execute), then run
             for dep in deps:
                 dep.drive()
-            event = Event(command=command,
-                          status=command_status.QUEUED, wait_list=deps,
+            event = Event(command, status=command_status.QUEUED,
+                          wait_list=deps,
                           _profiling_enabled=self.profiling,
-                          device_name=self.device.name,
-                          device_label=self.device.label)
-            parent = trace.current_span()
-            self._execute(event, payload, attrs,
-                          parent.span_id if parent else None)
+                          device_name=device.spec.name,
+                          device_label=device.label)
+            self._execute(event, payload, attrs, trace_parent)
             return event
-        event = Event(command=command, status=command_status.QUEUED,
-                      wait_list=deps,
-                      _profiling_enabled=self.profiling,
-                      device_name=self.device.name,
-                      device_label=self.device.label, _queue=self)
-        parent = trace.current_span()
-        self._pending.append(_Command(
-            event, payload, attrs, next(self._seq),
-            parent.span_id if parent else None))
+        event = Event(command, status=command_status.QUEUED,
+                      wait_list=deps, _profiling_enabled=self.profiling,
+                      device_name=device.spec.name,
+                      device_label=device.label, _queue=self)
+        self._pending.append(_Command(event, payload, attrs,
+                                      next(self._seq), trace_parent))
         return event
 
     def _execute(self, event: Event, payload, attrs: dict,
@@ -161,21 +161,23 @@ class CommandQueue:
         may fail the command outright or stretch its duration.
         """
         event.status = command_status.SUBMITTED
-        failed_dep = next(
-            (d for d in event.wait_list if d.is_failed), None)
-        if failed_dep is not None:
-            event._fail(failed_dep.status, failed_dep.error)
-            return
-        dep_end = max((d.end_ns for d in event.wait_list), default=0)
+        dep_end = 0
+        for dep in event.wait_list:
+            if dep.is_failed:
+                event._fail(dep.status, dep.error)
+                return
+            if dep.end_ns > dep_end:
+                dep_end = dep.end_ns
         start = max(self.clock, dep_end * 1e-9)
+        label = self.device.label
         plan = active_plan()
-        op = op_name(event.command)
         if plan is not None:
-            injection = plan.draw(self.device.label, op, start)
+            op = op_name(event.command)
+            injection = plan.draw(label, op, start)
             if injection is not None:
                 start_ns = int(start * 1e9)
                 trace.device_event(
-                    self.device.label, "fault_inject", start_ns,
+                    label, "fault_inject", start_ns,
                     start_ns, category="fault", parent_id=trace_parent,
                     op=op, code=int(injection.status),
                     fault_kind=injection.kind)
@@ -185,7 +187,7 @@ class CommandQueue:
         event.status = command_status.RUNNING
         duration, counters, breakdown, extra = payload()
         if plan is not None:
-            duration *= plan.slow_factor(self.device.label, op)
+            duration *= plan.slow_factor(label, op)
         self.clock = start + duration
         start_ns = int(start * 1e9)
         end_ns = int(self.clock * 1e9)
@@ -193,9 +195,10 @@ class CommandQueue:
         event.end_ns = end_ns
         event.counters = counters
         event.breakdown = breakdown
-        trace.device_event(self.device.label, _SPAN_NAMES[event.command],
-                           start_ns, end_ns, category="simcl",
-                           parent_id=trace_parent, **attrs, **extra)
+        if trace.is_enabled():
+            trace.device_event(label, _SPAN_NAMES[event.command],
+                               start_ns, end_ns, category="simcl",
+                               parent_id=trace_parent, **attrs, **extra)
         event._complete()
 
     # -- deferred-mode scheduling ------------------------------------------------
@@ -210,9 +213,10 @@ class CommandQueue:
         for dep in cmd.event.wait_list:
             if not dep.is_complete:
                 dep.drive()     # may recurse into this or another queue
-        if cmd not in self._pending:    # a recursive wait already ran it
+        try:
+            self._pending.remove(cmd)
+        except ValueError:      # a recursive wait already ran it
             return
-        self._pending.remove(cmd)
         self._execute(cmd.event, cmd.payload, cmd.attrs, cmd.trace_parent)
 
     def _cancel(self, event: Event) -> None:
@@ -366,16 +370,17 @@ class CommandQueue:
         args = kernel.bound_args()
         name = kernel.name
         program_ir = kernel.program.ir
+        device = self.device
 
         def payload():
             # resolved once per launch: it may read $HPL_ENGINE
-            engine_name = self.device.engine_name
+            engine_name = device.engine_name
             with trace.span("enqueue_kernel", category="simcl",
-                            kernel=name, device=self.device.name,
+                            kernel=name, device=device.spec.name,
                             engine=engine_name) as sp:
-                engine = self.device.make_engine(program_ir, engine_name)
+                engine = device.make_engine(program_ir, engine_name)
                 counters = engine.run(name, args, global_size, local_size)
-                breakdown = kernel_time(counters, self.device.spec)
+                breakdown = kernel_time(counters, device.spec)
                 sp.set_attr("sim_seconds", breakdown.total)
             _counter("simcl.kernel_launches").inc()
             return breakdown.total, counters, breakdown, {}

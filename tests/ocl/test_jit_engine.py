@@ -331,8 +331,9 @@ class TestContiguousPath:
         ids = launch_ndrange((64,), (16,), TESLA_C2050).lane_ids()
         assert not {"lidy", "lidz", "gidy", "gidz"} & set(ids)
         if engine == "jit-compiled":
-            # the strided path reads neither lanes nor warps
-            assert set(ids) == {"idx"}
+            # the strided path reads neither lanes nor warps, and the
+            # id query feeds only affine accesses: no id is built
+            assert set(ids) == set()
 
 
 class TestLaneIds:
@@ -402,7 +403,7 @@ class TestLaneIds:
                                                     monkeypatch):
         """A 2-D launch of a kernel that reads only ``get_global_id(0)``
         builds no other id; the compiled tier's strided accesses need
-        neither lanes nor warps, so it builds ``idx`` alone."""
+        neither lanes nor warps nor the id itself, so it builds none."""
         monkeypatch.setattr(engines_base, "_NDRANGE_CACHE", {})
         out = np.zeros(64, np.float32)
         x = np.arange(64, dtype=np.float32)
@@ -413,7 +414,7 @@ class TestLaneIds:
         ids = launch_ndrange((64, 1), (16, 1), TESLA_C2050).lane_ids()
         assert not {"idy", "lidx", "lidy", "gidx", "gidy"} & set(ids)
         if engine == "jit-compiled":
-            assert set(ids) == {"idx"}
+            assert set(ids) == set()
 
     def test_the_id_dtype_widens_from_two_to_the_31_lanes(self):
         """Decided from the lane count alone: no array is built."""
