@@ -109,8 +109,7 @@ def kernel_time(counters: CostCounters, spec: DeviceSpec) -> TimeBreakdown:
     compute = weighted_ops / throughput
 
     bw = spec.mem_bandwidth_gbs * 1e9
-    is_cpu = spec.is_cpu
-    if is_cpu:
+    if spec.is_cpu:
         memory = counters.global_bytes / bw
     else:
         memory = counters.global_transactions * spec.segment_bytes / bw
@@ -119,7 +118,7 @@ def kernel_time(counters: CostCounters, spec: DeviceSpec) -> TimeBreakdown:
                / (spec.clock_ghz * 1e9))
     launch = spec.launch_overhead_us * 1e-6
 
-    if is_cpu:
+    if spec.is_cpu:
         total = compute + memory + barrier + launch
     else:
         total = max(compute, memory) + barrier + launch

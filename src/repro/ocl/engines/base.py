@@ -215,9 +215,7 @@ def launch_ndrange(global_size, local_size, spec) -> "NDRange":
                      max_work_group_size=spec.max_work_group_size,
                      max_work_item_sizes=spec.max_work_item_sizes)
         if len(_NDRANGE_CACHE) >= 64:
-            # the oldest shape goes: cluster chunks bring a new shape on
-            # most launches, and must not flush the shapes that repeat
-            del _NDRANGE_CACHE[next(iter(_NDRANGE_CACHE))]
+            _NDRANGE_CACHE.clear()
         _NDRANGE_CACHE[key] = nd
     return nd
 
@@ -468,8 +466,9 @@ class LocalBinding:
 def _param_checks(kernel) -> tuple:
     """``(name, kind, element, space)`` of each parameter of
     ``kernel``: kind 0 a scalar, 1 a ``__local`` pointer, 2 a global or
-    constant buffer of ``element`` (a scalar type) in ``space``.  Memoized on the
-    signature, which every launch of the kernel shares."""
+    constant buffer of ``element`` (a scalar type) in ``space``.
+    Memoized on the signature, which every launch of the kernel
+    shares."""
     checks = getattr(kernel, "_param_checks", None)
     if checks is None:
         rows = []
@@ -486,11 +485,7 @@ def _param_checks(kernel) -> tuple:
             else:  # pragma: no cover - signature rules prevent this
                 raise InvalidKernelArgs(
                     f"unsupported parameter type {ptype}")
-        checks = tuple(rows)
-        try:
-            kernel._param_checks = checks
-        except AttributeError:  # pragma: no cover - a slotted signature
-            pass
+        checks = kernel._param_checks = tuple(rows)
     return checks
 
 

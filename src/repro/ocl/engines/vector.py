@@ -59,29 +59,6 @@ class _BFrame:
         self.ret_np = ret_np
 
 
-#: launches of at most this many lanes take their initial masks as
-#: slices of the shared read-only arrays of :func:`_initial_masks`
-_SHARED_MASK_LANES = 1 << 20
-#: [all-true, all-false]: grown to the longest such launch seen so far
-_MASKS = [np.ones(0, dtype=bool), np.zeros(0, dtype=bool)]
-
-
-def _initial_masks(n: int) -> tuple:
-    """The all-true launch mask and the all-false ``_dead`` mask of an
-    ``n``-lane launch.  Masks are never written in place (every
-    narrowing makes a new array), so launches share read-only slices
-    of two arrays rather than allocate their own."""
-    if n > _SHARED_MASK_LANES:
-        return np.ones(n, dtype=bool), np.zeros(n, dtype=bool)
-    ones, zeros = _MASKS
-    if ones.size < n:
-        size = min(_SHARED_MASK_LANES, max(n, 2 * ones.size, 1 << 12))
-        ones, zeros = np.ones(size, dtype=bool), np.zeros(size, dtype=bool)
-        ones.flags.writeable = zeros.flags.writeable = False
-        _MASKS[:] = ones, zeros
-    return ones[:n], zeros[:n]
-
-
 def _param_binders(kbc) -> tuple:
     """``(kind, slot, dtype, name, space)`` of each kernel parameter of
     ``kbc``, memoized on it: kind 0 binds a scalar register of
@@ -228,8 +205,8 @@ class VectorEngine:
         resets the loop and dead-lane state the bodies read."""
         frame = self._bc_frame(kbc, args)
         self._bloops: list = []
-        mask, self._dead = _initial_masks(self.n)
-        return frame, mask
+        self._dead = np.zeros(self.n, dtype=bool)
+        return frame, np.ones(self.n, dtype=bool)
 
     def _run_bytecode(self, entry, args) -> str:
         code, kbc = entry

@@ -11,6 +11,13 @@ from .api import command_status, command_type
 from .costmodel import CostCounters, TimeBreakdown
 
 
+#: the statuses the lifecycle checks compare against, bound once: an
+#: enum member lookup costs more than the comparison
+_COMPLETE = command_status.COMPLETE
+_QUEUED = command_status.QUEUED
+_CANCELLED = command_status.CANCELLED
+
+
 @dataclass(slots=True)
 class Event:
     """Returned by every enqueue; carries status and simulated profiling.
@@ -71,7 +78,7 @@ class Event:
                 f"{self.command.name} event failed with "
                 f"{self.status.name}; no profiling info exists for an "
                 f"abnormally terminated command")
-        if self.status is not command_status.COMPLETE:
+        if self.status is not _COMPLETE:
             raise ProfilingInfoNotAvailable(
                 f"{self.command.name} event is {self.status.name}, not "
                 f"COMPLETE; call wait() (or flush the queue) before "
@@ -79,7 +86,7 @@ class Event:
 
     @property
     def is_complete(self) -> bool:
-        return self.status is command_status.COMPLETE
+        return self.status is _COMPLETE
 
     @property
     def is_failed(self) -> bool:
@@ -90,7 +97,7 @@ class Event:
     def is_cancelled(self) -> bool:
         """True when the command was cancelled before its payload ran
         (directly via :meth:`cancel`, or through a cancelled dependency)."""
-        return self.status is command_status.CANCELLED
+        return self.status is _CANCELLED
 
     @property
     def profile_start(self) -> int:
@@ -104,7 +111,7 @@ class Event:
 
     @property
     def duration_ns(self) -> int:
-        if self.status is not command_status.COMPLETE \
+        if self.status is not _COMPLETE \
                 or not self._profiling_enabled:
             self._check()
         return self.end_ns - self.start_ns
@@ -124,7 +131,7 @@ class Event:
         ``event.is_failed``); if the event is already terminal it fires
         immediately.
         """
-        if self.status is command_status.COMPLETE or self.is_failed:
+        if self.status is _COMPLETE or self.is_failed:
             self._safe_call(fn)
         else:
             self._callbacks.append(fn)
@@ -149,7 +156,7 @@ class Event:
 
     def _complete(self) -> None:
         """Transition to COMPLETE and fire callbacks (queue-internal)."""
-        self.status = command_status.COMPLETE
+        self.status = _COMPLETE
         self._fire_callbacks()
 
     def _fail(self, status: command_status,
@@ -157,7 +164,7 @@ class Event:
         """Terminate abnormally and fire callbacks (queue-internal)."""
         self.status = status
         self.error = error
-        if status is command_status.CANCELLED:
+        if status is _CANCELLED:
             trace.get_registry().counter("simcl.cancelled_events").inc()
         self._fire_callbacks()
 
@@ -172,7 +179,7 @@ class Event:
         False when the command already reached a terminal state or ran
         eagerly — cancellation cannot rewind executed work.
         """
-        if self.status is not command_status.QUEUED or self._queue is None:
+        if self.status is not _QUEUED or self._queue is None:
             return False
         self._queue._cancel(self)
         return True
@@ -184,7 +191,7 @@ class Event:
         reported through :attr:`status`/:attr:`error` instead of an
         exception — the primitive recovery code builds on.
         """
-        if self.status is command_status.QUEUED \
+        if self.status is _QUEUED \
                 and self._queue is not None:
             self._queue._execute_until(self)
         return self

@@ -57,6 +57,12 @@ from .kernel_obj import Kernel
 _COUNTERS: dict = {}
 
 
+#: the statuses the command path sets and tests, bound once: an enum
+#: member lookup costs more than the assignment
+_QUEUED = command_status.QUEUED
+_SUBMITTED = command_status.SUBMITTED
+_RUNNING = command_status.RUNNING
+
 #: command type -> the name of its simulated-clock trace span
 _SPAN_NAMES = {command: command.name.lower() for command in command_type}
 
@@ -135,14 +141,14 @@ class CommandQueue:
             # propagate onto this event in _execute), then run
             for dep in deps:
                 dep.drive()
-            event = Event(command, status=command_status.QUEUED,
+            event = Event(command, status=_QUEUED,
                           wait_list=deps,
                           _profiling_enabled=self.profiling,
                           device_name=device.spec.name,
                           device_label=device.label)
             self._execute(event, payload, attrs, trace_parent)
             return event
-        event = Event(command, status=command_status.QUEUED,
+        event = Event(command, status=_QUEUED,
                       wait_list=deps, _profiling_enabled=self.profiling,
                       device_name=device.spec.name,
                       device_label=device.label, _queue=self)
@@ -160,7 +166,7 @@ class CommandQueue:
         Before the payload runs the active :class:`FaultPlan` (if any)
         may fail the command outright or stretch its duration.
         """
-        event.status = command_status.SUBMITTED
+        event.status = _SUBMITTED
         dep_end = 0
         for dep in event.wait_list:
             if dep.is_failed:
@@ -184,7 +190,7 @@ class CommandQueue:
                 _counter("simcl.faults_injected").inc()
                 event._fail(injection.status, injection.error)
                 return
-        event.status = command_status.RUNNING
+        event.status = _RUNNING
         duration, counters, breakdown, extra = payload()
         if plan is not None:
             duration *= plan.slow_factor(label, op)
@@ -287,7 +293,7 @@ class CommandQueue:
     def _execute_until(self, event: Event) -> None:
         """Drive pending commands until ``event`` is terminal
         (COMPLETE or failed with a negative status)."""
-        while event.status is command_status.QUEUED:
+        while event.status is _QUEUED:
             if self.out_of_order:
                 cmd = self._command_of(event)
                 if cmd is None:     # completed by a recursive wait

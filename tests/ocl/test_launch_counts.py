@@ -7,8 +7,6 @@ unnoticed:
 
 * a launch builds a lane-id array only when something other than an
   affine access reads the id;
-* it starts from read-only slices of two shared masks instead of
-  allocating its own;
 * parameter binders are resolved once per kernel signature, fault-plan
   clauses are matched once per device and command type;
 * binding, launching and reading back import nothing.
@@ -28,8 +26,6 @@ from repro.hpl.cluster import Cluster, DistributedArray
 from repro.hpl.evaluator import prepare
 from repro.ocl import faults, kernel_obj
 from repro.ocl.engines import base as engines_base
-from repro.ocl.engines import jit as jit_mod
-from repro.ocl.engines import vector
 
 
 def affine_part(y, x, a, offset, count):
@@ -102,28 +98,6 @@ class TestLaneIds:
         hpl.configure(engine="jit-interp")
         _chunk(affine_part, 1237, hpl.get_devices()[0])
         assert built_ids == ["idx", "_warp32"]
-
-
-def test_launches_share_read_only_initial_masks(monkeypatch):
-    masks = []
-    launch_frame = jit_mod.JitEngine._launch_frame
-
-    def spy(self, kbc, args):
-        frame, mask = launch_frame(self, kbc, args)
-        masks.append((mask, self._dead))
-        return frame, mask
-
-    monkeypatch.setattr(jit_mod.JitEngine, "_launch_frame", spy)
-    hpl.configure(engine="jit-compiled")
-    device = hpl.get_devices()[0]
-    for n in (1500, 301, 1499, 17):
-        _chunk(affine_part, n, device)
-    ones, zeros = vector._MASKS
-    for mask, dead in masks:
-        assert mask.all() and not dead.any()
-        assert not mask.flags.writeable and not dead.flags.writeable
-        assert np.shares_memory(mask, ones)
-        assert np.shares_memory(dead, zeros)
 
 
 def test_binding_and_launching_import_nothing():

@@ -2,13 +2,13 @@
 
 ``cluster_eval`` gives most chunks a size no launch had before, so the
 per-size launch state — the memoized ``NDRange`` with its id-query plans
-and lane ids, the shared initial masks, the affine transaction memos —
-is built when a size first appears and reused when it repeats.  These
-tests run random sequences of launches through the prepared launch path
-(``PreparedKernel.bind`` and ``launch``, what every cluster chunk runs)
-twice: once keeping that state, once clearing it before every launch.
-Buffers, every cost counter, the per-line profiles and every event
-stamp must come out the same.
+and lane ids, the affine transaction memos — is built when a size first
+appears and reused when it repeats.  These tests run random sequences
+of launches through the prepared launch path (``PreparedKernel.bind``
+and ``launch``, what every cluster chunk runs) twice: once keeping that
+state, once clearing it before every launch.  Buffers, every cost
+counter, the per-line profiles and every event stamp must come out the
+same.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from repro.hpl import Float, Int, float_, idx, idy, if_, sqrt
 from repro.hpl.evaluator import prepare
 from repro.ocl import costmodel, faults
 from repro.ocl.engines import base as engines_base
-from repro.ocl.engines import vector
 from repro.prof import LineStat
 
 
@@ -84,7 +83,6 @@ def _quiet(fresh_runtime):
 def forget_sizes() -> None:
     """Drop every per-size state of the launch path."""
     engines_base._NDRANGE_CACHE.clear()
-    vector._MASKS[:] = [np.ones(0, dtype=bool), np.zeros(0, dtype=bool)]
     costmodel._AFFINE_COUNTS.clear()
     costmodel._AFFINE_RUNS.clear()
 
@@ -151,7 +149,7 @@ def test_launches_do_not_depend_on_earlier_shapes(engine, sequence):
 
 def test_the_outputs_are_right():
     """The launches the property compares compute the right values."""
-    hpl.configure(engine="jit-compiled")
+    hpl.configure(engine="jit")
     for kernel, shape in ((affine_part, 700), (gather_part, 700),
                           (masked_part, 700), (grid_part, (8, 5))):
         device = hpl.get_devices()[0]
