@@ -463,30 +463,32 @@ class LocalBinding:
     nbytes: int
 
 
-def _param_checks(kernel) -> tuple:
-    """``(name, kind, element, space)`` of each parameter of
-    ``kernel``: kind 0 a scalar, 1 a ``__local`` pointer, 2 a global or
-    constant buffer of ``element`` (a scalar type) in ``space``.
-    Memoized on the signature, which every launch of the kernel
-    shares."""
-    checks = getattr(kernel, "_param_checks", None)
-    if checks is None:
-        rows = []
+def param_rows(kernel) -> tuple:
+    """``(name, kind, type, dtype, space)`` of each parameter of
+    ``kernel``, what binding an argument and checking a binding need:
+    kind 0 is a scalar of ``type``, 1 a ``__local`` pointer, 2 a
+    global or constant buffer of ``type`` elements (NumPy ``dtype``)
+    in ``space``, 3 a type no binding fits.  Memoized on the signature,
+    which every ``Kernel`` object and every launch of the kernel
+    share."""
+    rows = getattr(kernel, "_param_rows", None)
+    if rows is None:
+        built = []
         for param in kernel.params:
             ptype: CLType = param.type
             if isinstance(ptype, ScalarType):
-                rows.append((param.name, 0, None, None))
+                built.append((param.name, 0, ptype, None, None))
             elif isinstance(ptype, PointerType):
                 if ptype.address_space == "local":
-                    rows.append((param.name, 1, None, None))
+                    built.append((param.name, 1, ptype, None, "local"))
                 else:
-                    rows.append((param.name, 2, ptype.pointee,
-                                 ptype.address_space))
+                    built.append((param.name, 2, ptype.pointee,
+                                  ptype.pointee.np_dtype,
+                                  ptype.address_space))
             else:  # pragma: no cover - signature rules prevent this
-                raise InvalidKernelArgs(
-                    f"unsupported parameter type {ptype}")
-        checks = kernel._param_checks = tuple(rows)
-    return checks
+                built.append((param.name, 3, ptype, None, None))
+        rows = kernel._param_rows = tuple(built)
+    return rows
 
 
 def check_args(kernel, args, spec=None) -> None:
@@ -497,12 +499,12 @@ def check_args(kernel, args, spec=None) -> None:
     be fed a constant-space buffer that fits the device's constant
     buffer size limit (``CL_DEVICE_MAX_CONSTANT_BUFFER_SIZE``).
     """
-    checks = _param_checks(kernel)
-    if len(args) != len(checks):
+    rows = param_rows(kernel)
+    if len(args) != len(rows):
         raise InvalidKernelArgs(
-            f"kernel {kernel.name!r} expects {len(checks)} argument(s), "
+            f"kernel {kernel.name!r} expects {len(rows)} argument(s), "
             f"got {len(args)}")
-    for (name, kind, element, space), arg in zip(checks, args):
+    for (name, kind, ctype, dtype, space), arg in zip(rows, args):
         if kind == 0:
             if not isinstance(arg, ScalarBinding):
                 raise InvalidKernelArgs(
@@ -512,15 +514,17 @@ def check_args(kernel, args, spec=None) -> None:
                 raise InvalidKernelArgs(
                     f"argument {name!r} is a __local pointer; "
                     "bind it with a LocalBinding(size)")
+        elif kind == 3:  # pragma: no cover - signature rules prevent this
+            raise InvalidKernelArgs(f"unsupported parameter type {ctype}")
         elif not isinstance(arg, BufferBinding):
             raise InvalidKernelArgs(
                 f"argument {name!r} must be a buffer")
         else:
             array = arg.array
-            if array.dtype != element.np_dtype:
+            if array.dtype != dtype:
                 raise InvalidKernelArgs(
                     f"buffer dtype {array.dtype} does not match "
-                    f"parameter {name!r} element type {element}")
+                    f"parameter {name!r} element type {ctype}")
             if arg.space != space:
                 raise InvalidKernelArgs(
                     f"argument {name!r} is a __{space} pointer but the "

@@ -1508,6 +1508,9 @@ class JitEngine(VectorEngine):
             # per-layer ledger looks it up
             JitEngine.prebuild(self.program, self.spec)
         _code, kbc = entry
-        frame, mask = self._launch_frame(kbc, args)
+        frame = self._bc_frame(kbc, args)
+        self._bloops = []
+        self._dead = np.zeros(self.n, dtype=bool)
+        mask = np.ones(self.n, dtype=bool)
         pbc._jit[kbc.name](self, frame, mask, True)
         return "compiled"

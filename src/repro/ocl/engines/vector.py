@@ -59,21 +59,6 @@ class _BFrame:
         self.ret_np = ret_np
 
 
-def _param_binders(kbc) -> tuple:
-    """``(kind, slot, dtype, name, space)`` of each kernel parameter of
-    ``kbc``, memoized on it: kind 0 binds a scalar register of
-    ``dtype``, 1 a buffer or a ``__local`` array of ``dtype``
-    elements."""
-    binders = getattr(kbc, "_binders", None)
-    if binders is None:
-        binders = kbc._binders = tuple(
-            (0 if p[0] == "scalar" else 1, p[3],
-             SCALAR_TYPES[p[2]].np_dtype, p[1],
-             p[4] if p[0] != "scalar" else None)
-            for p in kbc.params)
-    return binders
-
-
 class VectorEngine:
     """Execute one kernel launch over a whole NDRange in lock step.
 
@@ -185,32 +170,27 @@ class VectorEngine:
         (shared with the JIT engine, which compiles the body but keeps
         the interpreter's binding semantics)."""
         frame = _BFrame(kbc.n_regs, kbc.n_mems)
-        regs, mems = frame.regs, frame.mems
-        for (kind, slot, dtype, name, space), arg in zip(
-                _param_binders(kbc), args):
-            if kind == 0:
-                regs[slot] = dtype.type(arg.value)
+        for p, arg in zip(kbc.params, args):
+            if p[0] == "scalar":
+                dtype = SCALAR_TYPES[p[2]].np_dtype
+                frame.regs[p[3]] = dtype.type(arg.value)
             elif isinstance(arg, BufferBinding):
-                mems[slot] = _Mem(arg.array, "buffer", space, name)
+                frame.mems[p[3]] = _Mem(arg.array, "buffer", p[4], p[1])
             else:   # LocalBinding
-                nelems = arg.nbytes // dtype.itemsize
+                elem = SCALAR_TYPES[p[2]]
+                nelems = arg.nbytes // elem.size
                 self._account_local(arg.nbytes)
                 storage = np.zeros((self.nd.total_groups, nelems),
-                                   dtype=dtype)
-                mems[slot] = _Mem(storage, "local", "local", name)
+                                   dtype=elem.np_dtype)
+                frame.mems[p[3]] = _Mem(storage, "local", "local", p[1])
         return frame
-
-    def _launch_frame(self, kbc, args) -> tuple:
-        """The bound frame and the all-true mask a launch starts from;
-        resets the loop and dead-lane state the bodies read."""
-        frame = self._bc_frame(kbc, args)
-        self._bloops: list = []
-        self._dead = np.zeros(self.n, dtype=bool)
-        return frame, np.ones(self.n, dtype=bool)
 
     def _run_bytecode(self, entry, args) -> str:
         code, kbc = entry
-        frame, mask = self._launch_frame(kbc, args)
+        frame = self._bc_frame(kbc, args)
+        self._bloops: list = []
+        self._dead = np.zeros(self.n, dtype=bool)
+        mask = np.ones(self.n, dtype=bool)
         self._bx_span(code, 0, len(code), frame, mask, True)
         return "interp"
 

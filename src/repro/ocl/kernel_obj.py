@@ -6,66 +6,14 @@ import numbers
 
 import numpy as np
 
-from ..clc.types import PointerType, ScalarType
 from ..errors import InvalidKernelArgs, InvalidValue
 from .buffer import Buffer, LocalMemory
-from .engines.base import BufferBinding, LocalBinding, ScalarBinding
+from .engines.base import (BufferBinding, LocalBinding, ScalarBinding,
+                           param_rows)
 
 
 #: scalar argument types bound without the abstract-class checks
 _PLAIN_SCALARS = frozenset({int, float})
-
-
-def _binder(param):
-    """The function that checks one value for ``param`` and returns
-    its binding, resolved once per kernel from the parameter type."""
-    ptype = param.type
-    name = param.name
-    if isinstance(ptype, ScalarType):
-        def bind_scalar(value):
-            if type(value) in _PLAIN_SCALARS:
-                return ScalarBinding(value, ptype)
-            if isinstance(value, (Buffer, LocalMemory)):
-                raise InvalidKernelArgs(
-                    f"argument {name!r} expects a scalar")
-            if not isinstance(value, (numbers.Number, np.generic)):
-                raise InvalidKernelArgs(
-                    f"argument {name!r}: cannot pass "
-                    f"{type(value).__name__} as a scalar")
-            return ScalarBinding(value, ptype)
-        return bind_scalar
-    if isinstance(ptype, PointerType):
-        if ptype.address_space == "local":
-            def bind_local(value):
-                if not isinstance(value, LocalMemory):
-                    raise InvalidKernelArgs(
-                        f"argument {name!r} is a __local pointer; "
-                        "pass LocalMemory(nbytes)")
-                return LocalBinding(value.nbytes)
-            return bind_local
-        elem = np.dtype(ptype.pointee.np_dtype)
-        space = ptype.address_space
-
-        def bind_buffer(value):
-            if not isinstance(value, Buffer):
-                raise InvalidKernelArgs(
-                    f"argument {name!r} expects a Buffer")
-            return BufferBinding(value.view(elem), space)
-        return bind_buffer
-
-    def bind_unsupported(value):  # pragma: no cover - signatures
-        raise InvalidKernelArgs(f"unsupported parameter type {ptype}")
-    return bind_unsupported
-
-
-def _binders_of(function) -> tuple:
-    """The binder of each parameter of ``function``, memoized on the
-    signature: every kernel object of a program shares them."""
-    binders = getattr(function, "_binders", None)
-    if binders is None:
-        binders = function._binders = tuple(
-            _binder(p) for p in function.params)
-    return binders
 
 
 class Kernel:
@@ -76,20 +24,44 @@ class Kernel:
         self.name = name
         self.function = program.ir.functions[name]
         self._args: list = [None] * len(self.function.params)
-        #: per parameter, the checking binder of :func:`_binder`
-        self._binders = _binders_of(self.function)
+        #: what binding each argument needs, shared by every kernel
+        #: object of the program (see :func:`param_rows`)
+        self._rows = param_rows(self.function)
 
     @property
     def num_args(self) -> int:
-        return len(self._binders)
+        return len(self._rows)
 
     def set_arg(self, index: int, value) -> None:
         """Bind one argument (``clSetKernelArg``)."""
-        if not 0 <= index < len(self._binders):
+        if not 0 <= index < len(self._rows):
             raise InvalidValue(
                 f"kernel {self.name!r} has {self.num_args} arguments; "
                 f"index {index} is out of range")
-        self._args[index] = self._binders[index](value)
+        name, kind, ctype, dtype, space = self._rows[index]
+        if kind == 0:
+            if type(value) not in _PLAIN_SCALARS:
+                if isinstance(value, (Buffer, LocalMemory)):
+                    raise InvalidKernelArgs(
+                        f"argument {name!r} expects a scalar")
+                if not isinstance(value, (numbers.Number, np.generic)):
+                    raise InvalidKernelArgs(
+                        f"argument {name!r}: cannot pass "
+                        f"{type(value).__name__} as a scalar")
+            self._args[index] = ScalarBinding(value, ctype)
+        elif kind == 1:
+            if not isinstance(value, LocalMemory):
+                raise InvalidKernelArgs(
+                    f"argument {name!r} is a __local pointer; "
+                    "pass LocalMemory(nbytes)")
+            self._args[index] = LocalBinding(value.nbytes)
+        elif kind == 2:
+            if not isinstance(value, Buffer):
+                raise InvalidKernelArgs(
+                    f"argument {name!r} expects a Buffer")
+            self._args[index] = BufferBinding(value.view(dtype), space)
+        else:  # pragma: no cover - signatures exclude other types
+            raise InvalidKernelArgs(f"unsupported parameter type {ctype}")
 
     def set_args(self, *values) -> "Kernel":
         """Bind all arguments at once; returns self for chaining."""

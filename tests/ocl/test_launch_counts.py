@@ -7,8 +7,9 @@ unnoticed:
 
 * a launch builds a lane-id array only when something other than an
   affine access reads the id;
-* parameter binders are resolved once per kernel signature, fault-plan
-  clauses are matched once per device and command type;
+* what binding and checking an argument needs is resolved once per
+  kernel signature, fault-plan clauses once per device and command
+  type;
 * binding, launching and reading back import nothing.
 """
 
@@ -21,11 +22,13 @@ import numpy as np
 import pytest
 
 import repro.hpl as hpl
+from repro import ocl
 from repro.hpl import Float, Int, cluster_eval, float_, idx, sqrt
 from repro.hpl.cluster import Cluster, DistributedArray
 from repro.hpl.evaluator import prepare
-from repro.ocl import faults, kernel_obj
+from repro.ocl import faults
 from repro.ocl.engines import base as engines_base
+from repro.ocl.engines.base import param_rows
 
 
 def affine_part(y, x, a, offset, count):
@@ -139,18 +142,25 @@ def _cluster_calls(calls: int) -> None:
         y.gather()
 
 
-def test_binders_are_resolved_once_per_signature(monkeypatch):
-    _cluster_calls(1)
-    built = Counter()
-    binder = kernel_obj._binder
+def test_parameter_rows_are_resolved_once_per_signature(monkeypatch):
+    """Every kernel object of a program binds from the one row tuple
+    memoized on the kernel's signature, which the launch's argument
+    check reads too."""
+    kernels = []
+    create_kernel = ocl.Program.create_kernel
 
-    def spy(param):
-        built[param.name] += 1
-        return binder(param)
+    def spy(program, name):
+        kernels.append(create_kernel(program, name))
+        return kernels[-1]
 
-    monkeypatch.setattr(kernel_obj, "_binder", spy)
+    monkeypatch.setattr(ocl.Program, "create_kernel", spy)
     _cluster_calls(3)
-    assert built == Counter()
+    programs = {id(k.program) for k in kernels}
+    assert len(kernels) == 3 * len(programs)     # one per device per call
+    for kernel in kernels:
+        assert kernel._rows is param_rows(kernel.function)
+        assert kernel._rows is param_rows(kernel.program.ir.functions[
+            kernel.name])
 
 
 def test_fault_clauses_are_matched_once_per_command_kind(monkeypatch):
