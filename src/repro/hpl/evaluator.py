@@ -162,7 +162,6 @@ class PreparedKernel:
         #: whether the resolve step hit the compiled cache; only the
         #: first launch bills capture and build seconds
         self.from_cache = from_cache
-        #: its per-parameter binders are resolved once, here
         self.kernel = compiled.program.create_kernel(captured.kernel_name)
         #: (index, name, reads) per kernel parameter, in order
         self._params = tuple((index, name, info.reads(name))
